@@ -17,7 +17,6 @@ import (
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/hypergraph"
 	"bagconsistency/internal/ilp"
-	"bagconsistency/internal/maxflow"
 	"bagconsistency/internal/reductions"
 	"bagconsistency/internal/relational"
 	"bagconsistency/pkg/bagconsist"
@@ -391,47 +390,6 @@ func BenchmarkE9ThreeColoring(b *testing.B) {
 }
 
 // --- Ablations called out in DESIGN.md ---
-
-// BenchmarkAblationFlowAlgorithms compares Dinic against Edmonds–Karp on a
-// bag-consistency shaped network (bipartite with source/sink fans).
-func BenchmarkAblationFlowAlgorithms(b *testing.B) {
-	build := func() *maxflow.Network {
-		const side = 120
-		n := 2*side + 2
-		nw, err := maxflow.NewNetwork(n, 0, n-1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(10))
-		for i := 0; i < side; i++ {
-			if _, err := nw.AddEdge(0, 1+i, int64(1+rng.Intn(50))); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := nw.AddEdge(1+side+i, n-1, int64(1+rng.Intn(50))); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := 0; i < side; i++ {
-			for k := 0; k < 6; k++ {
-				if _, err := nw.AddEdge(1+i, 1+side+rng.Intn(side), 1<<30); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		return nw
-	}
-	nw := build()
-	b.Run("dinic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nw.MaxFlow()
-		}
-	})
-	b.Run("edmonds-karp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nw.MaxFlowEdmondsKarp()
-		}
-	})
-}
 
 // BenchmarkAblationWitnessMinimization measures the cost/benefit of
 // minimal pairwise witnesses inside the Theorem 6 composition.

@@ -18,7 +18,7 @@
 //	pkg/bagclient        typed HTTP client for the bagcd daemon (503 retries, contexts)
 //	internal/bag         multiset algebra: schemas, tuples, bags, marginals, joins
 //	internal/hypergraph  acyclicity, chordality, conformality, join trees, cores
-//	internal/maxflow     Dinic / Edmonds–Karp integral max flow
+//	internal/maxflow     Dinic integral max flow
 //	internal/lp          exact rational simplex
 //	internal/ilp         integer feasibility for the programs P(R1..Rm)
 //	internal/core        the paper's results: consistency tests, witnesses,

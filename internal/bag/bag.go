@@ -511,7 +511,7 @@ func join(r, s *Bag, supports bool) (*Bag, error) {
 	outRow := table.GetUint32s(union.Len())
 	defer table.PutUint32s(outRow)
 	w, sw := r.rows.W, s.rows.W
-	err := mergeJoinPairs(r, s, func(rpos, spos int) error {
+	err := EachJoinPair(r, s, func(rpos, spos int) error {
 		count := int64(1)
 		if !supports {
 			c, err := checkedMul(r.rows.Counts[rpos], s.rows.Counts[spos])
@@ -537,14 +537,20 @@ func join(r, s *Bag, supports bool) (*Bag, error) {
 	return out, nil
 }
 
-// mergeJoinPairs calls emit(rpos, spos) for every pair of support rows of
-// r and s that agree on all shared attributes — the tuple pairs of the
-// relational join R' ⋈ S' — in a deterministic order. It is a sort-merge
-// join on interned ids: both sides' shared projections are translated
-// into s's id space (one remap load per value inside the loop; the string
-// lookups happen once per distinct value up front), radix-sorted, and
-// merged; matching key runs emit their cross products.
-func mergeJoinPairs(r, s *Bag, emit func(rpos, spos int) error) error {
+// EachJoinRun is the engine's one sort-merge join. It calls run(rpos,
+// spos) once per value of the shared attributes X∩Y found in both bags,
+// in a deterministic order: rpos lists r's support row positions
+// carrying that value and spos s's, each increasing. Every pair of the
+// relational join R' ⋈ S' lies in exactly one run's cross product, so by
+// Lemma 2 the pair network N(R,S) is the disjoint union of one complete
+// bipartite block per run. Disjoint schemas make a single run of all
+// rows. The slices alias scratch and are valid only during the call;
+// iteration stops on the first error.
+//
+// Both sides' shared projections are translated into s's id space (one
+// remap load per value inside the loop; the string lookups happen once
+// per distinct value up front), radix-sorted, and merged.
+func EachJoinRun(r, s *Bag, run func(rpos, spos []int32) error) error {
 	if r.rows.N() == 0 || s.rows.N() == 0 {
 		return nil
 	}
@@ -559,15 +565,12 @@ func mergeJoinPairs(r, s *Bag, emit func(rpos, spos int) error) error {
 	}
 	zw := len(sharedPosR)
 	if zw == 0 {
-		// Disjoint schemas: full cross product.
-		for i := 0; i < r.rows.N(); i++ {
-			for j := 0; j < s.rows.N(); j++ {
-				if err := emit(i, j); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		// Disjoint schemas: one run, the full cross product.
+		allR := iotaInt32s(r.rows.N())
+		defer table.PutInt32s(allR)
+		allS := iotaInt32s(s.rows.N())
+		defer table.PutInt32s(allS)
+		return run(allR, allS)
 	}
 
 	// Shared-attribute keys for both sides, both in s's id space.
@@ -644,16 +647,26 @@ rloop:
 		for sEnd < len(permS) && table.RowsEqual(keyS, int(permS[si]), keyS, int(permS[sEnd])) {
 			sEnd++
 		}
+		// The merge never looks behind rEnd again, so the run's entries
+		// can be turned from key indices into r's row positions in place.
 		for a := ri; a < rEnd; a++ {
-			for bidx := si; bidx < sEnd; bidx++ {
-				if err := emit(int(origR[permR[a]]), int(permS[bidx])); err != nil {
-					return err
-				}
-			}
+			permR[a] = origR[permR[a]]
+		}
+		if err := run(permR[ri:rEnd], permS[si:sEnd]); err != nil {
+			return err
 		}
 		ri, si = rEnd, sEnd
 	}
 	return nil
+}
+
+// iotaInt32s returns a pooled buffer holding 0..n-1.
+func iotaInt32s(n int) []int32 {
+	s := table.GetInt32s(n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
 }
 
 // compareRows orders row a of ra against row b of rb lexicographically.

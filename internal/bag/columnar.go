@@ -89,12 +89,22 @@ func UnionLayout(r, s *Bag) (*Schema, []UnionSrc, []*table.Dict) {
 
 // EachJoinPair calls emit(rpos, spos) for every pair of support row
 // positions of r and s that agree on every shared attribute — the index
-// pairs of the relational join R' ⋈ S' — in a deterministic order,
-// stopping on the first error. This is the integer-keyed primitive the
-// Lemma 2 pair network is built from: no join bag is materialized and no
-// tuple is ever re-keyed through a string map.
+// pairs of the relational join R' ⋈ S' — in a deterministic order (run
+// by run as EachJoinRun visits them, r's row outer), stopping on the
+// first error. This is the integer-keyed primitive Join and the Lemma 2
+// pair network are built from: no join bag is materialized and no tuple
+// is ever re-keyed through a string map.
 func EachJoinPair(r, s *Bag, emit func(rpos, spos int) error) error {
-	return mergeJoinPairs(r, s, emit)
+	return EachJoinRun(r, s, func(rpos, spos []int32) error {
+		for _, i := range rpos {
+			for _, j := range spos {
+				if err := emit(int(i), int(j)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // FromColumnar assembles a bag over s that adopts the given column

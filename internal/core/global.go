@@ -193,8 +193,9 @@ func (c *Collection) WitnessAcyclic(opts GlobalOptions) (*bag.Bag, bool, error) 
 }
 
 // WitnessAcyclicContext is WitnessAcyclic with cooperative cancellation,
-// polled between composition steps (each step is a polynomial max-flow
-// computation, so cancellation latency is one flow solve).
+// polled between composition steps and, inside a step, by the minimal
+// pair witness kernel once per transportation block and every few
+// hundred arcs within one.
 func (c *Collection) WitnessAcyclicContext(ctx context.Context, opts GlobalOptions) (*bag.Bag, bool, error) {
 	order, err := c.hg.RunningIntersectionOrder()
 	if err != nil {

@@ -71,9 +71,18 @@ func unarySizeOf(v bag.View, name string) (int64, error) {
 	return total, nil
 }
 
-// buildPairNetwork constructs N(R,S).
+// buildPairNetwork constructs N(R,S). The totals come first: they bound
+// every flow value, so once they fit in int64 no arc can overflow one.
 func buildPairNetwork(r, s *bag.Bag) (*pairNetwork, error) {
 	rv, sv := r.View(), s.View()
+	wantR, err := unarySizeOf(rv, "R")
+	if err != nil {
+		return nil, err
+	}
+	wantS, err := unarySizeOf(sv, "S")
+	if err != nil {
+		return nil, err
+	}
 	nR, nS := rv.Rows.N(), sv.Rows.N()
 	n := 2 + nR + nS
 	source := 0
@@ -85,31 +94,19 @@ func buildPairNetwork(r, s *bag.Bag) (*pairNetwork, error) {
 	nw.ReserveEdges(nR + nS)
 	for i := 0; i < nR; i++ {
 		if _, err := nw.AddEdge(source, 1+i, rv.Rows.Counts[i]); err != nil {
-			return nil, &OverflowError{Op: "pair network capacity"}
+			return nil, err
 		}
 	}
 	for j := 0; j < nS; j++ {
 		if _, err := nw.AddEdge(1+nR+j, sink, sv.Rows.Counts[j]); err != nil {
-			return nil, &OverflowError{Op: "pair network capacity"}
+			return nil, err
 		}
-	}
-	wantR, err := unarySizeOf(rv, "R")
-	if err != nil {
-		return nil, err
-	}
-	wantS, err := unarySizeOf(sv, "S")
-	if err != nil {
-		return nil, err
 	}
 	pn := &pairNetwork{nw: nw, r: r, s: s, rv: rv, sv: sv, wantR: wantR, wantS: wantS}
 	err = bag.EachJoinPair(r, s, func(rpos, spos int) error {
-		cap := rv.Rows.Counts[rpos]
-		if c := sv.Rows.Counts[spos]; c < cap {
-			cap = c
-		}
-		id, err := nw.AddEdge(1+rpos, 1+nR+spos, cap)
+		id, err := nw.AddEdge(1+rpos, 1+nR+spos, min(rv.Rows.Counts[rpos], sv.Rows.Counts[spos]))
 		if err != nil {
-			return &OverflowError{Op: "pair network capacity"}
+			return err
 		}
 		pn.middle = append(pn.middle, id)
 		pn.pairR = append(pn.pairR, int32(rpos))
@@ -132,35 +129,63 @@ func (pn *pairNetwork) saturated() bool {
 }
 
 // witness reads the bag T(XY) off the middle-arc flows after a saturated
-// max-flow computation: T(t) = f(t[X], t[Y]) (proof of Lemma 2). The
-// witness rows are assembled directly from the two views' interned ids
-// using the same union layout Join uses (bag.UnionLayout) and share the
-// inputs' dictionaries — distinct middle arcs yield distinct union
-// tuples, so the rows need no deduplication.
+// max-flow computation: T(t) = f(t[X], t[Y]) (proof of Lemma 2).
 func (pn *pairNetwork) witness() (*bag.Bag, error) {
-	union, srcs, cols := bag.UnionLayout(pn.r, pn.s)
-	var rows table.Rows
-	rows.W = union.Len()
-	rw, sw := pn.rv.Rows.W, pn.sv.Rows.W
-	row := table.GetUint32s(union.Len())
-	defer table.PutUint32s(row)
+	wb := newWitnessBuilder(pn.r, pn.s, pn.rv, pn.sv, 0)
+	defer wb.release()
 	for i, id := range pn.middle {
-		f := pn.nw.Flow(id)
-		if f <= 0 {
-			continue
+		if f := pn.nw.Flow(id); f > 0 {
+			wb.add(int(pn.pairR[i]), int(pn.pairS[i]), f)
 		}
-		rpos, spos := int(pn.pairR[i]), int(pn.pairS[i])
-		for oi, sc := range srcs {
-			if sc.FromR {
-				row[oi] = pn.rv.Rows.IDs[rpos*rw+sc.Pos]
-			} else {
-				row[oi] = pn.sv.Rows.IDs[spos*sw+sc.Pos]
-			}
-		}
-		rows.Append(row, f)
 	}
-	return bag.FromColumnar(union, cols, rows)
+	return wb.bag()
 }
+
+// witnessBuilder assembles a witness bag T(XY) from (support row of R,
+// support row of S, multiplicity) triples, in the order they are added.
+// Rows are built directly from the two views' interned ids using the
+// union layout Join uses (bag.UnionLayout) and share the inputs'
+// dictionaries. Distinct middle arcs yield distinct union tuples, so the
+// rows need no deduplication.
+type witnessBuilder struct {
+	union  *bag.Schema
+	srcs   []bag.UnionSrc
+	cols   []*table.Dict
+	rv, sv bag.View
+	row    []uint32
+	rows   table.Rows
+}
+
+// newWitnessBuilder prepares a builder for at most capRows rows (a
+// sizing hint; 0 lets the buffers grow).
+func newWitnessBuilder(r, s *bag.Bag, rv, sv bag.View, capRows int) witnessBuilder {
+	union, srcs, cols := bag.UnionLayout(r, s)
+	wb := witnessBuilder{union: union, srcs: srcs, cols: cols, rv: rv, sv: sv, row: table.GetUint32s(union.Len())}
+	wb.rows.W = union.Len()
+	if capRows > 0 {
+		wb.rows.IDs = make([]uint32, 0, capRows*union.Len())
+		wb.rows.Counts = make([]int64, 0, capRows)
+	}
+	return wb
+}
+
+func (wb *witnessBuilder) add(rpos, spos int, f int64) {
+	rw, sw := wb.rv.Rows.W, wb.sv.Rows.W
+	for oi, sc := range wb.srcs {
+		if sc.FromR {
+			wb.row[oi] = wb.rv.Rows.IDs[rpos*rw+sc.Pos]
+		} else {
+			wb.row[oi] = wb.sv.Rows.IDs[spos*sw+sc.Pos]
+		}
+	}
+	wb.rows.Append(wb.row, f)
+}
+
+func (wb *witnessBuilder) bag() (*bag.Bag, error) {
+	return bag.FromColumnar(wb.union, wb.cols, wb.rows)
+}
+
+func (wb *witnessBuilder) release() { table.PutUint32s(wb.row) }
 
 // PairWitness determines whether two bags are consistent and, if so,
 // constructs a bag T with T[X] = R and T[Y] = S using the integral max-flow
@@ -188,27 +213,32 @@ func PairWitness(r, s *bag.Bag) (*bag.Bag, bool, error) {
 }
 
 // MinimalPairWitness constructs a witness of the consistency of two bags
-// whose support cannot be shrunk: no other witness has a strictly smaller
-// support set (Section 5.3). By Theorem 5 its support size is at most
-// ‖R‖supp + ‖S‖supp. The construction is the paper's self-reducibility
-// loop: probe each middle edge, deleting it permanently whenever a
-// saturated flow still exists without it.
+// whose support cannot be shrunk: no other witness has a support
+// strictly contained in it (Section 5.3). By Theorem 5 its support size
+// is at most ‖R‖supp + ‖S‖supp. The construction is the paper's
+// self-reducibility loop over the middle arcs of N(R,S): visit each arc
+// in order and delete it for good whenever a saturated flow still exists
+// without it; the witness is the flow on the arcs that stay.
 func MinimalPairWitness(r, s *bag.Bag) (*bag.Bag, bool, error) {
 	return MinimalPairWitnessContext(context.Background(), r, s)
 }
 
 // MinimalPairWitnessContext is MinimalPairWitness with cooperative
-// cancellation, polled once per middle-edge probe.
+// cancellation, polled once per transportation block and every
+// ctxPollProbes arcs inside one.
 //
-// The self-reducibility loop is incremental: it keeps one saturated flow
-// alive across probes instead of recomputing max flow per edge. An edge
-// carrying no flow in the current assignment is deletable outright (the
-// current flow already avoids it); an edge carrying f units is probed by
-// rerouting those f units through the residual graph (maxflow.TryReroute),
-// which succeeds iff a saturated flow exists without the edge — the same
-// criterion the from-scratch loop evaluated, at a fraction of the cost.
-// A final full max-flow on the surviving edges keeps the extracted
-// witness deterministic.
+// The loop runs per block. N(R,S) links r to s only when r[Z] = s[Z]
+// for Z = X∩Y (Lemma 2), so it splits into independent complete
+// bipartite transportation blocks, one per value of R[Z]; an arc's
+// deletability depends on its own block alone. Each block starts from a
+// dense staircase flow. An arc carrying no flow is deleted outright (the
+// current flow already avoids it); an arc carrying f units is deleted
+// iff an augmenting-path search inside the block reroutes those f units
+// from its row to its column without it. The kept set depends only on
+// the arc order and on feasibility, and the flow on an inclusion-minimal
+// support is unique, so the witness — rows, multiplicities and row order
+// (surviving arcs in middle-arc order) — is the one any exact
+// implementation of the loop produces, whatever flow it starts from.
 func MinimalPairWitnessContext(ctx context.Context, r, s *bag.Bag) (*bag.Bag, bool, error) {
 	_, mSpan := trace.Start(ctx, trace.SpanMarginals)
 	ok, err := PairConsistent(r, s)
@@ -217,36 +247,17 @@ func MinimalPairWitnessContext(ctx context.Context, r, s *bag.Bag) (*bag.Bag, bo
 		return nil, false, err
 	}
 	_, bSpan := trace.Start(ctx, trace.SpanPairNet)
-	pn, err := buildPairNetwork(r, s)
+	pb, err := buildPairBlocks(r, s)
 	bSpan.End()
 	if err != nil {
 		return nil, false, err
 	}
+	defer pb.release()
 	_, fSpan := trace.Start(ctx, trace.SpanMaxflow)
-	defer func() {
-		fSpan.SetCounter("augmentations", pn.nw.Augmentations())
-		fSpan.SetCounter("probes", int64(len(pn.middle)))
-		fSpan.End()
-	}()
-	if !pn.saturated() {
-		return nil, false, fmt.Errorf("core: marginals agree but network is unsaturated")
-	}
-	for _, id := range pn.middle {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if pn.nw.Flow(id) == 0 {
-			if err := pn.nw.DropIdleEdge(id); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		pn.nw.TryReroute(id)
-	}
-	if !pn.saturated() {
-		return nil, false, fmt.Errorf("core: minimal witness loop lost saturation")
-	}
-	w, err := pn.witness()
+	w, probes, augmentations, err := pb.minimalWitness(ctx, r, s)
+	fSpan.SetCounter("augmentations", augmentations)
+	fSpan.SetCounter("probes", probes)
+	fSpan.End()
 	if err != nil {
 		return nil, false, err
 	}

@@ -4,11 +4,11 @@
 // two bags admits a saturated flow iff the bags are consistent, and an
 // integral max flow yields a witnessing bag.
 //
-// Two algorithms are provided: Dinic's algorithm (the default; strongly
-// polynomial, O(V²E)) and Edmonds–Karp (O(VE²), kept as an ablation
-// baseline and cross-check). Both return integral flows, which is what
-// makes the integrality theorem for max flow available to the bag
-// construction.
+// The algorithm is Dinic's (strongly polynomial, O(V²E)). It returns
+// integral flows, which is what makes the integrality theorem for max
+// flow available to the bag construction. An Edmonds–Karp
+// implementation lives in this package's tests as an independent oracle
+// and ablation baseline.
 package maxflow
 
 import (
@@ -25,25 +25,16 @@ type Network struct {
 	sink   int
 	head   [][]int32 // adjacency lists of edge indices
 	edges  []edge
-	total  int64 // sum of all capacities, for overflow control
+	// out sums the capacities leaving the source: the largest value a
+	// flow can reach, so keeping it within int64 is the overflow bound.
+	out int64
 
 	// Reusable search scratch: allocated once per network, so repeated
-	// flow computations (the witness-minimization probe loop runs one per
-	// rerouted edge) allocate nothing.
+	// flow computations allocate nothing.
 	level []int32
 	iter  []int
 	queue []int32
-
-	// aug counts augmenting paths pushed over the network's lifetime
-	// (across Reset calls), surfaced as the "augmentations" counter on
-	// engine.maxflow trace spans. The algorithms stay trace-free; callers
-	// read the counter.
-	aug int64
 }
-
-// Augmentations returns the number of augmenting paths pushed since the
-// network was built, across all MaxFlow/TryReroute calls.
-func (nw *Network) Augmentations() int64 { return nw.aug }
 
 type edge struct {
 	to   int32
@@ -76,8 +67,9 @@ func (nw *Network) ReserveEdges(m int) {
 }
 
 // AddEdge adds a directed edge with the given capacity and returns its
-// identifier for later flow inspection. Capacities must be non-negative and
-// their running sum must stay within int64.
+// identifier for later flow inspection. Capacities must be non-negative,
+// and the capacities leaving the source must sum within int64: that sum
+// bounds every flow value, so no other arc can make one overflow.
 func (nw *Network) AddEdge(from, to int, capacity int64) (int, error) {
 	if from < 0 || from >= nw.n || to < 0 || to >= nw.n {
 		return 0, fmt.Errorf("maxflow: edge %d->%d out of range", from, to)
@@ -85,10 +77,12 @@ func (nw *Network) AddEdge(from, to int, capacity int64) (int, error) {
 	if capacity < 0 {
 		return 0, fmt.Errorf("maxflow: negative capacity %d", capacity)
 	}
-	if nw.total > math.MaxInt64-capacity {
-		return 0, fmt.Errorf("maxflow: total capacity overflow")
+	if from == nw.source {
+		if nw.out > math.MaxInt64-capacity {
+			return 0, fmt.Errorf("maxflow: capacity out of the source overflows int64")
+		}
+		nw.out += capacity
 	}
-	nw.total += capacity
 	id := len(nw.edges)
 	nw.edges = append(nw.edges, edge{to: int32(to), cap: capacity, orig: capacity})
 	nw.edges = append(nw.edges, edge{to: int32(from), cap: 0, orig: 0})
@@ -106,18 +100,6 @@ func (nw *Network) Flow(id int) int64 {
 // Capacity returns the original capacity of the edge with the given id.
 func (nw *Network) Capacity(id int) int64 { return nw.edges[id].orig }
 
-// SetCapacity changes the capacity of an edge (resetting all flow in the
-// network), used by the minimal-witness self-reducibility loop to suppress
-// middle edges.
-func (nw *Network) SetCapacity(id int, capacity int64) error {
-	if capacity < 0 {
-		return fmt.Errorf("maxflow: negative capacity %d", capacity)
-	}
-	nw.edges[id].orig = capacity
-	nw.Reset()
-	return nil
-}
-
 // Reset clears all flow, restoring residual capacities to the originals.
 func (nw *Network) Reset() {
 	for i := range nw.edges {
@@ -130,7 +112,21 @@ func (nw *Network) Reset() {
 // available through Flow afterwards.
 func (nw *Network) MaxFlow() int64 {
 	nw.Reset()
-	return nw.augment(nw.source, nw.sink, math.MaxInt64)
+	nw.ensureScratch()
+	var total int64
+	for nw.bfsLevels() {
+		for i := range nw.iter {
+			nw.iter[i] = 0
+		}
+		for {
+			pushed := nw.blockingDFS(nw.source, math.MaxInt64)
+			if pushed == 0 {
+				break
+			}
+			total += pushed
+		}
+	}
+	return total
 }
 
 func (nw *Network) ensureScratch() {
@@ -143,39 +139,16 @@ func (nw *Network) ensureScratch() {
 	nw.iter = nw.iter[:nw.n]
 }
 
-// augment runs Dinic phases pushing at most limit additional units from
-// src to dst on the *current* residual graph (no reset). MaxFlow calls it
-// source→sink after a reset; TryReroute calls it between the endpoints of
-// a deleted edge to repair the flow in place.
-func (nw *Network) augment(src, dst int, limit int64) int64 {
-	nw.ensureScratch()
-	var total int64
-	for total < limit && nw.bfsLevels(src, dst) {
-		for i := range nw.iter {
-			nw.iter[i] = 0
-		}
-		for total < limit {
-			pushed := nw.blockingDFS(src, dst, limit-total)
-			if pushed == 0 {
-				break
-			}
-			nw.aug++
-			total += pushed
-		}
-	}
-	return total
-}
-
-// bfsLevels builds the level graph from src; reports whether dst is
-// reachable.
-func (nw *Network) bfsLevels(src, dst int) bool {
+// bfsLevels builds the level graph from the source; reports whether the
+// sink is reachable.
+func (nw *Network) bfsLevels() bool {
 	level := nw.level
 	for i := range level {
 		level[i] = -1
 	}
 	q := nw.queue[:0]
-	level[src] = 0
-	q = append(q, int32(src))
+	level[nw.source] = 0
+	q = append(q, int32(nw.source))
 	for qi := 0; qi < len(q); qi++ {
 		u := q[qi]
 		for _, eid := range nw.head[u] {
@@ -187,13 +160,13 @@ func (nw *Network) bfsLevels(src, dst int) bool {
 		}
 	}
 	nw.queue = q
-	return level[dst] >= 0
+	return level[nw.sink] >= 0
 }
 
 // blockingDFS pushes flow along the level graph with the standard
 // current-arc optimization.
-func (nw *Network) blockingDFS(u, dst int, limit int64) int64 {
-	if u == dst {
+func (nw *Network) blockingDFS(u int, limit int64) int64 {
+	if u == nw.sink {
 		return limit
 	}
 	iter, level := nw.iter, nw.level
@@ -207,7 +180,7 @@ func (nw *Network) blockingDFS(u, dst int, limit int64) int64 {
 		if e.cap < pass {
 			pass = e.cap
 		}
-		pushed := nw.blockingDFS(int(e.to), dst, pass)
+		pushed := nw.blockingDFS(int(e.to), pass)
 		if pushed > 0 {
 			e.cap -= pushed
 			nw.edges[eid^1].cap += pushed
@@ -215,106 +188,4 @@ func (nw *Network) blockingDFS(u, dst int, limit int64) int64 {
 		}
 	}
 	return 0
-}
-
-// DropIdleEdge deletes an edge that carries no flow in the current
-// assignment, leaving the flow itself untouched (it remains valid: no
-// unit crossed the edge). It returns an error if the edge carries flow —
-// use TryReroute for that case.
-func (nw *Network) DropIdleEdge(id int) error {
-	if f := nw.Flow(id); f != 0 {
-		return fmt.Errorf("maxflow: edge %d carries %d units", id, f)
-	}
-	nw.edges[id].orig = 0
-	nw.edges[id].cap = 0
-	return nil
-}
-
-// TryReroute attempts to delete edge id while preserving the current
-// total flow value: it removes the edge's flow f, then searches the
-// residual graph for f replacement units from the edge's tail to its
-// head. Augmenting paths between two interior vertices cannot alter any
-// source or sink arc of a saturated flow (those arcs have no forward
-// residual, so no path transits the source or sink), hence success means
-// the same saturated value stands without the edge, which is exactly the
-// deletability criterion of the witness-minimization loop — evaluated
-// without recomputing the flow from scratch.
-//
-// On success the edge is deleted (capacity 0) and true is returned; on
-// failure the edge is restored carrying the unreroutable remainder, the
-// flow is again valid at the same value, and false is returned.
-func (nw *Network) TryReroute(id int) bool {
-	e := &nw.edges[id]
-	f := e.orig - e.cap
-	if f == 0 {
-		e.orig, e.cap = 0, 0
-		return true
-	}
-	u := int(nw.edges[id^1].to) // tail
-	v := int(e.to)              // head
-	origCap := e.orig
-	e.orig, e.cap = 0, 0
-	nw.edges[id^1].cap -= f
-	g := nw.augment(u, v, f)
-	if g == f {
-		return true
-	}
-	// Not fully reroutable: restore the edge with the remainder flowing
-	// through it (the g rerouted units stay on their new paths).
-	rem := f - g
-	e.orig = origCap
-	e.cap = origCap - rem
-	nw.edges[id^1].cap += rem
-	return false
-}
-
-// MaxFlowEdmondsKarp computes a maximum integral flow with the
-// Edmonds–Karp algorithm (BFS augmenting paths). Used as an independent
-// cross-check of Dinic and as a benchmark baseline.
-func (nw *Network) MaxFlowEdmondsKarp() int64 {
-	nw.Reset()
-	var total int64
-	parentEdge := make([]int32, nw.n)
-	for {
-		for i := range parentEdge {
-			parentEdge[i] = -1
-		}
-		parentEdge[nw.source] = -2
-		queue := []int32{int32(nw.source)}
-		found := false
-		for qi := 0; qi < len(queue) && !found; qi++ {
-			u := queue[qi]
-			for _, eid := range nw.head[u] {
-				e := &nw.edges[eid]
-				if e.cap > 0 && parentEdge[e.to] == -1 {
-					parentEdge[e.to] = eid
-					if int(e.to) == nw.sink {
-						found = true
-						break
-					}
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		if !found {
-			return total
-		}
-		// Find bottleneck.
-		bottleneck := int64(math.MaxInt64)
-		for v := nw.sink; v != nw.source; {
-			eid := parentEdge[v]
-			if nw.edges[eid].cap < bottleneck {
-				bottleneck = nw.edges[eid].cap
-			}
-			v = int(nw.edges[eid^1].to)
-		}
-		for v := nw.sink; v != nw.source; {
-			eid := parentEdge[v]
-			nw.edges[eid].cap -= bottleneck
-			nw.edges[eid^1].cap += bottleneck
-			v = int(nw.edges[eid^1].to)
-		}
-		nw.aug++
-		total += bottleneck
-	}
 }
