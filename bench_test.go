@@ -416,31 +416,46 @@ func BenchmarkAblationWitnessMinimization(b *testing.B) {
 }
 
 // BenchmarkAblationLPPruning measures the exact-LP relaxation bound inside
-// the integer search.
+// the integer search on both ends of its trade-off. On a light feasible
+// triangle (n=3) plain search wins by two orders of magnitude; on the
+// heavy tail — an infeasible 3DCT instance (n=4) whose plain search
+// exhausts ~43k nodes — the root relaxation refutes it in one node.
 func BenchmarkAblationLPPruning(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	inst, err := gen.RandomThreeDCT(rng, 3, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := inst.ToCollection()
+	light, err := inst.ToCollection()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.GloballyConsistent(core.GlobalOptions{MaxNodes: 50_000_000}); err != nil {
-				b.Fatal(err)
+	inst, err = gen.InfeasibleThreeDCT(rand.New(rand.NewSource(1315)), 4, 2, 50, 3_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	heavy, err := inst.ToCollection()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		c    *core.Collection
+		lp   bool
+	}{
+		{"plain", light, false},
+		{"lp-pruned", light, true},
+		{"plain-infeasible-n4", heavy, false},
+		{"lp-pruned-infeasible-n4", heavy, true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := arm.c.GloballyConsistent(core.GlobalOptions{MaxNodes: 50_000_000, LPPruning: arm.lp}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("lp-pruned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.GloballyConsistent(core.GlobalOptions{MaxNodes: 50_000_000, LPPruning: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // --- Extension benchmarks (Section 6 directions) ---

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	bagcd [-addr :8080] [-parallelism N] [-queue-depth N] [-cache-size N]
-//	      [-solver-parallelism N] [-decompose]
+//	      [-solver-parallelism N]
 //	      [-data-dir DIR] [-store-segment-bytes N] [-store-sync]
 //	      [-max-nodes N] [-default-timeout 0] [-max-timeout 60s]
 //	      [-admission fifo|hardness] [-shed-threshold 0.5]
@@ -24,11 +24,10 @@
 //
 // -solver-parallelism runs the integer search for a single cyclic
 // instance on N work-stealing workers (verdicts are identical at any N;
-// the default 1 avoids multiplying the request pool). -decompose makes
-// cyclic schemas searchable near their cyclic core only: GYO strips the
-// acyclic fringe, which is then composed back polynomially. Search
-// volume is observable as bagcd_ilp_nodes_total / bagcd_ilp_steals_total
-// / bagcd_ilp_idles_total.
+// the default 1 avoids multiplying the request pool). The search covers
+// only a schema's cyclic core: GYO strips the acyclic fringe, which is
+// then composed back polynomially. Search volume is observable as
+// bagcd_ilp_nodes_total / bagcd_ilp_steals_total / bagcd_ilp_idles_total.
 //
 // -admission hardness enables cost-based shedding: each request's
 // predicted cost is classified at admission (schema acyclicity via the
@@ -106,7 +105,6 @@ type options struct {
 	addr              string
 	parallelism       int
 	solverParallelism int
-	decompose         bool
 	queueDepth        int
 	cacheSize         int
 	dataDir           string
@@ -147,7 +145,6 @@ func parseFlags(args []string, out io.Writer) (*options, bool, error) {
 	fs.StringVar(&opt.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	fs.IntVar(&opt.parallelism, "parallelism", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&opt.solverParallelism, "solver-parallelism", 1, "workers inside each integer search on cyclic schemas (1 = sequential, 0 = match the request pool size)")
-	fs.BoolVar(&opt.decompose, "decompose", false, "solve cyclic schemas by GYO decomposition: search only the cyclic core, compose the acyclic fringe polynomially")
 	fs.IntVar(&opt.queueDepth, "queue-depth", service.DefaultQueueDepth, "admission queue bound; beyond it requests shed with 503")
 	fs.IntVar(&opt.cacheSize, "cache-size", 4096, "shared result cache entries (must be at least 1)")
 	fs.StringVar(&opt.dataDir, "data-dir", "", "directory for the persistent result store (empty = RAM cache only)")
@@ -273,9 +270,6 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 	}
 	if opt.solverParallelism != 1 {
 		checkerOpts = append(checkerOpts, bagconsist.WithSolverParallelism(opt.solverParallelism))
-	}
-	if opt.decompose {
-		checkerOpts = append(checkerOpts, bagconsist.WithDecomposition(true))
 	}
 	cache := bagconsist.NewCache(opt.cacheSize)
 	checkerOpts = append(checkerOpts, bagconsist.WithSharedCache(cache))

@@ -232,18 +232,23 @@ func TestSmokeShedsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate: one slow search in flight, one queued behind it.
+	// Saturate: one slow search in flight, one queued behind it. The
+	// second starts only once the worker holds the first, or the 1-deep
+	// queue would shed it.
 	satCtx, releaseSaturation := context.WithCancel(context.Background())
 	defer releaseSaturation()
 	var satWG sync.WaitGroup
+	deadline := time.Now().Add(10 * time.Second)
 	for range 2 {
 		satWG.Add(1)
 		go func() {
 			defer satWG.Done()
 			_, _ = raw.Check(satCtx, slowBags)
 		}()
+		for svc.Inflight() < 1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
 	for (svc.Inflight() < 1 || svc.QueueDepth() < 1) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bagconsistency/internal/bag"
+	"bagconsistency/internal/hypergraph"
 	"bagconsistency/internal/ilp"
 	"bagconsistency/internal/trace"
 )
@@ -18,14 +19,17 @@ const (
 	// construction).
 	MethodAcyclic Method = "acyclic-jointree"
 	// MethodILP is the exact integer search over P(R1,...,Rm), the general
-	// NP procedure of Corollary 3 used on cyclic schemas.
+	// NP procedure of Corollary 3. It decides cyclic schemas whose GYO
+	// reduction removes no edge (a pure cyclic core), and every schema
+	// under ForceILP.
 	MethodILP Method = "integer-program"
 	// MethodPairwiseRefuted means a pairwise inconsistency already refutes
 	// global consistency, regardless of the schema's shape.
 	MethodPairwiseRefuted Method = "pairwise-refuted"
-	// MethodHybrid is the decomposition-hybrid procedure: GYO strips the
-	// acyclic fringe, the integer search runs on the cyclic core only, and
-	// the fringe is reattached by the polynomial pairwise composition.
+	// MethodHybrid is the decomposition-hybrid procedure on the remaining
+	// cyclic schemas: GYO strips the acyclic fringe, the integer search
+	// runs on the cyclic core only, and the fringe is reattached by the
+	// polynomial pairwise composition.
 	MethodHybrid Method = "hybrid-decomposition"
 )
 
@@ -35,12 +39,14 @@ const (
 // public pkg/bagconsist facade, the CLIs, and the experiments — speaks one
 // config type.
 type GlobalOptions struct {
-	// ForceILP skips the acyclic fast path even on acyclic schemas, so the
-	// two procedures can be compared (ablation).
+	// ForceILP skips the GYO dispatch and runs the monolithic integer
+	// search over the whole program P(R1,...,Rm) on every schema: the
+	// ablation, and the reference the decomposition is tested against.
 	ForceILP bool
 	// SkipWitnessMinimization keeps the raw flow witnesses during the
-	// acyclic composition rather than minimal ones. The Theorem 6 support
-	// bound is only guaranteed with minimization on.
+	// pairwise composition (acyclic schemas and the hybrid's fringe)
+	// rather than minimal ones. The Theorem 6 support bound is only
+	// guaranteed with minimization on.
 	SkipWitnessMinimization bool
 	// MaxNodes bounds the integer search on the cyclic path (0 means
 	// ilp.DefaultMaxNodes).
@@ -55,10 +61,6 @@ type GlobalOptions struct {
 	// below 2 run the sequential search. The verdict and witness validity
 	// are identical for every worker count.
 	SolverWorkers int
-	// Decompose enables the decomposition-hybrid cyclic procedure: the
-	// integer search runs only on the GYO core of the schema and the
-	// acyclic fringe is composed polynomially around its witness.
-	Decompose bool
 }
 
 // ILP projects the options onto the integer-search tuning knobs.
@@ -91,10 +93,13 @@ type Decision struct {
 // GloballyConsistent decides whether the collection is globally consistent
 // (the GCPB(H) problem of Section 5.2) and constructs a witness when it is.
 //
-// On acyclic schemas it runs the polynomial algorithm of Theorem 6; on
-// cyclic schemas it first refutes by pairwise inconsistency when possible
-// and otherwise solves the integer program P(R1,...,Rm) exactly — the
-// NP-complete regime of Theorem 4, with an explicit node budget.
+// One GYO reduction (CoreDecomposition) picks the procedure. On acyclic
+// schemas it runs the polynomial algorithm of Theorem 6. On cyclic schemas
+// it first refutes by pairwise inconsistency when possible; otherwise it
+// solves an integer program exactly — the NP-complete regime of Theorem
+// 4, with an explicit node budget. A pure cyclic core solves P(R1,...,Rm)
+// itself; a schema with an acyclic fringe solves only its core's program
+// and composes the fringe around that witness (MethodHybrid).
 func (c *Collection) GloballyConsistent(opts GlobalOptions) (*Decision, error) {
 	return c.GloballyConsistentContext(context.Background(), opts)
 }
@@ -109,14 +114,19 @@ func (c *Collection) GloballyConsistentContext(ctx context.Context, opts GlobalO
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !opts.ForceILP && c.hg.IsAcyclic() {
-		actx, span := trace.Start(ctx, trace.SpanAcyclic)
-		w, ok, err := c.WitnessAcyclicContext(actx, opts)
-		span.End()
-		if err != nil {
-			return nil, err
+	var elim []hypergraph.Elimination
+	var core []int
+	if !opts.ForceILP {
+		elim, core = c.hg.CoreDecomposition()
+		if len(core) <= 1 {
+			actx, span := trace.Start(ctx, trace.SpanAcyclic)
+			w, ok, err := c.WitnessAcyclicContext(actx, opts)
+			span.End()
+			if err != nil {
+				return nil, err
+			}
+			return &Decision{Consistent: ok, Witness: w, Method: MethodAcyclic}, nil
 		}
-		return &Decision{Consistent: ok, Witness: w, Method: MethodAcyclic}, nil
 	}
 
 	// Cheap necessary condition first.
@@ -130,10 +140,10 @@ func (c *Collection) GloballyConsistentContext(ctx context.Context, opts GlobalO
 		return &Decision{Consistent: false, Method: MethodPairwiseRefuted}, nil
 	}
 
-	if opts.Decompose {
-		return c.solveHybrid(ctx, opts)
+	if len(elim) == 0 {
+		return c.solveProgram(ctx, opts)
 	}
-	return c.solveProgram(ctx, opts)
+	return c.solveHybrid(ctx, elim, core, opts)
 }
 
 // solveProgram runs the exact integer search over the whole collection's
@@ -208,27 +218,40 @@ func (c *Collection) WitnessAcyclicContext(ctx context.Context, opts GlobalOptio
 	if !pw {
 		return nil, false, nil
 	}
+	w, err := c.compose(ctx, c.bags[order[0]].Clone(), order[1:], opts)
+	if err != nil {
+		return nil, false, err
+	}
+	return w, true, nil
+}
+
+// compose is the compose-and-check loop of the acyclic composition and the
+// hybrid's fringe: it replaces acc, in turn, by a pairwise witness of acc
+// and each bag listed in idx (minimal unless SkipWitnessMinimization), and
+// polls ctx between steps. Callers list the bags so each meets acc only
+// inside one bag acc already covers — a RIP order, or the reversed GYO
+// eliminations — and Step 1 of the Theorem 2 proof then makes every step
+// succeed on a pairwise consistent collection, so a failed step is an
+// error.
+func (c *Collection) compose(ctx context.Context, acc *bag.Bag, idx []int, opts GlobalOptions) (*bag.Bag, error) {
 	witnessOf := MinimalPairWitnessContext
 	if opts.SkipWitnessMinimization {
 		witnessOf = func(_ context.Context, r, s *bag.Bag) (*bag.Bag, bool, error) {
 			return PairWitness(r, s)
 		}
 	}
-	acc := c.bags[order[0]].Clone()
-	for _, idx := range order[1:] {
+	for _, i := range idx {
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		next, ok, err := witnessOf(ctx, acc, c.bags[idx])
+		next, ok, err := witnessOf(ctx, acc, c.bags[i])
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if !ok {
-			// Step 1 of the Theorem 2 proof shows this cannot happen for a
-			// pairwise consistent collection along a RIP order.
-			return nil, false, fmt.Errorf("core: RIP composition lost consistency at edge %d", idx)
+			return nil, fmt.Errorf("core: composition lost consistency at edge %d", i)
 		}
 		acc = next
 	}
-	return acc, true, nil
+	return acc, nil
 }

@@ -2,18 +2,18 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
-	"bagconsistency/internal/bag"
+	"bagconsistency/internal/hypergraph"
 	"bagconsistency/internal/trace"
 )
 
-// solveHybrid decides global consistency by decomposition: GYO strips the
-// acyclic fringe of the schema hypergraph, the exact integer search runs
-// only on the surviving cyclic core, and — when the core is consistent —
-// the fringe is reattached around the core witness by the same pairwise
-// composition the acyclic algorithm uses, in reverse elimination order.
+// solveHybrid decides global consistency by decomposition: given the GYO
+// reduction's eliminations (the acyclic fringe) and surviving core, the
+// exact integer search runs only on the core and — when the core is
+// consistent — the fringe is reattached around the core witness by the
+// same pairwise composition the acyclic algorithm uses, in reverse
+// elimination order.
 //
 // Soundness rests on two facts. Refutation: any witness of the whole
 // collection marginalizes to a witness of the core sub-collection, so an
@@ -24,14 +24,7 @@ import (
 // marginalizes onto the cover's bag, which is pairwise consistent with
 // e's bag — so the pairwise composition always succeeds. The caller has
 // already established pairwise consistency of the whole collection.
-func (c *Collection) solveHybrid(ctx context.Context, opts GlobalOptions) (*Decision, error) {
-	elim, core := c.hg.CoreDecomposition()
-	if len(core) <= 1 {
-		// Acyclic schema (reachable only under ForceILP): there is no
-		// cyclic core to search, so fall back to the monolithic program —
-		// the ablation still measures the full search.
-		return c.solveProgram(ctx, opts)
-	}
+func (c *Collection) solveHybrid(ctx context.Context, elim []hypergraph.Elimination, core []int, opts GlobalOptions) (*Decision, error) {
 	sub, err := c.Sub(core)
 	if err != nil {
 		return nil, err
@@ -45,37 +38,18 @@ func (c *Collection) solveHybrid(ctx context.Context, opts GlobalOptions) (*Deci
 		return nil, err
 	}
 	dec.Method = MethodHybrid
-	if !dec.Consistent || len(elim) == 0 {
+	if !dec.Consistent {
 		return dec, nil
 	}
-
-	witnessOf := MinimalPairWitnessContext
-	if opts.SkipWitnessMinimization {
-		witnessOf = func(_ context.Context, r, s *bag.Bag) (*bag.Bag, bool, error) {
-			return PairWitness(r, s)
-		}
+	fringe := make([]int, len(elim))
+	for i, e := range elim {
+		fringe[len(elim)-1-i] = e.Edge
 	}
 	fctx, fringeSpan := trace.Start(ctx, trace.SpanHybridFringe)
-	acc := dec.Witness
-	for i := len(elim) - 1; i >= 0; i-- {
-		if err := ctx.Err(); err != nil {
-			fringeSpan.End()
-			return nil, err
-		}
-		next, ok, err := witnessOf(fctx, acc, c.bags[elim[i].Edge])
-		if err != nil {
-			fringeSpan.End()
-			return nil, err
-		}
-		if !ok {
-			// The decomposition invariant makes this unreachable for a
-			// pairwise consistent collection.
-			fringeSpan.End()
-			return nil, fmt.Errorf("core: hybrid reattachment lost consistency at edge %d", elim[i].Edge)
-		}
-		acc = next
-	}
+	dec.Witness, err = c.compose(fctx, dec.Witness, fringe, opts)
 	fringeSpan.End()
-	dec.Witness = acc
+	if err != nil {
+		return nil, err
+	}
 	return dec, nil
 }

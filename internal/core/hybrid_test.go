@@ -8,6 +8,7 @@ import (
 	"bagconsistency/internal/core"
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/hypergraph"
+	"bagconsistency/internal/reductions"
 )
 
 // mustBag builds a bag over attrs with the given rows.
@@ -92,26 +93,87 @@ func decide(t *testing.T, c *core.Collection, opts core.GlobalOptions) *core.Dec
 	return dec
 }
 
+// verifyWitness fails the test unless dec carries a witness of coll.
+func verifyWitness(t *testing.T, coll *core.Collection, dec *core.Decision, what string) {
+	t.Helper()
+	ok, err := coll.VerifyWitness(dec.Witness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatalf("%s: witness does not verify against the full collection", what)
+	}
+}
+
+// sameDecision fails the test unless Auto and the monolith returned the
+// same Decision: verdict, Method, search statistics and witness rows in
+// their listed order.
+func sameDecision(t *testing.T, auto, mono *core.Decision, what string) {
+	t.Helper()
+	if auto.Consistent != mono.Consistent || auto.Method != mono.Method ||
+		auto.Nodes != mono.Nodes || auto.Steals != mono.Steals || auto.Idles != mono.Idles {
+		t.Fatalf("%s: Auto %+v, ForceILP %+v", what, *auto, *mono)
+	}
+	if (auto.Witness == nil) != (mono.Witness == nil) {
+		t.Fatalf("%s: witness presence differs: Auto %v, ForceILP %v", what, auto.Witness, mono.Witness)
+	}
+	if auto.Witness != nil && auto.Witness.String() != mono.Witness.String() {
+		t.Fatalf("%s: witnesses differ:\nAuto\n%s\nForceILP\n%s", what, auto.Witness, mono.Witness)
+	}
+}
+
 func TestHybridParityInstances(t *testing.T) {
 	for _, consistent := range []bool{true, false} {
-		for _, coll := range []*core.Collection{parityTriangle(t, consistent), withFringe(t, consistent)} {
-			plain := decide(t, coll, core.GlobalOptions{})
-			hybrid := decide(t, coll, core.GlobalOptions{Decompose: true})
-			if plain.Consistent != consistent || hybrid.Consistent != consistent {
-				t.Fatalf("consistent=%v: plain=%v hybrid=%v", consistent, plain.Consistent, hybrid.Consistent)
-			}
-			if hybrid.Method != core.MethodHybrid {
-				t.Fatalf("hybrid method = %q, want %q", hybrid.Method, core.MethodHybrid)
-			}
-			if consistent {
-				ok, err := coll.VerifyWitness(hybrid.Witness)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					t.Fatal("hybrid witness does not verify against the full collection")
-				}
-			}
+		// A pure cyclic core: Auto's search is the monolith's, Decision for
+		// Decision.
+		tri := parityTriangle(t, consistent)
+		auto := decide(t, tri, core.GlobalOptions{})
+		sameDecision(t, auto, decide(t, tri, core.GlobalOptions{ForceILP: true}), "triangle")
+		if auto.Consistent != consistent || auto.Method != core.MethodILP {
+			t.Fatalf("triangle consistent=%v: got %v by %q", consistent, auto.Consistent, auto.Method)
+		}
+		if consistent {
+			verifyWitness(t, tri, auto, "triangle")
+		}
+
+		// A fringed core: Auto searches the core and reattaches the fringe.
+		fr := withFringe(t, consistent)
+		hybrid := decide(t, fr, core.GlobalOptions{})
+		mono := decide(t, fr, core.GlobalOptions{ForceILP: true})
+		if hybrid.Consistent != consistent || mono.Consistent != consistent {
+			t.Fatalf("fringe consistent=%v: Auto=%v ForceILP=%v", consistent, hybrid.Consistent, mono.Consistent)
+		}
+		if hybrid.Method != core.MethodHybrid || mono.Method != core.MethodILP {
+			t.Fatalf("fringe methods: Auto %q, ForceILP %q", hybrid.Method, mono.Method)
+		}
+		if consistent {
+			verifyWitness(t, fr, hybrid, "fringe")
+		}
+	}
+}
+
+// TestAutoOnThreeDCTTrianglesIsTheMonolith pins that decomposition leaves
+// pure cyclic cores alone: on 3DCT triangles, feasible and search-bound
+// infeasible, Auto returns exactly the Decision ForceILP returns.
+func TestAutoOnThreeDCTTrianglesIsTheMonolith(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	feasible, err := gen.RandomThreeDCT(rng, 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infeasible, err := gen.InfeasibleThreeDCT(rng, 2, 3, 200, 200_000)
+	if err != nil {
+		t.Fatalf("no infeasible instance at this seed: %v", err)
+	}
+	for name, inst := range map[string]*reductions.ThreeDCT{"feasible": feasible, "infeasible": infeasible} {
+		coll, err := inst.ToCollection()
+		if err != nil {
+			t.Fatal(err)
+		}
+		auto := decide(t, coll, core.GlobalOptions{})
+		sameDecision(t, auto, decide(t, coll, core.GlobalOptions{ForceILP: true}), name)
+		if auto.Method != core.MethodILP || auto.Consistent != (name == "feasible") {
+			t.Fatalf("%s: got %v by %q", name, auto.Consistent, auto.Method)
 		}
 	}
 }
@@ -131,35 +193,29 @@ func TestHybridMatchesMonolithicOnGeneratedFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			plain := decide(t, coll, core.GlobalOptions{ForceILP: true, SolverWorkers: workers})
-			hybrid := decide(t, coll, core.GlobalOptions{ForceILP: true, Decompose: true, SolverWorkers: workers})
-			if !plain.Consistent || !hybrid.Consistent {
-				t.Fatalf("k=%d workers=%d: generated-consistent instance judged inconsistent (plain=%v hybrid=%v)",
-					k, workers, plain.Consistent, hybrid.Consistent)
+			mono := decide(t, coll, core.GlobalOptions{ForceILP: true, SolverWorkers: workers})
+			auto := decide(t, coll, core.GlobalOptions{SolverWorkers: workers})
+			if !mono.Consistent || !auto.Consistent {
+				t.Fatalf("k=%d workers=%d: generated-consistent instance judged inconsistent (ForceILP=%v Auto=%v)",
+					k, workers, mono.Consistent, auto.Consistent)
 			}
-			for name, dec := range map[string]*core.Decision{"plain": plain, "hybrid": hybrid} {
-				ok, err := coll.VerifyWitness(dec.Witness)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					t.Fatalf("k=%d workers=%d: %s witness does not verify", k, workers, name)
-				}
+			verifyWitness(t, coll, mono, "ForceILP")
+			verifyWitness(t, coll, auto, "Auto")
+			// k = 0 is acyclic: no core to search, Auto composes along a
+			// join tree.
+			want := core.MethodHybrid
+			if k == 0 {
+				want = core.MethodAcyclic
 			}
-			// k = 0 is acyclic: no core to search, the hybrid must fall
-			// back to the monolithic program (honest ablation).
-			if k == 0 && hybrid.Method != core.MethodILP {
-				t.Fatalf("acyclic fallback method = %q, want %q", hybrid.Method, core.MethodILP)
-			}
-			if k > 0 && hybrid.Method != core.MethodHybrid {
-				t.Fatalf("k=%d method = %q, want %q", k, hybrid.Method, core.MethodHybrid)
+			if auto.Method != want || mono.Method != core.MethodILP {
+				t.Fatalf("k=%d methods: Auto %q (want %q), ForceILP %q", k, auto.Method, want, mono.Method)
 			}
 		}
 	}
 
 	// Search-bound infeasible: 3DCT margins perturbed into pairwise
 	// consistency without global consistency (fully cyclic, so the core
-	// is the whole schema and the hybrid degenerates to the monolith).
+	// is the whole schema and Auto runs the monolith).
 	inst, err := gen.InfeasibleThreeDCT(rng, 2, 3, 200, 200_000)
 	if err != nil {
 		t.Skipf("no infeasible instance at this seed: %v", err)
@@ -168,10 +224,10 @@ func TestHybridMatchesMonolithicOnGeneratedFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := decide(t, coll, core.GlobalOptions{})
-	hybrid := decide(t, coll, core.GlobalOptions{Decompose: true})
-	if plain.Consistent || hybrid.Consistent {
-		t.Fatalf("infeasible instance judged consistent (plain=%v hybrid=%v)", plain.Consistent, hybrid.Consistent)
+	mono := decide(t, coll, core.GlobalOptions{ForceILP: true})
+	auto := decide(t, coll, core.GlobalOptions{})
+	if mono.Consistent || auto.Consistent {
+		t.Fatalf("infeasible instance judged consistent (ForceILP=%v Auto=%v)", mono.Consistent, auto.Consistent)
 	}
 }
 

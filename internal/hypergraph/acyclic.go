@@ -1,70 +1,17 @@
 package hypergraph
 
-import "sort"
-
 // IsAcyclic reports whether the hypergraph is α-acyclic, using the GYO
 // (Graham / Yu–Özsoyoğlu) reduction: repeatedly delete "ear" vertices that
 // occur in exactly one edge and edges contained in other edges; the
-// hypergraph is acyclic iff at most one edge survives.
+// hypergraph is acyclic iff at most one edge survives, that is, iff the
+// core of CoreDecomposition has at most one edge.
 //
 // By Theorem 1 of the paper (Theorem 3.4 of BFMY83) this is equivalent to
 // being conformal and chordal, to having the running intersection property,
 // and to having a join tree; the equivalences are exercised by tests.
 func (h *Hypergraph) IsAcyclic() bool {
-	edges := make([][]string, 0, len(h.edges))
-	for _, e := range h.edges {
-		cp := make([]string, len(e))
-		copy(cp, e)
-		edges = append(edges, cp)
-	}
-	for {
-		changed := false
-
-		// Count vertex occurrences.
-		occ := make(map[string]int)
-		for _, e := range edges {
-			for _, v := range e {
-				occ[v]++
-			}
-		}
-		// Delete ear vertices (appear in exactly one edge).
-		for i, e := range edges {
-			var kept []string
-			for _, v := range e {
-				if occ[v] != 1 {
-					kept = append(kept, v)
-				}
-			}
-			if len(kept) != len(e) {
-				edges[i] = kept
-				changed = true
-			}
-		}
-
-		// Delete covered edges (including duplicates and empties).
-		sort.Slice(edges, func(i, j int) bool { return len(edges[i]) < len(edges[j]) })
-		var kept [][]string
-		for i, e := range edges {
-			covered := false
-			for j := i + 1; j < len(edges); j++ {
-				if subset(e, edges[j]) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				kept = append(kept, e)
-			}
-		}
-		if len(kept) != len(edges) {
-			changed = true
-		}
-		edges = kept
-
-		if !changed {
-			return len(edges) <= 1
-		}
-	}
+	_, core := h.CoreDecomposition()
+	return len(core) <= 1
 }
 
 // IsCyclic reports the negation of IsAcyclic.

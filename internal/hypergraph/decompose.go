@@ -16,7 +16,7 @@ type Elimination struct {
 // indices. It returns the elimination order of the acyclic fringe and the
 // original indices of the edges surviving the reduction — the cyclic core.
 // The hypergraph is acyclic exactly when the core has at most one edge
-// (matching IsAcyclic), in which case the whole edge set is fringe.
+// (IsAcyclic), in which case the whole edge set is fringe.
 //
 // The invariant that makes the fringe polynomial: when edge e is
 // eliminated, every vertex e shares with any other edge alive at that
@@ -25,6 +25,17 @@ type Elimination struct {
 // hence in the cover.) Eliminations are therefore safe to undo by pairwise
 // composition against the cover's bag alone.
 func (h *Hypergraph) CoreDecomposition() ([]Elimination, []int) {
+	return h.gyo(nil)
+}
+
+// gyo is the one GYO (Graham / Yu–Özsoyoğlu) reduction behind
+// CoreDecomposition, IsAcyclic and GYOTrace. Each round deletes every ear
+// vertex (one occurring in exactly one edge), then every edge contained in
+// another alive edge, one at a time so the sequence is replayable; equal
+// edges remove the higher list position. The reduction stops at the first
+// round that changes nothing. When steps is non-nil every deletion is
+// appended to it in the order it happened.
+func (h *Hypergraph) gyo(steps *[]GYOStep) ([]Elimination, []int) {
 	type live struct {
 		orig  int
 		verts []string
@@ -50,6 +61,9 @@ func (h *Hypergraph) CoreDecomposition() ([]Elimination, []int) {
 			var kept []string
 			for _, v := range e.verts {
 				if occ[v] == 1 {
+					if steps != nil {
+						*steps = append(*steps, GYOStep{Kind: GYOEarVertex, Vertex: v})
+					}
 					changed = true
 					continue
 				}
@@ -58,8 +72,7 @@ func (h *Hypergraph) CoreDecomposition() ([]Elimination, []int) {
 			alive[i].verts = kept
 		}
 
-		// Covered edges, one at a time, with the same tie-break as GYOTrace
-		// (equal edges remove the higher list position).
+		// Covered edges, one at a time.
 		for i := 0; i < len(alive); i++ {
 			cover := -1
 			for j := 0; j < len(alive); j++ {
@@ -73,6 +86,11 @@ func (h *Hypergraph) CoreDecomposition() ([]Elimination, []int) {
 				}
 			}
 			if cover >= 0 {
+				if steps != nil {
+					// Shrunk edges are rebuilt each round, never written in
+					// place, so the step can keep the removed one.
+					*steps = append(*steps, GYOStep{Kind: GYOCoveredEdge, Edge: alive[i].verts})
+				}
 				elim = append(elim, Elimination{Edge: alive[i].orig, Cover: alive[cover].orig})
 				alive = append(alive[:i], alive[i+1:]...)
 				changed = true

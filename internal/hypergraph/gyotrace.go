@@ -38,63 +38,10 @@ func (s GYOStep) String() string {
 
 // GYOTrace runs the GYO (Graham) reduction and returns the full step
 // sequence together with whether the hypergraph is acyclic (the reduction
-// ends with at most one edge). It is the explain-mode companion of
-// IsAcyclic: the trace is a certificate a human can replay, and
-// IsAcyclic() == the returned acyclic flag (cross-checked by tests).
+// ends with at most one edge). It is the explain-mode view of the same
+// reduction IsAcyclic and CoreDecomposition run: the trace is a
+// certificate a human can replay.
 func (h *Hypergraph) GYOTrace() (steps []GYOStep, acyclic bool) {
-	edges := make([][]string, 0, len(h.edges))
-	for _, e := range h.edges {
-		cp := make([]string, len(e))
-		copy(cp, e)
-		edges = append(edges, cp)
-	}
-	for {
-		changed := false
-
-		// Ear vertices.
-		occ := make(map[string]int)
-		for _, e := range edges {
-			for _, v := range e {
-				occ[v]++
-			}
-		}
-		for i, e := range edges {
-			var kept []string
-			for _, v := range e {
-				if occ[v] == 1 {
-					steps = append(steps, GYOStep{Kind: GYOEarVertex, Vertex: v})
-					changed = true
-					continue
-				}
-				kept = append(kept, v)
-			}
-			edges[i] = kept
-		}
-
-		// Covered edges, one at a time so the trace is replayable.
-		for i := 0; i < len(edges); i++ {
-			covered := false
-			for j := 0; j < len(edges); j++ {
-				if i == j {
-					continue
-				}
-				if subset(edges[i], edges[j]) && (len(edges[i]) < len(edges[j]) || i > j) {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				cp := make([]string, len(edges[i]))
-				copy(cp, edges[i])
-				steps = append(steps, GYOStep{Kind: GYOCoveredEdge, Edge: cp})
-				edges = append(edges[:i], edges[i+1:]...)
-				changed = true
-				i--
-			}
-		}
-
-		if !changed {
-			return steps, len(edges) <= 1
-		}
-	}
+	_, core := h.gyo(&steps)
+	return steps, len(core) <= 1
 }

@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -564,5 +565,47 @@ func TestGYOTraceOnTriangleStalls(t *testing.T) {
 	}
 	if len(steps) != 0 {
 		t.Errorf("the triangle admits no GYO step, trace = %v", steps)
+	}
+}
+
+// TestGYOTracePinnedSteps pins the exact reduction on a schema whose ear
+// and covered-edge steps interleave over six rounds: a triangle core with
+// a fringe path, a nested edge and a pendant hanging off it. The trace is
+// what `schemacheck -trace` prints, and the elimination order is what the
+// decomposition hybrid replays, so both must stay step for step.
+func TestGYOTracePinnedSteps(t *testing.T) {
+	h := Must(
+		[]string{"A", "B"}, []string{"B", "C", "D"}, []string{"C", "D"}, []string{"D", "E"}, []string{"E", "F"},
+		[]string{"X", "Y"}, []string{"Y", "Z"}, []string{"X", "Z"}, []string{"Z", "A"},
+	)
+	steps, acyclic := h.GYOTrace()
+	if acyclic {
+		t.Fatal("triangle core must keep the schema cyclic")
+	}
+	want := []string{
+		"remove ear vertex F",
+		"remove covered edge {C,D}",
+		"remove covered edge {E}",
+		"remove ear vertex C",
+		"remove ear vertex E",
+		"remove covered edge {D}",
+		"remove ear vertex D",
+		"remove covered edge {B}",
+		"remove ear vertex B",
+		"remove covered edge {A}",
+		"remove ear vertex A",
+		"remove covered edge {Z}",
+	}
+	got := make([]string, len(steps))
+	for i, s := range steps {
+		got[i] = s.String()
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace drifted:\ngot  %q\nwant %q", got, want)
+	}
+	elim, core := h.CoreDecomposition()
+	wantElim := []Elimination{{2, 1}, {4, 3}, {3, 1}, {1, 0}, {0, 8}, {8, 6}}
+	if !reflect.DeepEqual(elim, wantElim) || !reflect.DeepEqual(core, []int{5, 6, 7}) {
+		t.Fatalf("decomposition drifted: elim %v core %v", elim, core)
 	}
 }

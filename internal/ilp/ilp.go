@@ -338,11 +338,29 @@ func (st *state) done() bool {
 	return true
 }
 
-// lpFeasible checks the rational relaxation of the residual subproblem.
+// solution reads the assignment off a finished node (all residuals zero).
+// Propagate has zeroed the columns on zero rows and every column touches
+// some row, so every column is assigned; an unassigned column's -1 marker
+// would read as 0.
+func (st *state) solution() []int64 {
+	sol := make([]int64, len(st.x))
+	for j, v := range st.x {
+		if v < 0 {
+			v = 0
+		}
+		sol[j] = v
+	}
+	return sol
+}
+
+// lpBound applies the LP relaxation bound when LPPruning is on: it reports
+// whether the node survives, and the basis its children warm-start from.
 // hint is the basis of a related relaxation (the parent node's, in stable
-// original-column ids) used to warm-start the simplex; the returned basis
-// is handed down to child nodes the same way.
-func (sr *searcher) lpFeasible(st *state, hint lp.Basis) (bool, lp.Basis, error) {
+// original-column ids); with pruning off it passes straight through.
+func (sr *searcher) lpBound(st *state, hint lp.Basis) (bool, lp.Basis, error) {
+	if !sr.opts.LPPruning {
+		return true, hint, nil
+	}
 	var cols [][]int
 	var ids []int
 	for j, rows := range sr.p.Cols {
@@ -355,6 +373,40 @@ func (sr *searcher) lpFeasible(st *state, hint lp.Basis) (bool, lp.Basis, error)
 		return st.done(), nil, nil
 	}
 	return lp.FeasibleSparseWarm(sr.p.M, cols, st.residual, ids, hint)
+}
+
+// branchOn picks the node's branch: the unsatisfied row with the fewest
+// active columns, its first active column, and ub, the column's largest
+// admissible value (the least residual over its rows). ok is false when
+// no branch exists — a positive-residual row with no active column is a
+// contradiction.
+func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
+	row := -1
+	for i := 0; i < sr.p.M; i++ {
+		if st.residual[i] > 0 && (row < 0 || st.nActive[i] < st.nActive[row]) {
+			row = i
+		}
+	}
+	if row < 0 {
+		return 0, 0, false // unreachable: done() was false but no positive residual
+	}
+	branch = -1
+	for _, j := range sr.rowCols[row] {
+		if st.active[j] {
+			branch = j
+			break
+		}
+	}
+	if branch < 0 {
+		return 0, 0, false
+	}
+	ub = -1
+	for _, r := range sr.p.Cols[branch] {
+		if ub < 0 || st.residual[r] < ub {
+			ub = st.residual[r]
+		}
+	}
+	return branch, ub, true
 }
 
 // dfs runs the branch-and-bound search. fn is invoked on each complete
@@ -375,56 +427,15 @@ func (sr *searcher) dfs(st *state, hint lp.Basis, fn func(x []int64) error) erro
 		return nil
 	}
 	if st.done() {
-		// Remaining active columns are unconstrained only if they touch no
-		// positive row; propagate has already zeroed columns on zero rows,
-		// and every column touches some row, so all columns are assigned.
-		sol := make([]int64, len(st.x))
-		for j, v := range st.x {
-			if v < 0 {
-				v = 0
-			}
-			sol[j] = v
-		}
-		return fn(sol)
+		return fn(st.solution())
 	}
-	basis := hint
-	if sr.opts.LPPruning {
-		ok, b, err := sr.lpFeasible(st, hint)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		basis = b
+	ok, basis, err := sr.lpBound(st, hint)
+	if err != nil || !ok {
+		return err
 	}
-
-	// Pick the unsatisfied row with the fewest active columns, then branch
-	// on its first active column.
-	row := -1
-	for i := 0; i < sr.p.M; i++ {
-		if st.residual[i] > 0 && (row < 0 || st.nActive[i] < st.nActive[row]) {
-			row = i
-		}
-	}
-	if row < 0 {
-		return nil // unreachable: done() was false but no positive residual
-	}
-	branch := -1
-	for _, j := range sr.rowCols[row] {
-		if st.active[j] {
-			branch = j
-			break
-		}
-	}
-	if branch < 0 {
-		return nil // contradiction: positive residual, no active columns
-	}
-	ub := int64(-1)
-	for _, r := range sr.p.Cols[branch] {
-		if ub < 0 || st.residual[r] < ub {
-			ub = st.residual[r]
-		}
+	branch, ub, ok := sr.branchOn(st)
+	if !ok {
+		return nil
 	}
 	// Branch attempts that die in assign never reach dfs's node-counter
 	// poll, and a single value sweep can be 2^16 iterations on

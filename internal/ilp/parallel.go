@@ -126,7 +126,7 @@ func solveParallel(ctx context.Context, p *Problem, opts Options) (*Solution, er
 // shared frontier when the stack empties and exiting as soon as the solve
 // is globally done.
 func (ps *parSearcher) worker() {
-	// assign/propagate/lpFeasible only read the shared problem, so a
+	// assign/propagate/lpBound/branchOn only read the shared problem, so a
 	// per-worker searcher shell is race-free by construction.
 	sr := &searcher{p: ps.p, rowCols: ps.rowCols, opts: ps.opts, ctx: ps.ctx}
 	var stack []*frame
@@ -193,51 +193,16 @@ func (ps *parSearcher) expand(sr *searcher, st *state, hint lp.Basis) (*frame, e
 		return nil, nil
 	}
 	if st.done() {
-		sol := make([]int64, len(st.x))
-		for j, v := range st.x {
-			if v < 0 {
-				v = 0
-			}
-			sol[j] = v
-		}
-		ps.publish(sol)
+		ps.publish(st.solution())
 		return nil, nil
 	}
-	basis := hint
-	if ps.opts.LPPruning {
-		ok, b, err := sr.lpFeasible(st, hint)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-		basis = b
+	ok, basis, err := sr.lpBound(st, hint)
+	if err != nil || !ok {
+		return nil, err
 	}
-	row := -1
-	for i := 0; i < ps.p.M; i++ {
-		if st.residual[i] > 0 && (row < 0 || st.nActive[i] < st.nActive[row]) {
-			row = i
-		}
-	}
-	if row < 0 {
+	branch, ub, ok := sr.branchOn(st)
+	if !ok {
 		return nil, nil
-	}
-	branch := -1
-	for _, j := range ps.rowCols[row] {
-		if st.active[j] {
-			branch = j
-			break
-		}
-	}
-	if branch < 0 {
-		return nil, nil
-	}
-	ub := int64(-1)
-	for _, r := range ps.p.Cols[branch] {
-		if ub < 0 || st.residual[r] < ub {
-			ub = st.residual[r]
-		}
 	}
 	f := &frame{st: st, branch: branch, ub: ub, basis: basis}
 	if ps.opts.BranchLowFirst {

@@ -216,10 +216,12 @@ func TestShedResponseIs503WithRetryAfter(t *testing.T) {
 	slow := collectionText(t, slowTriangle(t))
 
 	// Saturate: one in flight, one queued. These requests are abandoned
-	// via client timeout at the end of the test.
+	// via client timeout at the end of the test. The second starts only
+	// once the worker holds the first, or the 1-deep queue would shed it.
 	var wg sync.WaitGroup
 	clientCtx, cancelClients := context.WithCancel(context.Background())
 	defer cancelClients()
+	deadline := time.Now().Add(10 * time.Second)
 	for range 2 {
 		wg.Add(1)
 		go func() {
@@ -230,8 +232,10 @@ func TestShedResponseIs503WithRetryAfter(t *testing.T) {
 				resp.Body.Close()
 			}
 		}()
+		for ts.svc.Inflight() < 1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
 	for (ts.svc.Inflight() < 1 || ts.svc.QueueDepth() < 1) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

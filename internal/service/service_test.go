@@ -108,16 +108,21 @@ func TestShedWhenQueueFull(t *testing.T) {
 	defer cancel()
 	var wg sync.WaitGroup
 	// One request occupies the worker, one fills the queue. They are
-	// cancelled at test end and their errors are expected.
+	// cancelled at test end and their errors are expected. The second
+	// starts only once the worker holds the first: admitted together, the
+	// 1-deep queue would shed whichever came second.
+	deadline := time.Now().Add(5 * time.Second)
 	for range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _ = svc.Do(ctx, Request{Kind: Global, Collection: slow})
 		}()
+		for svc.Inflight() < 1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	// Wait until worker busy and queue full.
-	deadline := time.Now().Add(5 * time.Second)
 	for (svc.Inflight() < 1 || svc.QueueDepth() < 1) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

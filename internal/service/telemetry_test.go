@@ -101,14 +101,19 @@ func TestShedObservedWithFingerprint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	for range 2 { // one computing, one queued
+	// One computing, one queued; the second starts only once the worker
+	// holds the first, or the 1-deep queue would shed it.
+	deadline := time.Now().Add(5 * time.Second)
+	for range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _ = svc.Do(ctx, Request{Kind: Global, Collection: slow})
 		}()
+		for svc.Inflight() < 1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	for svc.QueueDepth() < 1 || svc.Inflight() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("service never saturated")

@@ -194,16 +194,12 @@ func (cr *cachedResult) report(can *canon.Canonical, elapsed time.Duration) (*Re
 // optionsKey is the per-Checker component of every cache key: two
 // Checkers share results only when every knob that can change a Report
 // agrees. Parallelism and solver parallelism are excluded — they shape
-// scheduling and wall time, never a verdict or witness validity.
-// Decomposition changes Report.Method (and node counts), so it joins the
-// key — but only when enabled, keeping every pre-existing key byte-for-byte
-// stable so persisted stores written before the knob existed still hit.
+// scheduling and wall time, never a verdict or witness validity. The key
+// is byte-for-byte what earlier releases wrote, so persisted stores keep
+// hitting; see docs/STORAGE.md for the answers that carry an older
+// Report.Method.
 func (c config) optionsKey() string {
-	key := fmt.Sprintf("m%d|n%d|lp%t|bl%t|wm%t", c.method, c.maxNodes, c.lpPruning, c.branchLowFirst, c.minimizeWitness)
-	if c.decompose {
-		key += "|dc"
-	}
-	return key
+	return fmt.Sprintf("m%d|n%d|lp%t|bl%t|wm%t", c.method, c.maxNodes, c.lpPruning, c.branchLowFirst, c.minimizeWitness)
 }
 
 // cachedCheck is the shared lookup/compute/coalesce path behind CheckPair

@@ -15,8 +15,9 @@ import (
 // order, and permuting the order of the bags (with the schema hypergraph
 // permuted alongside), and feasibility is preserved by scaling every
 // multiplicity by a positive constant. Each relation is checked through
-// the public facade across sequential, parallel, and decomposition solver
-// configurations, with the node budget bounding every search.
+// the public facade across sequential and parallel Auto (which decomposes
+// cyclic schemas with a fringe) and the parallel monolithic search, with
+// the node budget bounding every search.
 
 // permuteTupleOrder rebuilds every bag with its tuples inserted in a
 // shuffled order. Bags are canonical multisets, so the result must be
@@ -149,7 +150,7 @@ func metamorphicInstances(t *testing.T) map[string]*bagconsist.Collection {
 }
 
 // solverConfigs is the configuration sweep every metamorphic relation
-// runs under: sequential, parallel, and parallel-plus-decomposition.
+// runs under: sequential and parallel Auto, and the parallel monolith.
 type solverConfig struct {
 	name string
 	opts []bagconsist.Option
@@ -160,8 +161,8 @@ func solverConfigs(budget int64) []solverConfig {
 	return []solverConfig{
 		{"seq", base},
 		{"par4", append([]bagconsist.Option{bagconsist.WithSolverParallelism(4)}, base...)},
-		{"par4+decomp", append([]bagconsist.Option{
-			bagconsist.WithSolverParallelism(4), bagconsist.WithDecomposition(true),
+		{"par4+ilp", append([]bagconsist.Option{
+			bagconsist.WithSolverParallelism(4), bagconsist.WithMethod(bagconsist.ILP),
 		}, base...)},
 	}
 }

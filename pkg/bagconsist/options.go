@@ -13,8 +13,10 @@ type Method int
 const (
 	// Auto picks per instance: the marginal test for pairs, the
 	// polynomial join-tree composition on acyclic schemas, and the exact
-	// integer search on cyclic ones. This is the default and the right
-	// choice outside ablations.
+	// integer search on cyclic ones — over the GYO core only, with the
+	// acyclic fringe composed around the core's witness, when the schema
+	// has a fringe. This is the default and the right choice outside
+	// ablations.
 	Auto Method = iota
 	// Flow decides pair consistency by saturated max flow on N(R,S)
 	// (statement 5 of Lemma 2). Pair checks only.
@@ -23,8 +25,9 @@ const (
 	// (statement 3 of Lemma 2). Pair checks only.
 	LP
 	// ILP decides by integer feasibility of P(R1,...,Rm) — for global
-	// checks this forces the NP procedure even on acyclic schemas
-	// (ablation against the fast path).
+	// checks this forces the monolithic NP procedure over the whole
+	// program, even on acyclic schemas and on cyclic ones with a fringe
+	// (ablation against the fast path and the decomposition).
 	ILP
 )
 
@@ -57,7 +60,6 @@ type config struct {
 	// 0 means "follow parallelism". It never changes verdicts, only how
 	// the search tree is walked.
 	solverParallelism int
-	decompose         bool
 	cache             *Cache
 	// observer, when set, is notified after every cache-backed check
 	// (see WithCheckObserver). Pure telemetry: never part of optionsKey.
@@ -97,7 +99,6 @@ func (c config) global() core.GlobalOptions {
 		LPPruning:               c.lpPruning,
 		BranchLowFirst:          c.branchLowFirst,
 		SolverWorkers:           workers,
-		Decompose:               c.decompose,
 	}
 }
 
@@ -163,16 +164,6 @@ func WithSolverParallelism(n int) Option {
 		}
 		c.solverParallelism = n
 	}
-}
-
-// WithDecomposition enables the decomposition-hybrid procedure on cyclic
-// schemas: GYO strips the acyclic fringe, the integer search runs only on
-// the cyclic core, and the fringe is reattached around the core witness by
-// the polynomial pairwise composition. Near-acyclic instances — a small
-// cyclic core inside a large acyclic schema — collapse from exponential in
-// the whole schema to exponential in the core only. Off by default.
-func WithDecomposition(on bool) Option {
-	return func(c *config) { c.decompose = on }
 }
 
 // WithCache gives the Checker a private result cache holding up to size

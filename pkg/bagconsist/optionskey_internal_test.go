@@ -2,12 +2,10 @@ package bagconsist
 
 import "testing"
 
-// TestOptionsKeySolverKnobs pins the cache-key contract of the PR 7
-// solver knobs: decomposition changes the key (the hybrid can return a
-// different — still valid — witness, so its results must not collide with
-// the monolith's), while solver parallelism must NOT change the key (the
-// verdict and witness validity are worker-count invariant, and persisted
-// stores written before the knob existed must keep hitting).
+// TestOptionsKeySolverKnobs pins the cache-key contract of the solver
+// knobs: solver parallelism must NOT change the key (the verdict and
+// witness validity are worker-count invariant, and persisted stores
+// written before the knob existed must keep hitting).
 func TestOptionsKeySolverKnobs(t *testing.T) {
 	base := defaultConfig()
 
@@ -15,12 +13,6 @@ func TestOptionsKeySolverKnobs(t *testing.T) {
 	WithSolverParallelism(8)(&withWorkers)
 	if got, want := withWorkers.optionsKey(), base.optionsKey(); got != want {
 		t.Fatalf("solver parallelism changed the cache key: %q vs %q", got, want)
-	}
-
-	withDecomp := base
-	WithDecomposition(true)(&withDecomp)
-	if got := withDecomp.optionsKey(); got == base.optionsKey() {
-		t.Fatalf("decomposition did not change the cache key: %q", got)
 	}
 
 	// The base key itself must stay byte-for-byte what pre-PR 7 binaries

@@ -14,7 +14,7 @@ type Report struct {
 	Consistent bool `json:"consistent"`
 	// Method names the procedure that produced the decision: one of
 	// "marginal", "max-flow", "lp-relaxation", "integer-program",
-	// "acyclic-jointree", "pairwise-refuted".
+	// "acyclic-jointree", "hybrid-decomposition", "pairwise-refuted".
 	Method string `json:"method"`
 	// Bags is the number of bags in the checked instance.
 	Bags int `json:"bags"`
