@@ -30,3 +30,18 @@ func TestMaxBodyBytesFlag(t *testing.T) {
 		t.Fatalf("zero cap accepted: %v", err)
 	}
 }
+
+// TestRemovedAdmissionFlags: hardness-aware shedding is the only
+// admission policy and the cost-model calibrator is gone, so the flags
+// that selected the policy and paced the calibrator are unknown.
+func TestRemovedAdmissionFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-admission", "hardness"},
+		{"-calib-interval", "1m"},
+	} {
+		_, _, err := parseFlags(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("parseFlags(%v): err = %v, want an unknown-flag error", args, err)
+		}
+	}
+}

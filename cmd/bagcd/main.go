@@ -14,12 +14,10 @@
 //	      [-solver-parallelism N]
 //	      [-data-dir DIR] [-store-segment-bytes N] [-store-sync]
 //	      [-max-nodes N] [-default-timeout 0] [-max-timeout 60s]
-//	      [-admission fifo|hardness] [-shed-threshold 0.5]
-//	      [-expensive-support N]
+//	      [-shed-threshold 0.5] [-expensive-support N]
 //	      [-trace-slow-ms N] [-trace-ring N] [-log-format text|json]
-//	      [-hotkey-k N] [-calib-interval 1m]
-//	      [-flightrec] [-flightrec-queue-frac F] [-flightrec-p99-budget D]
-//	      [-flightrec-retain N]
+//	      [-hotkey-k N] [-flightrec] [-flightrec-queue-frac F]
+//	      [-flightrec-p99-budget D] [-flightrec-retain N]
 //	      [-drain-timeout 30s] [-max-batch-lines N] [-version]
 //
 // -solver-parallelism runs the integer search for a single cyclic
@@ -29,13 +27,13 @@
 // then composed back polynomially. Search volume is observable as
 // bagcd_ilp_nodes_total / bagcd_ilp_steals_total / bagcd_ilp_idles_total.
 //
-// -admission hardness enables cost-based shedding: each request's
-// predicted cost is classified at admission (schema acyclicity via the
-// GYO reduction + instance size), and once queue occupancy passes
-// -shed-threshold, predicted-expensive requests shed with 503 while
-// cheap ones keep flowing; requests whose deadline cannot be met by the
-// estimated queue wait + service time shed immediately. See
-// docs/SERVING.md "Admission control".
+// Admission sheds by predicted hardness: each request's cost is
+// classified at admission (schema acyclicity via the GYO reduction +
+// instance size, above -expensive-support tuples), and once queue
+// occupancy passes -shed-threshold, predicted-expensive requests shed
+// with 503 while cheap ones keep flowing; requests whose deadline cannot
+// be met by the estimated queue wait + service time shed immediately.
+// See docs/SERVING.md "Admission control".
 //
 // Every request carrying a W3C traceparent header records a phase-span
 // tree (queue wait, cache tiers, engine phases down to the ILP search)
@@ -50,12 +48,9 @@
 // Workload analytics ride the same cache-layer canonicalization: a
 // SpaceSaving sketch of -hotkey-k counters tracks per-fingerprint
 // hits/misses/sheds/service time (GET /debug/workload, bagcd_hotkey_*
-// metrics; -hotkey-k 0 disables). Cost-model calibration compares each
-// completion against the admission EWMA in effect when it ran
-// (bagcd_cost_error_ratio{class} histograms; -calib-interval cuts
-// periodic deltas). -flightrec arms the overload flight recorder:
-// when queue fill reaches -flightrec-queue-frac or windowed p99
-// crosses -flightrec-p99-budget, it captures a bounded CPU+heap
+// metrics; -hotkey-k 0 disables). -flightrec arms the overload flight
+// recorder: when queue fill reaches -flightrec-queue-frac or windowed
+// p99 crosses -flightrec-p99-budget, it captures a bounded CPU+heap
 // profile plus the workload and trace state into <data-dir>/flightrec
 // (rotated, -flightrec-retain kept).
 //
@@ -117,14 +112,12 @@ type options struct {
 	maxBatchLines     int
 	maxBodyBytes      int64
 	pprofAddr         string
-	admission         string
 	shedThreshold     float64
 	expensiveSupport  int
 	traceSlowMs       int64
 	traceRing         int
 	logFormat         string
 	hotkeyK           int
-	calibInterval     time.Duration
 	flightrec         bool
 	flightQueueFrac   float64
 	flightP99Budget   time.Duration
@@ -135,7 +128,6 @@ type options struct {
 	accessLog         *slog.Logger                     // set by run(); tests may inject their own
 	slow              *trace.SlowCapture               // built by buildServer when -trace-slow-ms >= 0
 	workload          *telemetry.Workload              // built by buildServer when -hotkey-k > 0
-	calib             *telemetry.Calibrator            // always built by buildServer
 	flight            *telemetry.Recorder              // built by buildServer when -flightrec
 }
 
@@ -157,14 +149,12 @@ func parseFlags(args []string, out io.Writer) (*options, bool, error) {
 	fs.IntVar(&opt.maxBatchLines, "max-batch-lines", service.DefaultMaxBatchLines, "NDJSON lines accepted per /v1/batch request")
 	fs.Int64Var(&opt.maxBodyBytes, "max-body-bytes", service.DefaultMaxBodyBytes, "request body size cap in bytes (raise for bulk bagcol instances)")
 	fs.StringVar(&opt.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty = off)")
-	fs.StringVar(&opt.admission, "admission", "fifo", "admission policy: fifo (drop-tail) or hardness (shed predicted-expensive work first under overload)")
-	fs.Float64Var(&opt.shedThreshold, "shed-threshold", service.DefaultShedThreshold, "queue-occupancy fraction beyond which -admission hardness sheds expensive requests")
+	fs.Float64Var(&opt.shedThreshold, "shed-threshold", service.DefaultShedThreshold, "queue-occupancy fraction beyond which predicted-expensive requests shed")
 	fs.IntVar(&opt.expensiveSupport, "expensive-support", service.DefaultExpensiveSupport, "total tuple support above which a request is classed expensive regardless of schema")
 	fs.Int64Var(&opt.traceSlowMs, "trace-slow-ms", -1, "trace every request and capture those slower than N ms (0 captures all; -1 disables — traceparent-carrying requests are still traced)")
 	fs.IntVar(&opt.traceRing, "trace-ring", service.DefaultTraceRingSize, "recent request traces kept for GET /debug/traces")
 	fs.StringVar(&opt.logFormat, "log-format", "text", "structured log encoding: text or json")
 	fs.IntVar(&opt.hotkeyK, "hotkey-k", 256, "SpaceSaving hot-key sketch counters behind /debug/workload and bagcd_hotkey_* (0 disables workload analytics)")
-	fs.DurationVar(&opt.calibInterval, "calib-interval", time.Minute, "period of cost-model calibration delta snapshots (0 keeps cumulative tallies only)")
 	fs.BoolVar(&opt.flightrec, "flightrec", false, "arm the overload flight recorder: capture pprof + workload + traces into <data-dir>/flightrec on queue or p99 pressure (requires -data-dir)")
 	fs.Float64Var(&opt.flightQueueFrac, "flightrec-queue-frac", 0.9, "queue fill fraction that triggers a flight capture (0 disables the queue trigger)")
 	fs.DurationVar(&opt.flightP99Budget, "flightrec-p99-budget", 0, "windowed p99 end-to-end latency that triggers a flight capture (0 disables the latency trigger)")
@@ -216,9 +206,6 @@ func (o *options) validate() error {
 	if o.defaultTimeout < 0 || o.maxTimeout < 0 || o.drainTimeout < 0 {
 		return fmt.Errorf("timeouts must be >= 0")
 	}
-	if _, err := service.ParsePolicy(o.admission); err != nil {
-		return fmt.Errorf("-admission: %w", err)
-	}
 	if o.shedThreshold <= 0 || o.shedThreshold > 1 {
 		return fmt.Errorf("-shed-threshold must be in (0, 1], got %g", o.shedThreshold)
 	}
@@ -236,9 +223,6 @@ func (o *options) validate() error {
 	}
 	if o.hotkeyK < 0 {
 		return fmt.Errorf("-hotkey-k must be >= 0, got %d", o.hotkeyK)
-	}
-	if o.calibInterval < 0 {
-		return fmt.Errorf("-calib-interval must be >= 0, got %s", o.calibInterval)
 	}
 	if o.flightrec {
 		if o.dataDir == "" {
@@ -297,10 +281,6 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 		}
 		return nil, nil, nil, err
 	}
-	policy, err := service.ParsePolicy(opt.admission)
-	if err != nil {
-		return fail(err)
-	}
 	// Workload analytics: the cache layer's observer feeds canonical
 	// fingerprints into the SpaceSaving sketch via the worker's capture
 	// carrier; the top-K surfaces on /debug/workload and bagcd_hotkey_*.
@@ -309,14 +289,8 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 		checkerOpts = append(checkerOpts, bagconsist.WithCheckObserver(telemetry.RecordCheck))
 		telemetry.RegisterWorkloadMetrics(reg, opt.workload, service.DefaultWorkloadTopN)
 	}
-	// Calibration is always on: it only compares numbers the admission
-	// controller already tracks, and its histograms make a drifting cost
-	// model visible on /metrics whatever the policy.
-	opt.calib = telemetry.NewCalibrator(reg)
-	if opt.calibInterval > 0 {
-		opt.calib.StartPeriodic(opt.calibInterval)
-	}
 	if opt.flightrec && opt.flight == nil {
+		var err error
 		opt.flight, err = telemetry.NewRecorder(telemetry.RecorderConfig{
 			Dir:           filepath.Join(opt.dataDir, "flightrec"),
 			QueueFrac:     opt.flightQueueFrac,
@@ -334,12 +308,10 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 		QueueDepth:       opt.queueDepth,
 		DefaultTimeout:   opt.defaultTimeout,
 		MaxTimeout:       opt.maxTimeout,
-		Policy:           policy,
 		ShedThreshold:    opt.shedThreshold,
 		ExpensiveSupport: opt.expensiveSupport,
 		Metrics:          reg,
 		Workload:         opt.workload,
-		Calibration:      opt.calib,
 		Flight:           opt.flight,
 	})
 	if err != nil {
@@ -370,7 +342,6 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 		AccessLog:     opt.accessLog,
 		Ring:          ring,
 		Workload:      opt.workload,
-		Calibration:   opt.calib,
 		Flight:        opt.flight,
 	})
 	if err != nil {
@@ -381,9 +352,8 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 			QueueFill: svc.QueueFill,
 			Workload: func() any {
 				return service.WorkloadStatus{
-					Schema:      service.WorkloadStatusSchema,
-					Workload:    opt.workload.Snapshot(0),
-					Calibration: opt.calib.Snapshot(),
+					Schema:   service.WorkloadStatusSchema,
+					Workload: opt.workload.Snapshot(0),
 				}
 			},
 			Traces: func() []*trace.Snapshot {
@@ -427,7 +397,6 @@ func run(args []string, out io.Writer) error {
 	if opt.slow != nil {
 		defer opt.slow.Close()
 	}
-	defer opt.calib.Close()
 	defer opt.flight.Close()
 	if st != nil {
 		defer func() {

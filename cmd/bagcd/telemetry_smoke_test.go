@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -100,9 +101,6 @@ func TestWorkloadSmoke(t *testing.T) {
 	if w.TopK[0].Key != insts[0].fp {
 		t.Fatalf("hottest key = %s, want the most-sent instance %s", w.TopK[0].Key, insts[0].fp)
 	}
-	if ws.Calibration == nil || len(ws.Calibration.Cumulative) == 0 {
-		t.Fatalf("calibration section missing: %+v", ws.Calibration)
-	}
 
 	// The same top-K is exposed on /metrics as bagcd_hotkey_* series.
 	text, err := cli.Metrics(ctx)
@@ -112,7 +110,6 @@ func TestWorkloadSmoke(t *testing.T) {
 	for _, marker := range []string{
 		"bagcd_hotkey_stream_total " + strconv.Itoa(total),
 		`bagcd_hotkey_count{key="` + insts[0].fp + `"} ` + strconv.Itoa(sends[0]),
-		`bagcd_cost_error_ratio_count{class="cheap"}`,
 	} {
 		if !strings.Contains(text, marker) {
 			t.Fatalf("metrics exposition missing %q", marker)
@@ -155,6 +152,42 @@ func TestFlightRecorderSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	bags := clientBags(t, coll)
+
+	// The one capture can fire as soon as the first check's latency is
+	// observed, which happens before the handler adds that check's trace
+	// to the ring. So put a trace in the ring first: a malformed body is
+	// traced and answered 400 before it reaches the service.
+	resp, err := http.Post(cli.BaseURL()+"/v1/check", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed check: status %d, want 400", resp.StatusCode)
+	}
+	tracesDeadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(cli.BaseURL() + "/debug/traces")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Traces []json.RawMessage `json:"traces"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body.Traces) > 0 {
+			break
+		}
+		if time.Now().After(tracesDeadline) {
+			t.Fatal("the malformed check's trace never reached /debug/traces")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	for range 4 {
 		if _, err := cli.Check(ctx, bags); err != nil {
 			t.Fatal(err)

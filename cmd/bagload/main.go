@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	bagload -selfhost [-sh-admission fifo|hardness] [-sh-parallelism N] ...
+//	bagload -selfhost [-sh-parallelism N] [-sh-shed-threshold F] ...
 //	bagload -addr http://host:8080 ...
 //	        [-seed N] [-rps R] [-duration 10s] [-arrival poisson|bursty]
 //	        [-mix-pair W] [-mix-global W] [-mix-batch W] [-zipf-s S]
@@ -116,7 +116,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&opt.sh.Parallelism, "sh-parallelism", 4, "selfhost: checker parallelism / worker count")
 	fs.IntVar(&opt.sh.QueueDepth, "sh-queue-depth", 64, "selfhost: admission queue depth")
 	fs.IntVar(&opt.sh.CacheSize, "sh-cache-size", 1024, "selfhost: shared result cache entries")
-	fs.StringVar(&opt.sh.Admission, "sh-admission", "fifo", "selfhost: admission policy (fifo or hardness)")
 	fs.Float64Var(&opt.sh.ShedThreshold, "sh-shed-threshold", service.DefaultShedThreshold, "selfhost: queue fraction past which expensive work sheds")
 	fs.IntVar(&opt.sh.ExpensiveSupport, "sh-expensive-support", service.DefaultExpensiveSupport, "selfhost: support size classed expensive")
 	fs.Int64Var(&opt.sh.MaxNodes, "sh-max-nodes", 10_000_000, "selfhost: integer-search node budget")
@@ -136,11 +135,6 @@ func (o *options) validate() error {
 	}
 	if _, err := load.ParseArrival(o.arrival); err != nil {
 		return err
-	}
-	if o.selfhost {
-		if _, err := service.ParsePolicy(o.sh.Admission); err != nil {
-			return err
-		}
 	}
 	if o.traceSample < 0 {
 		return fmt.Errorf("bagload: -trace-sample must be >= 0")
@@ -399,6 +393,7 @@ func aggregate(opt *options, arrival load.Arrival, events []load.Event, results 
 	var shPtr *SelfhostConfig
 	if opt.selfhost {
 		sh := opt.sh
+		sh.Admission = "hardness"
 		shPtr = &sh
 	}
 	return &Report{
@@ -455,8 +450,8 @@ func serverDelta(before, after promSnapshot) *ServerStats {
 		MeanQueueWaitMs:   map[string]float64{},
 		MeanServiceMs:     map[string]float64{},
 	}
-	// FIFO queue-full sheds are not labeled by reason on the legacy
-	// counter alone; fold the total in when the labeled ones are silent.
+	// Daemons that predate the reason labels export only the unlabeled
+	// total; fold it in when the labeled counters are silent.
 	if s.ShedQueueFull == 0 && s.ShedExpensive == 0 && s.ShedDeadline == 0 {
 		s.ShedQueueFull = before.delta(after, "bagcd_requests_shed_total")
 	}

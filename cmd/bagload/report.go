@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -37,11 +38,10 @@ type Report struct {
 	// latency to queue wait versus engine phases with direct evidence.
 	Traces []CapturedTrace `json:"traces,omitempty"`
 
-	// Workload pairs the server's hot-key sketch and calibration
-	// telemetry with the client's exact per-key counts — the ground truth
-	// only the load generator knows. Present when the target serves
-	// /debug/workload (selfhost with -sh-hotkey-k > 0, or a daemon
-	// running -hotkey-k).
+	// Workload pairs the server's hot-key sketch with the client's
+	// exact per-key counts — the ground truth only the load generator
+	// knows. Present when the target serves /debug/workload (selfhost
+	// with -sh-hotkey-k > 0, or a daemon running -hotkey-k).
 	Workload *WorkloadReport `json:"workload,omitempty"`
 }
 
@@ -49,8 +49,8 @@ type Report struct {
 // top-K versus the schedule's actual per-fingerprint send counts.
 type WorkloadReport struct {
 	// Server is the /debug/workload status scraped after the run
-	// quiesced: sketch top-K, calibration snapshot, flight recorder.
-	Server *bagclient.WorkloadStatus `json:"server,omitempty"`
+	// quiesced: sketch top-K and flight recorder.
+	Server *ServerWorkload `json:"server,omitempty"`
 	// ClientTopK are the exact per-fingerprint counts the driver sent,
 	// hottest first — computed from the schedule, not sampled.
 	ClientTopK []ClientKeyCount `json:"client_top_k"`
@@ -60,6 +60,14 @@ type WorkloadReport struct {
 	// exactly the keys the schedule actually favored.
 	AgreementK    int     `json:"agreement_k"`
 	TopKAgreement float64 `json:"top_k_agreement"`
+}
+
+// ServerWorkload is the scraped /debug/workload status as archived.
+type ServerWorkload struct {
+	bagclient.WorkloadStatus
+	// Calibration is decoded, never written: reports archived before
+	// the cost-model calibrator was deleted carry its snapshot here.
+	Calibration json.RawMessage `json:"calibration,omitempty"`
 }
 
 // ClientKeyCount is one fingerprint's exact client-side ledger.
@@ -105,7 +113,9 @@ type RunConfig struct {
 	Selfhost *SelfhostConfig `json:"selfhost,omitempty"`
 }
 
-// SelfhostConfig echoes the in-process daemon's knobs.
+// SelfhostConfig echoes the in-process daemon's knobs. Admission names
+// the admission policy: new runs record "hardness", the only one, and
+// reports archived before the drop-tail arm was deleted may say "fifo".
 type SelfhostConfig struct {
 	Parallelism      int     `json:"parallelism"`
 	QueueDepth       int     `json:"queue_depth"`

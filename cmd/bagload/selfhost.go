@@ -26,10 +26,6 @@ type selfhost struct {
 }
 
 func bootSelfhost(cfg SelfhostConfig) (*selfhost, error) {
-	policy, err := service.ParsePolicy(cfg.Admission)
-	if err != nil {
-		return nil, err
-	}
 	shared := bagconsist.NewCache(cfg.CacheSize)
 	checkerOpts := []bagconsist.Option{
 		bagconsist.WithParallelism(cfg.Parallelism),
@@ -43,36 +39,31 @@ func bootSelfhost(cfg SelfhostConfig) (*selfhost, error) {
 	}
 	reg := metrics.NewRegistry()
 	// Workload analytics mirror bagcd's own wiring: the cache observer
-	// hands canonical fingerprints to the hot-key sketch, and the
-	// calibrator scores cost-model predictions. The selfhost never runs
-	// the flight recorder — a load run is its own post-mortem.
+	// hands canonical fingerprints to the hot-key sketch. The selfhost
+	// never runs the flight recorder — a load run is its own post-mortem.
 	var workload *telemetry.Workload
 	if cfg.HotkeyK > 0 {
 		workload = telemetry.NewWorkload(cfg.HotkeyK)
 		checkerOpts = append(checkerOpts, bagconsist.WithCheckObserver(telemetry.RecordCheck))
 		telemetry.RegisterWorkloadMetrics(reg, workload, service.DefaultWorkloadTopN)
 	}
-	calib := telemetry.NewCalibrator(reg)
 	svc, err := service.New(service.Config{
 		Checker:          bagconsist.New(checkerOpts...),
 		QueueDepth:       cfg.QueueDepth,
 		MaxTimeout:       time.Duration(cfg.MaxTimeoutMs * float64(time.Millisecond)),
-		Policy:           policy,
 		ShedThreshold:    cfg.ShedThreshold,
 		ExpensiveSupport: cfg.ExpensiveSupport,
 		Metrics:          reg,
 		Workload:         workload,
-		Calibration:      calib,
 	})
 	if err != nil {
 		return nil, err
 	}
 	handler, err := service.NewHandler(service.ServerConfig{
-		Service:     svc,
-		Metrics:     reg,
-		Cache:       shared,
-		Workload:    workload,
-		Calibration: calib,
+		Service:  svc,
+		Metrics:  reg,
+		Cache:    shared,
+		Workload: workload,
 	})
 	if err != nil {
 		return nil, err

@@ -132,9 +132,6 @@ func TestLoadSmoke(t *testing.T) {
 	if wl.AgreementK == 0 || wl.TopKAgreement == 0 {
 		t.Errorf("top-K agreement degenerate: k=%d agreement=%g", wl.AgreementK, wl.TopKAgreement)
 	}
-	if wl.Server.Calibration == nil || len(wl.Server.Calibration.Cumulative) == 0 {
-		t.Errorf("calibration summary missing: %+v", wl.Server.Calibration)
-	}
 	// The human table must render every new section.
 	writeTable(io.Discard, rep)
 }
@@ -150,14 +147,11 @@ func TestOptionsValidate(t *testing.T) {
 	if _, err := parseFlags([]string{"-selfhost", "-arrival", "uniform"}); err == nil {
 		t.Error("bad arrival: want error")
 	}
-	if _, err := parseFlags([]string{"-selfhost", "-sh-admission", "lifo"}); err == nil {
-		t.Error("bad admission: want error")
-	}
-	opt, err := parseFlags([]string{"-selfhost", "-sh-admission", "hardness", "-arrival", "bursty"})
+	opt, err := parseFlags([]string{"-selfhost", "-arrival", "bursty"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opt.selfhost || opt.sh.Admission != "hardness" {
+	if !opt.selfhost {
 		t.Errorf("flags not bound: %+v", opt)
 	}
 }

@@ -34,7 +34,7 @@ func buildWorkloadReport(ws *bagclient.WorkloadStatus, corpus []load.Item, event
 		return nil
 	}
 	counts := clientKeyCounts(corpus, events, results)
-	wr := &WorkloadReport{Server: ws, ClientTopK: counts}
+	wr := &WorkloadReport{Server: &ServerWorkload{WorkloadStatus: *ws}, ClientTopK: counts}
 	wr.AgreementK, wr.TopKAgreement = topKAgreement(ws, counts, workloadAgreementK)
 	if len(wr.ClientTopK) > clientKeyLimit {
 		wr.ClientTopK = wr.ClientTopK[:clientKeyLimit]
@@ -164,8 +164,8 @@ func topKAgreement(ws *bagclient.WorkloadStatus, counts []ClientKeyCount, k int)
 	return k, float64(hits) / float64(k)
 }
 
-// writeWorkloadSection renders the hot-key cross-check and calibration
-// summary in the human table.
+// writeWorkloadSection renders the hot-key cross-check in the human
+// table.
 func writeWorkloadSection(w io.Writer, wr *WorkloadReport) {
 	if wr == nil {
 		return
@@ -186,12 +186,6 @@ func writeWorkloadSection(w io.Writer, wr *WorkloadReport) {
 			fmt.Fprintf(w, "  %-16s %10d %6d %10d %8d %8d %8d\n",
 				shortKey(hk.Key), hk.Count, hk.ErrBound, clientSent[hk.Key],
 				hk.Hits, hk.Misses, hk.Sheds)
-		}
-		if cal := srv.Calibration; cal != nil {
-			for _, cc := range cal.Cumulative {
-				fmt.Fprintf(w, "  calib %-9s n=%-6d within2x=%.0f%%  mean|log2 err|=%.2f  unpredicted=%d\n",
-					cc.Class, cc.N, 100*cc.Within2xFrac, cc.MeanAbsLog2Error, cc.Unpredicted)
-			}
 		}
 	}
 }

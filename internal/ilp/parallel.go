@@ -213,8 +213,8 @@ func (ps *parSearcher) expand(sr *searcher, st *state, hint lp.Basis) (*frame, e
 	return f, nil
 }
 
-// take pops the oldest frontier frame (FIFO keeps stolen work far from the
-// donors' current subtrees), blocking while the frontier is empty. It
+// take pops the oldest frontier frame (oldest-first keeps stolen work far
+// from the donors' current subtrees), blocking while the frontier is empty. It
 // returns nil once the solve is done — including the moment this worker's
 // idling makes every worker idle, which proves the whole tree is explored
 // and flips done for everyone.

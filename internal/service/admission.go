@@ -1,60 +1,22 @@
 package service
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 )
 
-// Policy selects the admission-control discipline of a Service.
-//
-// The paper's dichotomy makes request cost wildly bimodal: acyclic
-// instances decide in polynomial time (microseconds on this engine)
-// while cyclic ones run an NP-hard integer search that can take
-// milliseconds to seconds. A FIFO drop-tail queue is blind to that
-// split — under overload a handful of cyclic requests occupy every
-// worker while thousands of cheap requests shed behind them. The
-// HardnessAware policy classifies each request's predicted cost at
-// admission (schema acyclicity via the GYO reduction, plus instance
-// size) and sheds predicted-expensive work first, keeping the cheap
-// majority flowing.
-type Policy int
-
-const (
-	// FIFO is plain drop-tail: every request is admitted until the queue
-	// is full, then everything sheds alike. The pre-load-lab behavior.
-	FIFO Policy = iota
-	// HardnessAware sheds predicted-expensive requests once queue
-	// occupancy crosses Config.ShedThreshold, and sheds requests whose
-	// caller deadline cannot be met by the estimated queue wait plus the
-	// estimated service time of their cost class.
-	HardnessAware
-)
-
-// String names the policy as it appears in flags and metric labels.
-func (p Policy) String() string {
-	switch p {
-	case FIFO:
-		return "fifo"
-	case HardnessAware:
-		return "hardness"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy reads a policy name as accepted by bagcd's -admission flag.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "fifo", "":
-		return FIFO, nil
-	case "hardness", "hardness-aware", "hardnessaware":
-		return HardnessAware, nil
-	default:
-		return 0, fmt.Errorf("service: unknown admission policy %q (want fifo or hardness)", s)
-	}
-}
+// Admission control sheds by predicted hardness. The paper's dichotomy
+// makes request cost wildly bimodal: acyclic instances decide in
+// polynomial time (microseconds on this engine) while cyclic ones run an
+// NP-hard integer search that can take milliseconds to seconds. A plain
+// drop-tail queue is blind to that split — under overload a handful of
+// cyclic requests occupy every worker while thousands of cheap requests
+// shed behind them (EXP-002). So every request's cost class is predicted
+// at admission (schema acyclicity via the GYO reduction, plus instance
+// size), predicted-expensive work sheds first once queue occupancy
+// crosses Config.ShedThreshold, and requests whose caller deadline
+// cannot outlast the estimated queue wait plus service time shed
+// immediately.
 
 // Cost is the admission-time prediction of how expensive a request is.
 type Cost int
@@ -86,8 +48,8 @@ const DefaultExpensiveSupport = 1 << 16
 // Shed reasons, the labels of bagcd_load_shed_total.
 const (
 	shedQueueFull = "queue_full"          // drop-tail: admission queue at capacity
-	shedExpensive = "predicted_expensive" // hardness-aware: expensive work past the threshold
-	shedDeadline  = "deadline_unmeetable" // deadline-aware: predicted wait+service exceeds the caller's deadline
+	shedExpensive = "predicted_expensive" // expensive work past the shed threshold
+	shedDeadline  = "deadline_unmeetable" // predicted wait+service exceeds the caller's deadline
 )
 
 // classifyCost predicts a request's cost class without touching the data

@@ -16,42 +16,6 @@ import (
 	"bagconsistency/pkg/bagconsist"
 )
 
-func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    Policy
-		wantErr bool
-	}{
-		{"fifo", FIFO, false},
-		{"", FIFO, false},
-		{"FIFO", FIFO, false},
-		{"hardness", HardnessAware, false},
-		{"hardness-aware", HardnessAware, false},
-		{"HardnessAware", HardnessAware, false},
-		{" hardness ", HardnessAware, false},
-		{"lifo", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParsePolicy(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("ParsePolicy(%q): want error, got %v", c.in, got)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	// Round trip through String.
-	for _, p := range []Policy{FIFO, HardnessAware} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%v.String()) = %v, %v", p, got, err)
-		}
-	}
-}
-
 func TestClassifyCost(t *testing.T) {
 	r, s, err := gen.Section3Family(3)
 	if err != nil {
@@ -148,7 +112,6 @@ func TestHardnessAwareShedsExpensiveKeepsCheap(t *testing.T) {
 	svc := newService(t, Config{
 		Checker:    slowChecker(1),
 		QueueDepth: 4, // shedDepth = 2 at the default 0.5 threshold
-		Policy:     HardnessAware,
 		Metrics:    reg,
 	})
 
@@ -217,58 +180,13 @@ func TestHardnessAwareShedsExpensiveKeepsCheap(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFIFOAdmitsExpensiveAtThreshold pins the control arm: under FIFO the
-// same occupancy that sheds expensive work under HardnessAware admits it.
-func TestFIFOAdmitsExpensiveAtThreshold(t *testing.T) {
-	svc := newService(t, Config{Checker: slowChecker(1), QueueDepth: 4, Policy: FIFO})
-
-	slow := slowTriangle(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for range 3 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = svc.Do(ctx, Request{Kind: Global, Collection: slow})
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for (svc.Inflight() < 1 || svc.QueueDepth() < 2) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if svc.Inflight() < 1 || svc.QueueDepth() < 2 {
-		t.Fatalf("saturation not reached: inflight=%d queued=%d", svc.Inflight(), svc.QueueDepth())
-	}
-
-	lateCtx, lateCancel := context.WithCancel(context.Background())
-	lateDone := make(chan error, 1)
-	go func() {
-		_, err := svc.Do(lateCtx, Request{Kind: Global, Collection: slow})
-		lateDone <- err
-	}()
-	deadline = time.Now().Add(5 * time.Second)
-	for svc.QueueDepth() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if svc.QueueDepth() < 3 {
-		t.Fatal("FIFO did not admit the expensive request below capacity")
-	}
-	lateCancel()
-	if err := <-lateDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned request: err = %v, want context.Canceled", err)
-	}
-	cancel()
-	wg.Wait()
-}
-
 // TestDeadlineVetoSheds warms the expensive-class estimator with a slow
 // timeout-capped request, then submits an expensive request whose caller
 // deadline the estimate cannot meet: it must shed immediately rather than
 // burn a worker on an answer the caller will never see.
 func TestDeadlineVetoSheds(t *testing.T) {
 	reg := metrics.NewRegistry()
-	svc := newService(t, Config{Checker: slowChecker(2), Policy: HardnessAware, Metrics: reg})
+	svc := newService(t, Config{Checker: slowChecker(2), Metrics: reg})
 
 	slow := slowTriangle(t)
 	// Warm the expensive EWMA: the integer search runs until the 400ms
@@ -311,7 +229,7 @@ func TestDeadlineVetoSheds(t *testing.T) {
 // TestColdEstimatorNeverSheds pins "never shed blind": with no completed
 // requests, a tight deadline alone must not trigger the deadline veto.
 func TestColdEstimatorNeverSheds(t *testing.T) {
-	svc := newService(t, Config{Policy: HardnessAware})
+	svc := newService(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	rep, err := svc.Do(ctx, Request{Kind: Global, Collection: consistentCollection(t, 9)})

@@ -62,9 +62,6 @@ type ServerConfig struct {
 	// sketch snapshot. It should be the same Workload the Service was
 	// built with.
 	Workload *telemetry.Workload
-	// Calibration, when non-nil, embeds cost-model calibration snapshots
-	// in GET /debug/workload.
-	Calibration *telemetry.Calibrator
 	// Flight, when non-nil, embeds the overload flight recorder's status
 	// in GET /debug/workload.
 	Flight *telemetry.Recorder
@@ -106,9 +103,6 @@ type HealthStatus struct {
 	QueueDepth    int     `json:"queue_depth"`
 	QueueCapacity int     `json:"queue_capacity"`
 	Inflight      int     `json:"inflight"`
-	// Admission names the admission-control policy ("fifo" or
-	// "hardness") so load tooling can verify what it is measuring.
-	Admission string `json:"admission,omitempty"`
 	// Cache is present when the daemon runs a shared result cache.
 	Cache *bagconsist.CacheStats `json:"cache,omitempty"`
 	// Store is present when the cache is backed by a persistent store
@@ -129,7 +123,6 @@ type server struct {
 	slow          *trace.SlowCapture
 	access        *slog.Logger
 	workload      *telemetry.Workload
-	calibration   *telemetry.Calibrator
 	flight        *telemetry.Recorder
 
 	httpRequests func(path, code string) *metrics.Counter
@@ -172,7 +165,6 @@ func NewHandler(cfg ServerConfig) (http.Handler, error) {
 		slow:          cfg.Slow,
 		access:        cfg.AccessLog,
 		workload:      cfg.Workload,
-		calibration:   cfg.Calibration,
 		flight:        cfg.Flight,
 	}
 	if s.maxBody <= 0 {
@@ -333,15 +325,13 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) int {
 }
 
 // WorkloadStatus is the GET /debug/workload body: the hot-key sketch
-// snapshot plus, when enabled, cost-model calibration and overload
-// flight-recorder state. Sections the daemon was not configured with
-// are omitted.
+// snapshot plus, when enabled, overload flight-recorder state. Sections
+// the daemon was not configured with are omitted.
 type WorkloadStatus struct {
-	Schema         string                         `json:"schema"`
-	UptimeSeconds  float64                        `json:"uptime_seconds"`
-	Workload       *telemetry.WorkloadSnapshot    `json:"workload,omitempty"`
-	Calibration    *telemetry.CalibrationSnapshot `json:"calibration,omitempty"`
-	FlightRecorder *telemetry.RecorderStatus      `json:"flight_recorder,omitempty"`
+	Schema         string                      `json:"schema"`
+	UptimeSeconds  float64                     `json:"uptime_seconds"`
+	Workload       *telemetry.WorkloadSnapshot `json:"workload,omitempty"`
+	FlightRecorder *telemetry.RecorderStatus   `json:"flight_recorder,omitempty"`
 }
 
 // WorkloadStatusSchema versions the /debug/workload envelope.
@@ -352,9 +342,8 @@ const WorkloadStatusSchema = "workload-status/v1"
 const DefaultWorkloadTopN = 10
 
 // handleWorkload serves workload analytics: the SpaceSaving hot-key
-// table (?top=N bounds it), calibration snapshots, and flight-recorder
-// status. 404 when the daemon runs without workload telemetry
-// (-hotkey-k=0).
+// table (?top=N bounds it) and flight-recorder status. 404 when the
+// daemon runs without workload telemetry (-hotkey-k=0).
 func (s *server) handleWorkload(w http.ResponseWriter, r *http.Request) int {
 	if s.workload == nil {
 		return s.writeError(w, http.StatusNotFound, errors.New("workload telemetry disabled (-hotkey-k)"))
@@ -371,9 +360,6 @@ func (s *server) handleWorkload(w http.ResponseWriter, r *http.Request) int {
 		Schema:        WorkloadStatusSchema,
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Workload:      s.workload.Snapshot(topN),
-	}
-	if s.calibration != nil {
-		body.Calibration = s.calibration.Snapshot()
 	}
 	if s.flight != nil {
 		body.FlightRecorder = s.flight.Status()
@@ -484,9 +470,8 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request, kind Kind) 
 // deadlineContext turns a request's timeout into a context deadline that
 // exists already at admission, making ?timeout_ms an end-to-end budget
 // over HTTP (queue wait included) rather than a compute-only cap. This
-// is what lets the HardnessAware policy's deadline veto shed a request
-// whose budget the predicted wait already exhausts, instead of queueing
-// it to die.
+// is what lets admission's deadline veto shed a request whose budget
+// the predicted wait already exhausts, instead of queueing it to die.
 func deadlineContext(parent context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout <= 0 {
 		return parent, func() {}
@@ -521,8 +506,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	flusher, _ := w.(http.Flusher)
 
 	// Bounded pipelining that preserves input order: each line gets a
-	// 1-slot result channel pushed into a FIFO; the writer drains the
-	// FIFO in order while up to pipelineDepth lines compute.
+	// 1-slot result channel pushed into an ordered queue; the writer
+	// drains it in order while up to pipelineDepth lines compute.
 	pipelineDepth := s.svc.Checker().Parallelism() * 2
 	pending := make(chan chan []byte, pipelineDepth)
 	writerDone := make(chan struct{})
@@ -612,7 +597,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 		QueueDepth:    s.svc.QueueDepth(),
 		QueueCapacity: s.svc.QueueCapacity(),
 		Inflight:      s.svc.Inflight(),
-		Admission:     s.svc.Policy().String(),
 	}
 	if s.cache != nil {
 		st := s.cache.Stats()

@@ -1,8 +1,8 @@
 // Package service is the request-serving core of the bagcd daemon: a
 // bounded admission queue in front of the bagconsist Checker, a worker
-// pool sized by the Checker's WithParallelism, load shedding when the
-// queue is full, per-request deadline propagation into Checker contexts,
-// and graceful drain for zero-drop restarts.
+// pool sized by the Checker's WithParallelism, hardness-aware load
+// shedding (admission.go), per-request deadline propagation into Checker
+// contexts, and graceful drain for zero-drop restarts.
 //
 // The layering is deliberate: the Checker is a pure decision engine with
 // no notion of traffic, and this package owns everything traffic-shaped —
@@ -24,8 +24,8 @@ import (
 	"bagconsistency/pkg/bagconsist"
 )
 
-// ErrOverloaded is returned when the admission queue is full: the request
-// was shed without queuing. Transports map it to 503 + Retry-After;
+// ErrOverloaded is returned when admission sheds a request without
+// queuing it (see admission.go). Transports map it to 503 + Retry-After;
 // clients back off and retry.
 var ErrOverloaded = errors.New("service: overloaded, admission queue full")
 
@@ -82,12 +82,8 @@ type Config struct {
 	// MaxTimeout caps per-request Timeouts so a client cannot pin a
 	// worker arbitrarily long; 0 disables the cap.
 	MaxTimeout time.Duration
-	// Policy selects the admission discipline: FIFO drop-tail (default)
-	// or HardnessAware cost-based shedding.
-	Policy Policy
 	// ShedThreshold is the queue-occupancy fraction (0, 1] beyond which
-	// the HardnessAware policy sheds predicted-expensive requests; 0
-	// means DefaultShedThreshold. Ignored under FIFO.
+	// predicted-expensive requests shed; 0 means DefaultShedThreshold.
 	ShedThreshold float64
 	// ExpensiveSupport is the total-support size above which a request is
 	// classed expensive regardless of schema structure; 0 means
@@ -101,10 +97,6 @@ type Config struct {
 	// and every shed (fingerprinted directly, since sheds never reach
 	// the engine). Nil disables workload analytics.
 	Workload *telemetry.Workload
-	// Calibration, when set, receives one (predicted, observed)
-	// service-time pair per successful completion, keyed by the
-	// admission cost class — the drift monitor of `-admission hardness`.
-	Calibration *telemetry.Calibrator
 	// Flight, when set, is fed end-to-end latencies for its p99 trigger
 	// window. The service never fires captures itself; the recorder's
 	// own loop does, via the QueueFill probe.
@@ -114,9 +106,9 @@ type Config struct {
 // DefaultQueueDepth bounds the admission queue when Config leaves it 0.
 const DefaultQueueDepth = 256
 
-// DefaultShedThreshold is the queue-occupancy fraction at which the
-// HardnessAware policy starts shedding predicted-expensive work: half
-// the queue is headroom reserved for the cheap majority.
+// DefaultShedThreshold is the queue-occupancy fraction at which
+// admission starts shedding predicted-expensive work: half the queue is
+// headroom reserved for the cheap majority.
 const DefaultShedThreshold = 0.5
 
 // Service runs consistency queries through a bounded queue and a fixed
@@ -128,16 +120,14 @@ type Service struct {
 	maxTimeout     time.Duration
 
 	// Admission control (see admission.go).
-	policy           Policy
 	shedDepth        int // queue occupancy at which expensive work sheds
 	expensiveSupport int
 	workerCount      int
 	estimates        [2]ewma // service-time estimator per Cost class
 
 	// Telemetry (all optional; see Config).
-	workload    *telemetry.Workload
-	calibration *telemetry.Calibrator
-	flight      *telemetry.Recorder
+	workload *telemetry.Workload
+	flight   *telemetry.Recorder
 
 	mu       sync.RWMutex // guards draining flips vs. enqueues
 	draining bool
@@ -208,12 +198,10 @@ func New(cfg Config) (*Service, error) {
 		queue:            make(chan *task, depth),
 		defaultTimeout:   cfg.DefaultTimeout,
 		maxTimeout:       cfg.MaxTimeout,
-		policy:           cfg.Policy,
 		shedDepth:        shedDepth,
 		expensiveSupport: expensiveSupport,
 		workerCount:      cfg.Checker.Parallelism(),
 		workload:         cfg.Workload,
-		calibration:      cfg.Calibration,
 		flight:           cfg.Flight,
 		admitted:         reg.Counter("bagcd_requests_admitted_total", "", "Requests admitted to the queue."),
 		shed:             reg.Counter("bagcd_requests_shed_total", "", "Requests shed before admission, any reason."),
@@ -269,9 +257,6 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Policy returns the admission discipline the service runs.
-func (s *Service) Policy() Policy { return s.policy }
-
 // EstimatedServiceSeconds returns the EWMA service-time estimate for a
 // cost class and whether any completed request backs it.
 func (s *Service) EstimatedServiceSeconds(c Cost) (float64, bool) {
@@ -301,11 +286,10 @@ func (s *Service) Draining() bool {
 }
 
 // Do admits the request, waits for its result, and returns the Report.
-// It sheds with ErrOverloaded when the admission policy refuses the
-// request (queue full under any policy; predicted-expensive past the
-// occupancy threshold or deadline-unmeetable under HardnessAware — never
-// blocking on admission either way), rejects with ErrDraining during
-// drain, and returns the context's error if the caller gives up while
+// It sheds with ErrOverloaded when admission refuses the request
+// (predicted-expensive past the occupancy threshold, deadline-unmeetable,
+// or queue full — never blocking on admission), rejects with ErrDraining
+// during drain, and returns the context's error if the caller gives up while
 // queued — the worker then discards the stale task without computing.
 func (s *Service) Do(ctx context.Context, req Request) (*bagconsist.Report, error) {
 	cost := classifyCost(req, s.expensiveSupport)
@@ -321,15 +305,13 @@ func (s *Service) Do(ctx context.Context, req Request) (*bagconsist.Report, erro
 		trace.SpanFromContext(ctx).SetAttr("rejected", "draining")
 		return nil, ErrDraining
 	}
-	if s.policy == HardnessAware {
-		if reason := s.admissionVeto(ctx, cost); reason != "" {
-			s.mu.RUnlock()
-			s.shed.Inc()
-			s.shedReasons[reason].Inc()
-			trace.SpanFromContext(ctx).SetAttr("shed", reason)
-			s.observeShed(req)
-			return nil, ErrOverloaded
-		}
+	if reason := s.admissionVeto(ctx, cost); reason != "" {
+		s.mu.RUnlock()
+		s.shed.Inc()
+		s.shedReasons[reason].Inc()
+		trace.SpanFromContext(ctx).SetAttr("shed", reason)
+		s.observeShed(req)
+		return nil, ErrOverloaded
 	}
 	t.enqueued = time.Now()
 	select {
@@ -354,7 +336,7 @@ func (s *Service) Do(ctx context.Context, req Request) (*bagconsist.Report, erro
 	}
 }
 
-// admissionVeto applies the HardnessAware pre-queue checks and returns
+// admissionVeto applies the pre-queue checks and returns
 // the shed reason, or "" to admit. Both checks are O(1) over state the
 // service already tracks; the caller holds the read lock.
 func (s *Service) admissionVeto(ctx context.Context, cost Cost) string {
@@ -490,13 +472,6 @@ func (s *Service) run(t *task) {
 	s.queueWait[t.req.Kind].Observe(wait.Seconds())
 	s.serviceTime[t.req.Kind].Observe(elapsed.Seconds())
 	s.latencies[t.req.Kind].Observe((wait + elapsed).Seconds())
-	// Calibration compares against the estimate that was in effect when
-	// this request ran, so the prediction is read before the estimator
-	// absorbs the new observation.
-	var predicted float64
-	if s.calibration != nil {
-		predicted, _ = s.estimates[t.cost].value()
-	}
 	s.estimates[t.cost].observe(elapsed.Seconds())
 	if err == nil {
 		if capture != nil {
@@ -507,7 +482,6 @@ func (s *Service) run(t *task) {
 				s.workload.ObserveCheck(fp, rep != nil && rep.CacheHit, elapsed)
 			}
 		}
-		s.calibration.Observe(t.cost.String(), predicted, elapsed.Seconds())
 	}
 	s.flight.Observe((wait + elapsed).Seconds())
 	if rep != nil && !rep.CacheHit {

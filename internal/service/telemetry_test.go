@@ -139,59 +139,30 @@ func TestShedObservedWithFingerprint(t *testing.T) {
 	}
 }
 
-// TestCalibrationPredictedBeforeObserve: the first completion of a class
-// finds a cold estimator and lands in Unpredicted; later completions are
-// scored against the EWMA in effect before they updated it.
-func TestCalibrationPredictedBeforeObserve(t *testing.T) {
-	cal := telemetry.NewCalibrator(nil)
-	svc := newService(t, Config{Checker: telemetryChecker(2), Calibration: cal})
-	coll := consistentCollection(t, 9)
-	const total = 3
-	for range total {
-		if _, err := svc.Do(context.Background(), Request{Kind: Global, Collection: coll}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := cal.Snapshot()
-	if len(snap.Cumulative) != 1 || snap.Cumulative[0].Class != CostCheap.String() {
-		t.Fatalf("calibration classes: %+v", snap.Cumulative)
-	}
-	cc := snap.Cumulative[0]
-	if cc.Unpredicted != 1 {
-		t.Fatalf("unpredicted = %d, want exactly the cold first completion", cc.Unpredicted)
-	}
-	if cc.N != total-1 {
-		t.Fatalf("scored completions = %d, want %d", cc.N, total-1)
-	}
-}
-
 // TestWorkloadEndpoint: GET /debug/workload serves the status envelope
 // with every configured section, honors ?top=N, and 404s when workload
 // telemetry is off.
 func TestWorkloadEndpoint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	w := telemetry.NewWorkload(16)
-	cal := telemetry.NewCalibrator(reg)
 	rec, err := telemetry.NewRecorder(telemetry.RecorderConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.Close()
 	svc, err := New(Config{
-		Checker:     telemetryChecker(2),
-		Metrics:     reg,
-		Workload:    w,
-		Calibration: cal,
+		Checker:  telemetryChecker(2),
+		Metrics:  reg,
+		Workload: w,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, err := NewHandler(ServerConfig{
-		Service:     svc,
-		Metrics:     reg,
-		Workload:    w,
-		Calibration: cal,
-		Flight:      rec,
+		Service:  svc,
+		Metrics:  reg,
+		Workload: w,
+		Flight:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,9 +185,6 @@ func TestWorkloadEndpoint(t *testing.T) {
 	}
 	if hk := ws.Workload.TopK[0]; hk.Hits != 2 || hk.Misses != 1 {
 		t.Fatalf("top key %+v, want 2 hits 1 miss", hk)
-	}
-	if ws.Calibration == nil || len(ws.Calibration.Cumulative) == 0 {
-		t.Fatalf("calibration section: %+v", ws.Calibration)
 	}
 	if ws.FlightRecorder == nil || ws.FlightRecorder.Schema == "" {
 		t.Fatalf("flight recorder section: %+v", ws.FlightRecorder)

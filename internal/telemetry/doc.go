@@ -1,9 +1,8 @@
 // Package telemetry turns the serving daemon's request stream into
-// operator-facing signals: which canonical fingerprints are hot, how
-// well the admission cost model predicts observed service time, and
+// operator-facing signals: which canonical fingerprints are hot, and
 // what the process looked like the moment it tipped into overload.
 //
-// Three dependency-free pieces compose:
+// Two dependency-free pieces compose:
 //
 //   - Sketch / Workload: a deterministic SpaceSaving heavy-hitter
 //     summary over canonical fingerprints with per-key hit/miss/shed
@@ -11,10 +10,6 @@
 //     fingerprint-sharded cluster needs before it can do hot-key
 //     replication. Exposed as /debug/workload JSON and a
 //     bagcd_hotkey_* top-K metrics block.
-//   - Calibrator: per-class prediction-error accounting for the
-//     hardness-aware admission controller's EWMA service-time
-//     estimates (bagcd_cost_error_ratio{class} histograms plus
-//     periodic drift snapshots).
 //   - Recorder: an overload flight recorder that captures a bounded
 //     pprof CPU+heap profile and the current workload/trace state
 //     into a rotated on-disk directory when queue fill or p99 crosses

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -111,7 +109,7 @@ type Recorder struct {
 	window    []float64 // end-to-end latencies, seconds; ring
 	wnext     int
 	wfull     bool
-	seq       int
+	rot       *trace.Rotation // capture-NNNNNN-<reason> dirs; Next under mu
 	last      time.Time
 	captures  []CaptureInfo
 	capturing bool
@@ -132,20 +130,13 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	r := &Recorder{
+	return &Recorder{
 		cfg:    cfg,
 		window: make([]float64, cfg.Window),
+		rot:    trace.NewRotation(cfg.Dir, "capture-", cfg.Retain),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	// Resume the sequence after the last capture already on disk so a
-	// restart never overwrites an earlier flight.
-	for _, name := range r.onDisk() {
-		if seq, ok := captureSeq(name); ok && seq > r.seq {
-			r.seq = seq
-		}
-	}
-	return r, nil
+	}, nil
 }
 
 // Observe feeds one end-to-end request latency (seconds) into the
@@ -265,13 +256,11 @@ func (r *Recorder) Trigger(reason string) (string, error) {
 // bounded CPU profile. Returns the capture directory.
 func (r *Recorder) capture(reason string, fill, p99 float64) (string, error) {
 	r.mu.Lock()
-	r.seq++
-	seq := r.seq
+	name, seq := r.rot.Next(reason)
 	now := time.Now()
 	r.last = now
 	r.mu.Unlock()
 
-	name := fmt.Sprintf("capture-%06d-%s", seq, reason)
 	dir := filepath.Join(r.cfg.Dir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -345,60 +334,19 @@ func (r *Recorder) capture(reason string, fill, p99 float64) (string, error) {
 	r.mu.Lock()
 	r.captures = append(r.captures, info)
 	r.mu.Unlock()
-	r.prune()
+	pruneErrs := r.rot.Prune()
 	if r.probes.Logf != nil {
+		for _, err := range pruneErrs {
+			r.probes.Logf("flightrec: pruning old captures: %v", err)
+		}
 		r.probes.Logf("flightrec: captured %s (reason=%s queue_fill=%.2f p99_ms=%.1f)",
 			name, reason, fill, p99*1000)
 	}
 	return dir, nil
 }
 
-// prune removes the oldest capture directories beyond Retain.
-func (r *Recorder) prune() {
-	names := r.onDisk()
-	for len(names) > r.cfg.Retain {
-		os.RemoveAll(filepath.Join(r.cfg.Dir, names[0]))
-		names = names[1:]
-	}
-}
-
 // onDisk lists retained capture dirs, oldest first (sequence order).
-func (r *Recorder) onDisk() []string {
-	ents, err := os.ReadDir(r.cfg.Dir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() {
-			if _, ok := captureSeq(e.Name()); ok {
-				names = append(names, e.Name())
-			}
-		}
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, _ := captureSeq(names[i])
-		b, _ := captureSeq(names[j])
-		return a < b
-	})
-	return names
-}
-
-func captureSeq(name string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, "capture-")
-	if !ok {
-		return 0, false
-	}
-	num, _, ok := strings.Cut(rest, "-")
-	if !ok {
-		return 0, false
-	}
-	seq, err := strconv.Atoi(num)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
+func (r *Recorder) onDisk() []string { return r.rot.Entries() }
 
 // Status reports the recorder's configuration and capture history.
 func (r *Recorder) Status() *RecorderStatus {

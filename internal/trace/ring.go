@@ -2,12 +2,8 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -95,8 +91,8 @@ type SlowCapture struct {
 	path     string
 	maxBytes int64
 	retain   int
-	seq      int // last rotation sequence number used
-	rotated  int // rotations performed this process (tests)
+	rot      *Rotation // numbers and prunes <path>.NNNNNN; nil without a path
+	rotated  int       // rotations performed this process (tests)
 }
 
 // SlowOption tunes a SlowCapture's file rotation.
@@ -153,13 +149,7 @@ func NewSlowCapture(threshold time.Duration, ringCap int, path string, opts ...S
 		}
 		c.f = f
 		c.enc = json.NewEncoder(f)
-		// Resume the rotation sequence after files from earlier runs so
-		// a restart never overwrites a retained rotation.
-		for _, name := range c.rotations() {
-			if seq, ok := rotationSeq(c.path, name); ok && seq > c.seq {
-				c.seq = seq
-			}
-		}
+		c.rot = NewRotation(filepath.Dir(path), filepath.Base(path)+".", c.retain)
 	}
 	return c, nil
 }
@@ -194,8 +184,8 @@ func (c *SlowCapture) rotate() {
 	if err := c.f.Close(); err != nil {
 		c.errs++
 	}
-	c.seq++
-	if err := os.Rename(c.path, fmt.Sprintf("%s.%06d", c.path, c.seq)); err != nil {
+	name, _ := c.rot.Next("")
+	if err := os.Rename(c.path, filepath.Join(filepath.Dir(c.path), name)); err != nil {
 		c.errs++
 	}
 	f, err := os.OpenFile(c.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -208,46 +198,7 @@ func (c *SlowCapture) rotate() {
 	}
 	c.f, c.enc = f, json.NewEncoder(f)
 	c.rotated++
-	names := c.rotations()
-	for len(names) > c.retain {
-		if err := os.Remove(names[0]); err != nil {
-			c.errs++
-		}
-		names = names[1:]
-	}
-}
-
-// rotations lists this capture's rotated files, oldest first.
-func (c *SlowCapture) rotations() []string {
-	matches, err := filepath.Glob(c.path + ".*")
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, m := range matches {
-		if _, ok := rotationSeq(c.path, m); ok {
-			names = append(names, m)
-		}
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, _ := rotationSeq(c.path, names[i])
-		b, _ := rotationSeq(c.path, names[j])
-		return a < b
-	})
-	return names
-}
-
-// rotationSeq extracts the sequence number from a rotated file name.
-func rotationSeq(path, name string) (int, bool) {
-	suffix, ok := strings.CutPrefix(name, path+".")
-	if !ok {
-		return 0, false
-	}
-	seq, err := strconv.Atoi(suffix)
-	if err != nil || seq < 1 {
-		return 0, false
-	}
-	return seq, true
+	c.errs += len(c.rot.Prune())
 }
 
 // Rotations returns the number of file rotations performed by this
@@ -263,15 +214,16 @@ func (c *SlowCapture) Rotations() int {
 
 // RotatedFiles returns the retained rotated file paths, oldest first.
 func (c *SlowCapture) RotatedFiles() []string {
-	if c == nil {
+	if c == nil || c.rot == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.path == "" {
-		return nil
+	names := c.rot.Entries()
+	for i, name := range names {
+		names[i] = filepath.Join(filepath.Dir(c.path), name)
 	}
-	return c.rotations()
+	return names
 }
 
 // Ring returns the slow-trace ring.

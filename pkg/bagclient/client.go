@@ -425,7 +425,7 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 }
 
 // Workload fetches GET /debug/workload: hot-key analytics plus, when
-// the daemon runs them, calibration and flight-recorder state. topN
+// the daemon runs it, flight-recorder state. topN
 // bounds the hot-key table (0 = all tracked keys, < 0 keeps the server
 // default). A daemon running with -hotkey-k 0 answers 404, surfaced as
 // a StatusError.
