@@ -522,37 +522,6 @@ func BenchmarkExtMinCostWitness(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBranchOrder compares the default high-first value order
-// against low-first on a feasible margin instance: high-first reaches a
-// feasible corner quickly, low-first crawls.
-func BenchmarkAblationBranchOrder(b *testing.B) {
-	rng := rand.New(rand.NewSource(15))
-	inst, err := gen.RandomThreeDCT(rng, 3, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := inst.ToCollection()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("high-first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dec, err := c.GloballyConsistent(core.GlobalOptions{MaxNodes: 50_000_000})
-			if err != nil || !dec.Consistent {
-				b.Fatal("must be consistent", err)
-			}
-		}
-	})
-	b.Run("low-first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dec, err := c.GloballyConsistent(core.GlobalOptions{MaxNodes: 50_000_000, BranchLowFirst: true})
-			if err != nil || !dec.Consistent {
-				b.Fatal("must be consistent", err)
-			}
-		}
-	})
-}
-
 // BenchmarkE8ChainDecision decides lifted Tseitin instances along the
 // Lemma 6 chain — NP membership with the schema as part of the input
 // (Corollary 3): the instances stay decidable as the cycle grows because

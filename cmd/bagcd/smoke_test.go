@@ -196,13 +196,12 @@ func TestServingSmoke(t *testing.T) {
 // transport failures — and that successes resume once pressure lifts.
 func TestSmokeShedsCleanly(t *testing.T) {
 	// Assembled by hand (not buildServer) so the checker can be pinned to
-	// the deterministic slow recipe: low-first branching over ~2^16
+	// the deterministic slow recipe: the integer search over ~2^16
 	// margins runs for many seconds without cancellation.
 	reg := metrics.NewRegistry()
 	checker := bagconsist.New(
 		bagconsist.WithParallelism(1),
 		bagconsist.WithMaxNodes(2_000_000_000),
-		bagconsist.WithBranchLowFirst(true),
 	)
 	svc, err := service.New(service.Config{Checker: checker, QueueDepth: 1, Metrics: reg})
 	if err != nil {

@@ -120,7 +120,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&opt.sh.ExpensiveSupport, "sh-expensive-support", service.DefaultExpensiveSupport, "selfhost: support size classed expensive")
 	fs.Int64Var(&opt.sh.MaxNodes, "sh-max-nodes", 10_000_000, "selfhost: integer-search node budget")
 	fs.Float64Var(&opt.sh.MaxTimeoutMs, "sh-max-timeout-ms", 2000, "selfhost: server-side per-request timeout cap (ms)")
-	fs.BoolVar(&opt.sh.BranchLowFirst, "sh-branch-low-first", false, "selfhost: pathological branch order (makes cyclic work slow)")
 	fs.IntVar(&opt.sh.HotkeyK, "sh-hotkey-k", 256, "selfhost: hot-key sketch capacity (0 disables workload analytics)")
 
 	if err := fs.Parse(args); err != nil {

@@ -116,6 +116,9 @@ type RunConfig struct {
 // SelfhostConfig echoes the in-process daemon's knobs. Admission names
 // the admission policy: new runs record "hardness", the only one, and
 // reports archived before the drop-tail arm was deleted may say "fifo".
+// BranchLowFirst is archival: the integer search has one value order, so
+// new runs record false, and reports archived before the low-first order
+// was deleted may say true.
 type SelfhostConfig struct {
 	Parallelism      int     `json:"parallelism"`
 	QueueDepth       int     `json:"queue_depth"`

@@ -34,9 +34,6 @@ func bootSelfhost(cfg SelfhostConfig) (*selfhost, error) {
 	if cfg.MaxNodes > 0 {
 		checkerOpts = append(checkerOpts, bagconsist.WithMaxNodes(cfg.MaxNodes))
 	}
-	if cfg.BranchLowFirst {
-		checkerOpts = append(checkerOpts, bagconsist.WithBranchLowFirst(true))
-	}
 	reg := metrics.NewRegistry()
 	// Workload analytics mirror bagcd's own wiring: the cache observer
 	// hands canonical fingerprints to the hot-key sketch. The selfhost

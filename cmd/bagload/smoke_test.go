@@ -147,6 +147,12 @@ func TestOptionsValidate(t *testing.T) {
 	if _, err := parseFlags([]string{"-selfhost", "-arrival", "uniform"}); err == nil {
 		t.Error("bad arrival: want error")
 	}
+	// The integer search has one branch order, so the selfhost knob that
+	// picked the other one is gone.
+	if _, err := parseFlags([]string{"-selfhost", "-sh-branch-low-first"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-sh-branch-low-first: err = %v, want unknown flag", err)
+	}
 	opt, err := parseFlags([]string{"-selfhost", "-arrival", "bursty"})
 	if err != nil {
 		t.Fatal(err)

@@ -231,7 +231,8 @@ func (c *Collection) JoinAllSupports() (*bag.Bag, error) {
 // BuildProgram constructs the integer program P(R1,...,Rm) of Equation
 // (14): one variable x_t per tuple t ∈ J = R1'⋈...⋈Rm', and for every i
 // and every support tuple r of Ri the constraint Σ_{t: t[Xi]=r} x_t =
-// Ri(r). The returned tuple slice aligns with the problem's columns, so an
+// Ri(r). Rows come bag by bag in collection order, Ri.Len() rows per bag.
+// The returned tuple slice aligns with the problem's columns, so an
 // integer solution can be decoded into a witnessing bag.
 func (c *Collection) BuildProgram() (*ilp.Problem, []bag.Tuple, error) {
 	j, err := c.JoinAllSupports()

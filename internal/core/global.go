@@ -54,9 +54,6 @@ type GlobalOptions struct {
 	// LPPruning enables the exact rational relaxation bound at every
 	// integer-search node.
 	LPPruning bool
-	// BranchLowFirst tries candidate values 0..ub instead of ub..0 in the
-	// integer search (ablation).
-	BranchLowFirst bool
 	// SolverWorkers sets the worker count of the integer search; values
 	// below 2 run the sequential search. The verdict and witness validity
 	// are identical for every worker count.
@@ -66,10 +63,9 @@ type GlobalOptions struct {
 // ILP projects the options onto the integer-search tuning knobs.
 func (o GlobalOptions) ILP() ilp.Options {
 	return ilp.Options{
-		MaxNodes:       o.MaxNodes,
-		LPPruning:      o.LPPruning,
-		BranchLowFirst: o.BranchLowFirst,
-		Workers:        o.SolverWorkers,
+		MaxNodes:  o.MaxNodes,
+		LPPruning: o.LPPruning,
+		Workers:   o.SolverWorkers,
 	}
 }
 

@@ -30,13 +30,6 @@ func MinCostPairWitness(r, s *bag.Bag, cost TupleCost) (*bag.Bag, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	union := r.Schema().Union(s.Schema())
-	if len(p.Cols) == 0 {
-		if emptyProgramConsistent(p) {
-			return bag.New(union), true, nil
-		}
-		return nil, false, nil
-	}
 	c := make([]int64, len(tuples))
 	for j, t := range tuples {
 		v := cost(t)
@@ -45,7 +38,7 @@ func MinCostPairWitness(r, s *bag.Bag, cost TupleCost) (*bag.Bag, bool, error) {
 		}
 		c[j] = v
 	}
-	res, err := lp.SolveSparse(p.M, p.Cols, p.B, c)
+	res, err := lp.Solve(p.M, p.Cols, ratRHS(p.B), c, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -57,7 +50,7 @@ func MinCostPairWitness(r, s *bag.Bag, cost TupleCost) (*bag.Bag, bool, error) {
 		// below by zero.
 		return nil, false, fmt.Errorf("core: bounded objective reported unbounded (internal error)")
 	}
-	w := bag.New(union)
+	w := bag.New(r.Schema().Union(s.Schema()))
 	for j, x := range res.X {
 		if x.Sign() == 0 {
 			continue

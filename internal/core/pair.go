@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 
 	"bagconsistency/internal/bag"
 	"bagconsistency/internal/ilp"
@@ -285,14 +286,21 @@ func PairConsistentViaLP(r, s *bag.Bag) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if len(p.Cols) == 0 {
-		return emptyProgramConsistent(p), nil
-	}
-	res, err := lp.SolveSparse(p.M, p.Cols, p.B, nil)
+	res, err := lp.Solve(p.M, p.Cols, ratRHS(p.B), nil, nil, nil)
 	if err != nil {
 		return false, err
 	}
 	return res.Feasible, nil
+}
+
+// ratRHS is an integral right-hand side in the exact form lp.Solve takes.
+func ratRHS(b []int64) []*big.Rat {
+	vals := make([]big.Rat, len(b))
+	out := make([]*big.Rat, len(b))
+	for i, v := range b {
+		out[i] = vals[i].SetInt64(v)
+	}
+	return out
 }
 
 // PairConsistentViaILP decides consistency by integer feasibility of

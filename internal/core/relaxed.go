@@ -78,10 +78,14 @@ func (c *Collection) RelaxedPairwiseConsistent() (bool, error) {
 }
 
 // RelaxedGloballyConsistent decides relaxed global consistency over the
-// rationals: does a non-negative rational vector (x_t : t ∈ J) with total
-// mass 1 exist whose marginal on each Xi is Ri normalized? The constraints
-// are linear, so exact LP feasibility decides the problem in all cases —
-// unlike strict consistency, the relaxed notion is polynomial-time
+// rationals: does a non-negative rational vector (x_t : t ∈ J) exist whose
+// marginal on each Xi is Ri normalized? That is rational feasibility of
+// the program P(R1,...,Rm) of Equation (14) with each row's right-hand
+// side Ri(r) divided by ‖Ri‖u — the relaxed notion differs from the
+// strict one exactly by this normalization. The rows of any one bag sum
+// to Σ_t x_t = 1, so the vector is a distribution without a separate
+// normalization row. Exact LP feasibility decides the problem in all
+// cases — unlike strict consistency, the relaxed notion is polynomial-time
 // checkable for every fixed schema (it is the probability-distribution
 // setting of Vorob'ev and [AK20]).
 func (c *Collection) RelaxedGloballyConsistent() (bool, error) {
@@ -110,60 +114,21 @@ func (c *Collection) RelaxedGloballyConsistent() (bool, error) {
 			return false, nil
 		}
 	}
-	j, err := c.JoinAllSupports()
+	p, _, err := c.BuildProgram()
 	if err != nil {
 		return false, err
 	}
-	tuples := j.Tuples()
-	if len(tuples) == 0 {
-		return false, nil
-	}
-
-	// Rows: for each bag i and support tuple r of Ri, the constraint
-	// totals[i] · Σ_{t[Xi]=r} x_t = Ri(r) · (Σ_t x_t scaled to 1), i.e.
-	// with the normalization row Σ_t x_t = 1:
-	//   totals[i] · Σ_{t[Xi]=r} x_t - Ri(r) · 1 = 0.
-	// We encode Ax = b over the rationals directly.
-	rowIndex := make([]map[string]int, len(c.bags))
-	nrows := 1 // normalization row first
+	// BuildProgram lays its rows out bag by bag, one per support tuple.
+	vals := make([]big.Rat, p.M)
+	b := make([]*big.Rat, p.M)
+	row := 0
 	for i, rb := range c.bags {
-		rowIndex[i] = make(map[string]int, rb.Len())
-		for _, t := range rb.Tuples() {
-			rowIndex[i][t.Key()] = nrows
-			nrows++
+		for k := 0; k < rb.Len(); k++ {
+			b[row] = vals[row].SetFrac64(p.B[row], totals[i])
+			row++
 		}
 	}
-	a := make([][]*big.Rat, nrows)
-	b := make([]*big.Rat, nrows)
-	for i := range a {
-		a[i] = make([]*big.Rat, len(tuples))
-		for k := range a[i] {
-			a[i][k] = new(big.Rat)
-		}
-		b[i] = new(big.Rat)
-	}
-	b[0].SetInt64(1)
-	for k, t := range tuples {
-		a[0][k].SetInt64(1)
-		for i, rb := range c.bags {
-			proj, err := t.Project(rb.Schema())
-			if err != nil {
-				return false, err
-			}
-			ri, ok := rowIndex[i][proj.Key()]
-			if !ok {
-				return false, fmt.Errorf("core: join tuple escapes bag %d support", i)
-			}
-			a[ri][k].SetInt64(totals[i])
-		}
-	}
-	for i, rb := range c.bags {
-		for _, t := range rb.Tuples() {
-			ri := rowIndex[i][t.Key()]
-			b[ri].SetInt64(rb.CountTuple(t))
-		}
-	}
-	res, err := lp.SolveRat(a, b, nil)
+	res, err := lp.Solve(p.M, p.Cols, b, nil, nil, nil)
 	if err != nil {
 		return false, err
 	}

@@ -77,32 +77,6 @@ func TestDifferentialRandomProblems(t *testing.T) {
 	}
 }
 
-func TestDifferentialBranchOrder(t *testing.T) {
-	// Low-first and high-first explore mirrored trees; the parallel sweep
-	// must agree with the oracle under both orders.
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 40; trial++ {
-		p := randomProblem(rng)
-		oracle, err := ilp.Solve(p, ilp.Options{BranchLowFirst: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range workerSweep {
-			sol, err := ilp.Solve(p, ilp.Options{Workers: w, BranchLowFirst: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Feasible != oracle.Feasible {
-				t.Fatalf("trial %d: workers=%d low-first verdict %v, oracle %v",
-					trial, w, sol.Feasible, oracle.Feasible)
-			}
-			if sol.Feasible && !p.Verify(sol.X) {
-				t.Fatalf("trial %d: workers=%d low-first witness does not verify", trial, w)
-			}
-		}
-	}
-}
-
 // engineProgram builds the real P(R1,...,Rm) of a collection, exactly what
 // the checker hands the solver.
 func engineProgram(t *testing.T, c *core.Collection) *ilp.Problem {

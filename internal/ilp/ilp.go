@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 	"strconv"
 
 	"bagconsistency/internal/lp"
@@ -45,12 +46,6 @@ type Options struct {
 	// node. It can shrink the tree dramatically but each node becomes much
 	// more expensive; the dichotomy benchmarks run with it off.
 	LPPruning bool
-	// BranchLowFirst tries candidate values 0..ub instead of the default
-	// ub..0. The default reaches feasible corners of margin-style systems
-	// quickly (large values saturate residuals and trigger propagation);
-	// low-first is kept as an ablation and explores the same tree on
-	// infeasible instances.
-	BranchLowFirst bool
 	// Workers sets the number of concurrent search workers for Solve. 0 or
 	// 1 runs the sequential search; n > 1 runs the work-stealing parallel
 	// search of parallel.go. The feasibility verdict and the validity of
@@ -369,10 +364,16 @@ func (sr *searcher) lpBound(st *state, hint lp.Basis) (bool, lp.Basis, error) {
 			ids = append(ids, j)
 		}
 	}
-	if len(cols) == 0 {
-		return st.done(), nil, nil
+	vals := make([]big.Rat, sr.p.M)
+	b := make([]*big.Rat, sr.p.M)
+	for i, r := range st.residual {
+		b[i] = vals[i].SetInt64(r)
 	}
-	return lp.FeasibleSparseWarm(sr.p.M, cols, st.residual, ids, hint)
+	res, err := lp.Solve(sr.p.M, cols, b, nil, ids, hint)
+	if err != nil {
+		return false, nil, err
+	}
+	return res.Feasible, res.Basis, nil
 }
 
 // branchOn picks the node's branch: the unsatisfied row with the fewest
@@ -412,7 +413,10 @@ func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
 // dfs runs the branch-and-bound search. fn is invoked on each complete
 // solution; returning errStop (or any error) unwinds the search. hint is
 // the LP basis of the parent node's relaxation (nil at the root), threaded
-// down so each node's simplex warm-starts from its parent.
+// down so each node's simplex warm-starts from its parent. The branch
+// column's values are tried from ub down to 0: large values saturate
+// residuals and trigger propagation, so margin-style systems reach a
+// feasible corner quickly.
 func (sr *searcher) dfs(st *state, hint lp.Basis, fn func(x []int64) error) error {
 	sr.nodes++
 	if sr.nodes > sr.maxNodes {
@@ -437,11 +441,11 @@ func (sr *searcher) dfs(st *state, hint lp.Basis, fn func(x []int64) error) erro
 	if !ok {
 		return nil
 	}
-	// Branch attempts that die in assign never reach dfs's node-counter
-	// poll, and a single value sweep can be 2^16 iterations on
-	// large-multiplicity rows — so poll the context here as well, keyed
-	// on a separate tick counter, to keep cancellation latency bounded.
-	try := func(v int64) error {
+	for v := ub; v >= 0; v-- {
+		// Branch attempts that die in assign never reach dfs's node-counter
+		// poll, and a single value sweep can be 2^16 iterations on
+		// large-multiplicity rows — so poll the context here as well, keyed
+		// on a separate tick counter, to keep cancellation latency bounded.
 		sr.ticks++
 		if sr.ticks&ctxCheckMask == 0 {
 			if err := sr.ctx.Err(); err != nil {
@@ -450,20 +454,9 @@ func (sr *searcher) dfs(st *state, hint lp.Basis, fn func(x []int64) error) erro
 		}
 		child := st.clone()
 		if !sr.assign(child, branch, v) {
-			return nil
+			continue
 		}
-		return sr.dfs(child, basis, fn)
-	}
-	if sr.opts.BranchLowFirst {
-		for v := int64(0); v <= ub; v++ {
-			if err := try(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for v := ub; v >= 0; v-- {
-		if err := try(v); err != nil {
+		if err := sr.dfs(child, basis, fn); err != nil {
 			return err
 		}
 	}

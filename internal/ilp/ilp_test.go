@@ -292,39 +292,3 @@ func TestSolutionAlwaysVerifiesProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestBranchOrderInvariance(t *testing.T) {
-	// The branching value order must not change feasibility or counts.
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 30; trial++ {
-		m := 1 + rng.Intn(3)
-		ncols := 1 + rng.Intn(4)
-		cols := make([][]int, ncols)
-		for j := range cols {
-			seen := map[int]bool{}
-			k := 1 + rng.Intn(m)
-			for len(seen) < k {
-				seen[rng.Intn(m)] = true
-			}
-			for r := range seen {
-				cols[j] = append(cols[j], r)
-			}
-		}
-		b := make([]int64, m)
-		for i := range b {
-			b[i] = int64(rng.Intn(4))
-		}
-		p := &Problem{M: m, Cols: cols, B: b}
-		hi, err := Count(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, err := Count(p, Options{BranchLowFirst: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hi != lo {
-			t.Fatalf("trial %d: high-first count %d, low-first count %d", trial, hi, lo)
-		}
-	}
-}

@@ -28,17 +28,8 @@ import (
 type frame struct {
 	st     *state
 	branch int
-	next   int64 // next candidate value for st.x[branch]
-	step   int64 // +1 (BranchLowFirst) or -1
-	ub     int64
+	next   int64    // next candidate value for st.x[branch], counting down to 0
 	basis  lp.Basis // parent relaxation basis, read-only once set
-}
-
-func (f *frame) exhausted() bool {
-	if f.step < 0 {
-		return f.next < 0
-	}
-	return f.next > f.ub
 }
 
 // parSearcher is the shared coordination state of one parallel solve.
@@ -144,13 +135,13 @@ func (ps *parSearcher) worker() {
 			continue
 		}
 		f := stack[len(stack)-1]
-		if f.exhausted() {
+		if f.next < 0 {
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		v := f.next
-		f.next += f.step
-		// Same rationale as the sequential try: value sweeps on
+		f.next--
+		// Same rationale as the sequential value loop: value sweeps on
 		// large-multiplicity rows can spin without touching the node
 		// counter, so poll the context on a tick counter too.
 		ticks++
@@ -204,13 +195,7 @@ func (ps *parSearcher) expand(sr *searcher, st *state, hint lp.Basis) (*frame, e
 	if !ok {
 		return nil, nil
 	}
-	f := &frame{st: st, branch: branch, ub: ub, basis: basis}
-	if ps.opts.BranchLowFirst {
-		f.next, f.step = 0, 1
-	} else {
-		f.next, f.step = ub, -1
-	}
-	return f, nil
+	return &frame{st: st, branch: branch, next: ub, basis: basis}, nil
 }
 
 // take pops the oldest frontier frame (oldest-first keeps stolen work far

@@ -13,9 +13,9 @@ import (
 	"bagconsistency/internal/ilp"
 )
 
-// slowProgram builds a program whose low-first search runs effectively
-// forever: margins of a random 3x3x3 table with multiplicities up to
-// 2^16, the same construction the pkg-level cancellation test uses.
+// slowProgram builds a program whose search runs effectively forever:
+// margins of a random 3x3x3 table with multiplicities up to 2^16, the
+// same construction the pkg-level cancellation test uses.
 func slowProgram(t *testing.T) *ilp.Problem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -48,9 +48,8 @@ func TestParallelCancellation(t *testing.T) {
 	}()
 	start := time.Now()
 	_, err := ilp.SolveContext(ctx, p, ilp.Options{
-		Workers:        4,
-		BranchLowFirst: true,
-		MaxNodes:       2_000_000_000,
+		Workers:  4,
+		MaxNodes: 2_000_000_000,
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
@@ -81,9 +80,8 @@ func TestParallelDeadline(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	_, err := ilp.SolveContext(ctx, p, ilp.Options{
-		Workers:        4,
-		BranchLowFirst: true,
-		MaxNodes:       2_000_000_000,
+		Workers:  4,
+		MaxNodes: 2_000_000_000,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)

@@ -1,22 +1,29 @@
-// Package lp implements an exact two-phase primal simplex solver over
-// rational arithmetic (math/big.Rat) for linear programs in standard
-// equality form:
+// Package lp implements one exact simplex solver over rational arithmetic
+// (math/big.Rat) for the 0/1 equality systems the engine builds, given
+// column-wise — cols[j] lists the rows in which variable j has
+// coefficient 1:
 //
-//	minimize c·x  subject to  Ax = b, x ≥ 0.
+//	minimize c·x  subject to  Σ_{j : i ∈ cols[j]} x_j = b_i for every row i, x ≥ 0.
 //
-// The paper uses linear programming in two places: statement (3) of
-// Lemma 2 characterizes two-bag consistency as rational feasibility of the
-// program P(R,S), and Section 3 observes that any LP algorithm can also
-// minimize a linear function of the witnessing multiplicities. Exact
-// rational pivoting (with Bland's anti-cycling rule) makes feasibility
-// answers certain rather than floating-point approximate; the solver is
-// also used as a relaxation bound inside the integer-program search of
-// package ilp.
+// These are the programs P(R1,...,Rm) of the paper (Equation 14), whose
+// columns have exactly one 1 per input bag, and the paper uses linear
+// programming only over them: statement (3) of Lemma 2 characterizes
+// two-bag consistency as rational feasibility of P(R,S), and Section 3
+// observes that any LP algorithm can also minimize a linear function of
+// the witnessing multiplicities. The relaxed consistency of [AK20] is
+// rational feasibility of the same program with each bag's right-hand
+// side divided by that bag's total, hence the rational right-hand side.
+// Exact rational pivoting with Bland's anti-cycling rule makes every
+// answer certain rather than floating-point approximate. The solver is
+// also the relaxation bound inside the integer search of package ilp,
+// where each node warm-starts from its parent's basis.
 package lp
 
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"sort"
 )
 
 // Result reports the outcome of a Solve call.
@@ -26,245 +33,347 @@ type Result struct {
 	// Unbounded is true when the objective is unbounded below over a
 	// non-empty feasible region.
 	Unbounded bool
-	// X is an optimal (or, if Unbounded, feasible) solution of length n,
-	// nil when infeasible.
+	// X is an optimal (or, if Unbounded, feasible) solution with one entry
+	// per column, nil when infeasible.
 	X []*big.Rat
-	// Value is c·X, nil when infeasible or unbounded.
+	// Value is c·X (zero without an objective), nil when infeasible or
+	// unbounded.
 	Value *big.Rat
+	// Basis is the final basis as sorted stable ids of its real columns,
+	// for warm-starting related solves; nil when infeasible.
+	Basis Basis
 }
 
-// Solve minimizes c·x over Ax = b, x ≥ 0 with exact arithmetic. A is dense
-// row-major (m rows, n columns); c may be nil for a pure feasibility check.
-func Solve(a [][]int64, b []int64, c []int64) (*Result, error) {
-	m := len(a)
-	if m == 0 {
-		return nil, fmt.Errorf("lp: no constraints")
-	}
-	n := len(a[0])
-	for i, row := range a {
-		if len(row) != n {
-			return nil, fmt.Errorf("lp: row %d has %d entries, want %d", i, len(row), n)
-		}
+// Basis names the basic columns of a feasible tableau by caller-stable
+// column identifiers, so a basis can be carried between related solves
+// whose active column sets differ (the branch-and-bound of package ilp
+// deactivates columns as it assigns them, but the surviving columns keep
+// their original indices).
+type Basis []int
+
+// Solve minimizes c·x over Σ_{j : i ∈ cols[j]} x_j = b[i] for i in
+// [0,m), x ≥ 0, with exact arithmetic. b may hold rationals of any sign.
+// A column listing no rows leaves its variable unconstrained above, which
+// is how an objective becomes unbounded. c may be nil for a pure
+// feasibility check. The inputs are not modified.
+//
+// ids[j] is a caller-stable identifier for column j (nil means the local
+// index is the identifier). hint, when non-nil, names by stable id the
+// columns that were basic in a related solve — typically the parent
+// node's relaxation in a branch-and-bound tree. Hinted columns are
+// crash-pivoted into the phase-1 basis with an exact ratio test before
+// simplex runs: each successful crash pivot replaces one artificial
+// variable while keeping the tableau primal-feasible, so phase 1 usually
+// starts at (or one pivot from) optimality instead of rediscovering the
+// parent's basis pivot by pivot. Hints that no longer apply — ids absent
+// from this solve, columns whose ratio-test row holds a real variable —
+// are skipped, never trusted; the answer is exact for any hint, including
+// an adversarial one.
+//
+// Phase 1 then runs Bland's rule from the crashed basis (Bland's rule
+// terminates from any starting basis, so the crash cannot introduce
+// cycling). With an objective, the artificial variables left basic at
+// zero are driven out and phase 2 runs Bland's rule over the real
+// columns.
+func Solve(m int, cols [][]int, b []*big.Rat, c []int64, ids []int, hint Basis) (*Result, error) {
+	n := len(cols)
+	if m <= 0 {
+		return nil, fmt.Errorf("lp: need at least one row")
 	}
 	if len(b) != m {
 		return nil, fmt.Errorf("lp: b has %d entries, want %d", len(b), m)
 	}
+	for i, v := range b {
+		if v == nil {
+			return nil, fmt.Errorf("lp: b[%d] is nil", i)
+		}
+	}
 	if c != nil && len(c) != n {
 		return nil, fmt.Errorf("lp: c has %d entries, want %d", len(c), n)
 	}
-	ar := make([][]*big.Rat, m)
-	for i := range ar {
-		ar[i] = make([]*big.Rat, n)
-		for j := range ar[i] {
-			ar[i][j] = big.NewRat(a[i][j], 1)
-		}
+	if ids != nil && len(ids) != n {
+		return nil, fmt.Errorf("lp: ids has %d entries, want %d", len(ids), n)
 	}
-	br := make([]*big.Rat, m)
-	for i := range br {
-		br[i] = big.NewRat(b[i], 1)
+	tb, err := newTableau(m, cols, b)
+	if err != nil {
+		return nil, err
 	}
-	var cr []*big.Rat
+	tb.crash(ids, hint)
+	if !tb.simplex(n + m) {
+		return nil, fmt.Errorf("lp: phase-1 objective unbounded (internal error)")
+	}
+	if tb.t[m][tb.rhs].Sign() != 0 {
+		// Optimal phase-1 value -rhs > 0: infeasible.
+		return &Result{Feasible: false}, nil
+	}
 	if c != nil {
-		cr = make([]*big.Rat, n)
-		for j := range cr {
-			cr[j] = big.NewRat(c[j], 1)
+		tb.driveOutArtificials()
+		tb.phase2Objective(c)
+		if !tb.simplex(n) {
+			return &Result{Feasible: true, Unbounded: true, X: tb.solution(), Basis: tb.stableBasis(ids)}, nil
 		}
 	}
-	return SolveRat(ar, br, cr)
+	// The objective row's right-hand side is minus the objective value:
+	// zero at a feasible phase-1 optimum, -c·x after phase 2.
+	value := new(big.Rat).Neg(&tb.t[m][tb.rhs])
+	return &Result{Feasible: true, X: tb.solution(), Value: value, Basis: tb.stableBasis(ids)}, nil
 }
 
-// SolveSparse is Solve for 0/1 constraint matrices given column-wise:
-// cols[j] lists the rows in which variable j has coefficient 1. This is the
-// natural encoding of the programs P(R1,...,Rm) of the paper, whose columns
-// have exactly one 1 per input bag.
-func SolveSparse(m int, cols [][]int, b []int64, c []int64) (*Result, error) {
+// tableau is the dense simplex tableau: m constraint rows and then the
+// objective row, each over the n real columns, the m artificial columns
+// n..n+m-1, and the right-hand side at index rhs. All cells share one
+// backing array and are updated in place.
+type tableau struct {
+	m, n, rhs int
+	t         [][]big.Rat
+	basis     []int // basic column per constraint row
+	nz        []int // scratch: nonzero positions of the pivot row
+	// Scratch rationals, reused across pivots and ratio tests.
+	f, tmp, ratio, best big.Rat
+}
+
+// newTableau builds the phase-1 tableau with one artificial variable per
+// row. Rows with a negative right-hand side are negated, so the
+// artificial basis starts primal-feasible; the objective row minimizes
+// the sum of artificials, priced out over the starting basis.
+func newTableau(m int, cols [][]int, b []*big.Rat) (*tableau, error) {
 	n := len(cols)
-	a := make([][]int64, m)
-	for i := range a {
-		a[i] = make([]int64, n)
+	width := n + m + 1
+	tb := &tableau{
+		m: m, n: n, rhs: width - 1,
+		t:     make([][]big.Rat, m+1),
+		basis: make([]int, m),
+	}
+	cells := make([]big.Rat, (m+1)*width)
+	for i := range tb.t {
+		tb.t[i] = cells[i*width : (i+1)*width : (i+1)*width]
 	}
 	for j, rows := range cols {
 		for _, i := range rows {
 			if i < 0 || i >= m {
 				return nil, fmt.Errorf("lp: column %d references row %d outside [0,%d)", j, i, m)
 			}
-			a[i][j] = 1
+			tb.t[i][j].SetInt64(1)
 		}
 	}
-	return Solve(a, b, c)
+	obj := tb.t[m]
+	for i := 0; i < m; i++ {
+		row := tb.t[i]
+		if b[i].Sign() < 0 {
+			for j := 0; j < n; j++ {
+				row[j].Neg(&row[j])
+			}
+			row[tb.rhs].Neg(b[i])
+		} else {
+			row[tb.rhs].Set(b[i])
+		}
+		row[n+i].SetInt64(1)
+		tb.basis[i] = n + i
+		for j := 0; j < n; j++ {
+			if row[j].Sign() != 0 {
+				obj[j].Sub(&obj[j], &row[j])
+			}
+		}
+		obj[tb.rhs].Sub(&obj[tb.rhs], &row[tb.rhs])
+	}
+	return tb, nil
 }
 
-// SolveRat is the rational-input core of the solver. a, b (and c if
-// non-nil) are not modified.
-func SolveRat(a [][]*big.Rat, b []*big.Rat, c []*big.Rat) (*Result, error) {
-	m := len(a)
-	n := len(a[0])
-
-	// Build the phase-1 tableau with one artificial variable per row.
-	// Columns: 0..n-1 real, n..n+m-1 artificial, last = rhs.
-	width := n + m + 1
-	t := make([][]*big.Rat, m+1)
-	for i := 0; i <= m; i++ {
-		t[i] = make([]*big.Rat, width)
-		for j := range t[i] {
-			t[i][j] = new(big.Rat)
+// pivot makes col basic in row: it scales the pivot row to a unit entry
+// and eliminates col from every other row, touching only the pivot row's
+// nonzero positions.
+func (tb *tableau) pivot(row, col int) {
+	pr := tb.t[row]
+	tb.f.Inv(&pr[col])
+	tb.nz = tb.nz[:0]
+	for j := range pr {
+		if pr[j].Sign() != 0 {
+			pr[j].Mul(&pr[j], &tb.f)
+			tb.nz = append(tb.nz, j)
 		}
 	}
-	for i := 0; i < m; i++ {
-		neg := b[i].Sign() < 0
-		for j := 0; j < n; j++ {
-			if neg {
-				t[i][j].Neg(a[i][j])
-			} else {
-				t[i][j].Set(a[i][j])
-			}
-		}
-		if neg {
-			t[i][width-1].Neg(b[i])
-		} else {
-			t[i][width-1].Set(b[i])
-		}
-		t[i][n+i].SetInt64(1)
-	}
-	basis := make([]int, m)
-	for i := range basis {
-		basis[i] = n + i
-	}
-	// Phase-1 objective: minimize sum of artificials. Reduced-cost row =
-	// -(sum of constraint rows over real columns), rhs = -(sum of rhs).
-	obj := t[m]
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			obj[j].Sub(obj[j], t[i][j])
-		}
-		obj[width-1].Sub(obj[width-1], t[i][width-1])
-	}
-
-	pivot := func(row, col int) {
-		p := new(big.Rat).Set(t[row][col])
-		inv := new(big.Rat).Inv(p)
-		for j := 0; j < width; j++ {
-			t[row][j].Mul(t[row][j], inv)
-		}
-		for i := 0; i <= m; i++ {
-			if i == row || t[i][col].Sign() == 0 {
-				continue
-			}
-			f := new(big.Rat).Set(t[i][col])
-			for j := 0; j < width; j++ {
-				tmp := new(big.Rat).Mul(f, t[row][j])
-				t[i][j].Sub(t[i][j], tmp)
-			}
-		}
-		basis[row] = col
-	}
-
-	// runSimplex pivots with Bland's rule over the allowed columns until no
-	// improving column remains. Returns false if unbounded.
-	runSimplex := func(ncols int) bool {
-		for {
-			col := -1
-			for j := 0; j < ncols; j++ {
-				if obj[j].Sign() < 0 {
-					col = j
-					break
-				}
-			}
-			if col < 0 {
-				return true
-			}
-			row := -1
-			var best *big.Rat
-			for i := 0; i < m; i++ {
-				if t[i][col].Sign() > 0 {
-					ratio := new(big.Rat).Quo(t[i][width-1], t[i][col])
-					if row < 0 || ratio.Cmp(best) < 0 ||
-						(ratio.Cmp(best) == 0 && basis[i] < basis[row]) {
-						row, best = i, ratio
-					}
-				}
-			}
-			if row < 0 {
-				return false // unbounded
-			}
-			pivot(row, col)
-		}
-	}
-
-	if !runSimplex(n + m) {
-		return nil, fmt.Errorf("lp: phase-1 objective unbounded (internal error)")
-	}
-	if obj[width-1].Sign() != 0 {
-		// Optimal phase-1 value -rhs > 0: infeasible.
-		return &Result{Feasible: false}, nil
-	}
-
-	// Drive any artificial variables out of the basis (degenerate rows).
-	for i := 0; i < m; i++ {
-		if basis[i] < n {
+	for i, ti := range tb.t {
+		if i == row || ti[col].Sign() == 0 {
 			continue
 		}
-		pivoted := false
-		for j := 0; j < n; j++ {
-			if t[i][j].Sign() != 0 {
-				pivot(i, j)
-				pivoted = true
+		tb.f.Set(&ti[col])
+		for _, j := range tb.nz {
+			tb.tmp.Mul(&tb.f, &pr[j])
+			ti[j].Sub(&ti[j], &tb.tmp)
+		}
+	}
+	tb.basis[row] = col
+}
+
+// setRatio stores rhs/entry of row i in column col into tb.ratio and
+// reports whether the entry is positive (otherwise the row does not
+// bound the column and tb.ratio is untouched).
+func (tb *tableau) setRatio(i, col int) bool {
+	ti := tb.t[i]
+	if ti[col].Sign() <= 0 {
+		return false
+	}
+	tb.ratio.Quo(&ti[tb.rhs], &ti[col])
+	return true
+}
+
+// leaving runs Bland's ratio test for entering column col: the row with
+// the least ratio, ties broken by the smallest basic column. It returns
+// -1 when no entry of col is positive.
+func (tb *tableau) leaving(col int) int {
+	row := -1
+	for i := 0; i < tb.m; i++ {
+		if !tb.setRatio(i, col) {
+			continue
+		}
+		if row >= 0 {
+			cmp := tb.ratio.Cmp(&tb.best)
+			if cmp > 0 || (cmp == 0 && tb.basis[i] > tb.basis[row]) {
+				continue
+			}
+		}
+		row = i
+		tb.best.Set(&tb.ratio)
+	}
+	return row
+}
+
+// simplex pivots by Bland's rule over columns [0,ncols) until no reduced
+// cost is negative. It reports false when the entering column has no
+// positive entry: the objective is unbounded below.
+func (tb *tableau) simplex(ncols int) bool {
+	obj := tb.t[tb.m]
+	for {
+		col := -1
+		for j := 0; j < ncols; j++ {
+			if obj[j].Sign() < 0 {
+				col = j
 				break
 			}
 		}
-		if !pivoted {
-			// The row is all zeros over real variables: redundant
-			// constraint; the artificial stays basic at value 0, harmless.
-			_ = pivoted
+		if col < 0 {
+			return true
+		}
+		row := tb.leaving(col)
+		if row < 0 {
+			return false
+		}
+		tb.pivot(row, col)
+	}
+}
+
+// crash replays a hinted basis. Each hint pivots its column in at an
+// exact min-ratio row — which preserves rhs ≥ 0 — but only when that
+// row's basic variable is artificial, so crash pivots strictly drive
+// artificials out and never evict a previously crashed column.
+func (tb *tableau) crash(ids []int, hint Basis) {
+	if len(hint) == 0 {
+		return
+	}
+	var pos map[int]int
+	if ids != nil {
+		pos = make(map[int]int, len(ids))
+		for j, id := range ids {
+			pos[id] = j
 		}
 	}
-
-	extract := func() []*big.Rat {
-		x := make([]*big.Rat, n)
-		for j := range x {
-			x[j] = new(big.Rat)
+	for _, hid := range hint {
+		col, ok := hid, hid >= 0 && hid < tb.n
+		if pos != nil {
+			col, ok = pos[hid]
 		}
-		for i, bj := range basis {
-			if bj < n {
-				x[bj].Set(t[i][width-1])
-			}
-		}
-		return x
-	}
-
-	if c == nil {
-		return &Result{Feasible: true, X: extract(), Value: new(big.Rat)}, nil
-	}
-
-	// Phase 2: rebuild the objective row for c over the current basis:
-	// obj = c - c_B B^{-1} A (computed as c_j minus sum over basic rows).
-	for j := 0; j < width; j++ {
-		obj[j].SetInt64(0)
-	}
-	for j := 0; j < n; j++ {
-		obj[j].Set(c[j])
-	}
-	for i, bj := range basis {
-		if bj >= n || c[bj].Sign() == 0 {
+		if !ok || slices.Contains(tb.basis, col) {
 			continue
 		}
-		f := new(big.Rat).Set(c[bj])
-		for j := 0; j < width; j++ {
-			tmp := new(big.Rat).Mul(f, t[i][j])
-			obj[j].Sub(obj[j], tmp)
+		bounded := false
+		for i := 0; i < tb.m; i++ {
+			if tb.setRatio(i, col) && (!bounded || tb.ratio.Cmp(&tb.best) < 0) {
+				tb.best.Set(&tb.ratio)
+				bounded = true
+			}
+		}
+		if !bounded {
+			continue
+		}
+		for i := 0; i < tb.m; i++ {
+			if tb.basis[i] >= tb.n && tb.setRatio(i, col) && tb.ratio.Cmp(&tb.best) == 0 {
+				tb.pivot(i, col)
+				break
+			}
+		}
+		// No pivot: the min ratio sits only at rows holding real variables.
+	}
+}
+
+// driveOutArtificials pivots each artificial variable still basic (at
+// zero, after a feasible phase 1) out on any nonzero real column of its
+// row. An artificial whose row is zero over the real columns marks a
+// redundant constraint; it stays basic at zero, harmless to phase 2.
+func (tb *tableau) driveOutArtificials() {
+	for i := 0; i < tb.m; i++ {
+		if tb.basis[i] < tb.n {
+			continue
+		}
+		for j := 0; j < tb.n; j++ {
+			if tb.t[i][j].Sign() != 0 {
+				tb.pivot(i, j)
+				break
+			}
 		}
 	}
-	// Forbid artificial columns in phase 2 by restricting to real columns.
-	if !runSimplex(n) {
-		return &Result{Feasible: true, Unbounded: true, X: extract()}, nil
+}
+
+// phase2Objective replaces the objective row with c priced out over the
+// current basis: obj = c - c_B B⁻¹A, with -c_B·x_B at rhs.
+func (tb *tableau) phase2Objective(c []int64) {
+	obj := tb.t[tb.m]
+	for j := range obj {
+		obj[j].SetInt64(0)
 	}
-	x := extract()
-	val := new(big.Rat)
-	for j := 0; j < n; j++ {
-		if c[j].Sign() != 0 && x[j].Sign() != 0 {
-			tmp := new(big.Rat).Mul(c[j], x[j])
-			val.Add(val, tmp)
+	for j, cj := range c {
+		obj[j].SetInt64(cj)
+	}
+	for i, bj := range tb.basis {
+		if bj >= tb.n || c[bj] == 0 {
+			continue
+		}
+		tb.f.SetInt64(c[bj])
+		ti := tb.t[i]
+		for j := range ti {
+			if ti[j].Sign() != 0 {
+				tb.tmp.Mul(&tb.f, &ti[j])
+				obj[j].Sub(&obj[j], &tb.tmp)
+			}
 		}
 	}
-	return &Result{Feasible: true, X: x, Value: val}, nil
+}
+
+// solution reads the basic solution off the tableau.
+func (tb *tableau) solution() []*big.Rat {
+	vals := make([]big.Rat, tb.n)
+	x := make([]*big.Rat, tb.n)
+	for j := range x {
+		x[j] = &vals[j]
+	}
+	for i, bj := range tb.basis {
+		if bj < tb.n {
+			vals[bj].Set(&tb.t[i][tb.rhs])
+		}
+	}
+	return x
+}
+
+// stableBasis returns the basic real columns as sorted stable ids.
+func (tb *tableau) stableBasis(ids []int) Basis {
+	var out Basis
+	for _, bj := range tb.basis {
+		if bj < tb.n {
+			if ids != nil {
+				bj = ids[bj]
+			}
+			out = append(out, bj)
+		}
+	}
+	sort.Ints(out)
+	return out
 }

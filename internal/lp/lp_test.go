@@ -14,9 +14,18 @@ func ratEq(t *testing.T, got *big.Rat, num, den int64) {
 	}
 }
 
+// ints is an integral right-hand side.
+func ints(v ...int64) []*big.Rat {
+	b := make([]*big.Rat, len(v))
+	for i, x := range v {
+		b[i] = big.NewRat(x, 1)
+	}
+	return b
+}
+
 func TestFeasibleSimpleSystem(t *testing.T) {
-	// x + y = 3, x - y = 1 → x = 2, y = 1.
-	res, err := Solve([][]int64{{1, 1}, {1, -1}}, []int64{3, 1}, nil)
+	// x0 + x1 = 3 (row 0), x1 = 1 (row 1) → x0 = 2, x1 = 1.
+	res, err := Solve(2, [][]int{{0}, {0, 1}}, ints(3, 1), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +38,7 @@ func TestFeasibleSimpleSystem(t *testing.T) {
 
 func TestInfeasibleSystem(t *testing.T) {
 	// x + y = 1, x + y = 2 is inconsistent.
-	res, err := Solve([][]int64{{1, 1}, {1, 1}}, []int64{1, 2}, nil)
+	res, err := Solve(2, [][]int{{0, 1}, {0, 1}}, ints(1, 2), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +49,7 @@ func TestInfeasibleSystem(t *testing.T) {
 
 func TestInfeasibleByNonNegativity(t *testing.T) {
 	// x = -1 with x ≥ 0.
-	res, err := Solve([][]int64{{1}}, []int64{-1}, nil)
+	res, err := Solve(1, [][]int{{0}}, ints(-1), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +59,25 @@ func TestInfeasibleByNonNegativity(t *testing.T) {
 }
 
 func TestNegativeRHSHandled(t *testing.T) {
-	// -x = -5 → x = 5.
-	res, err := Solve([][]int64{{-1}}, []int64{-5}, nil)
-	if err != nil {
-		t.Fatal(err)
+	// A negative row is negated so the artificial basis starts feasible.
+	// Over 0/1 columns and x ≥ 0 it can never be met, so x0 + x1 = 2,
+	// x1 = -5/2 must come back infeasible — not an error, and not
+	// unbounded under an objective that rewards x0.
+	b := []*big.Rat{big.NewRat(2, 1), big.NewRat(-5, 2)}
+	for _, c := range [][]int64{nil, {-1, 0}} {
+		res, err := Solve(2, [][]int{{0}, {0, 1}}, b, c, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Feasible || res.Unbounded {
+			t.Errorf("c=%v: status %+v, want infeasible", c, res)
+		}
 	}
-	if !res.Feasible {
-		t.Fatal("should be feasible")
-	}
-	ratEq(t, res.X[0], 5, 1)
 }
 
 func TestMinimization(t *testing.T) {
 	// min x + 2y s.t. x + y = 4 → x = 4, y = 0, value 4.
-	res, err := Solve([][]int64{{1, 1}}, []int64{4}, []int64{1, 2})
+	res, err := Solve(1, [][]int{{0}, {0}}, ints(4), []int64{1, 2}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +90,7 @@ func TestMinimization(t *testing.T) {
 
 func TestMinimizationPrefersCheaperColumn(t *testing.T) {
 	// min 3x + y s.t. x + y = 4 → y = 4, value 4.
-	res, err := Solve([][]int64{{1, 1}}, []int64{4}, []int64{3, 1})
+	res, err := Solve(1, [][]int{{0}, {0}}, ints(4), []int64{3, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,38 +99,59 @@ func TestMinimizationPrefersCheaperColumn(t *testing.T) {
 }
 
 func TestUnbounded(t *testing.T) {
-	// min -x + -y... need equality form: min -x s.t. x - y = 0 → x = y → ∞.
-	res, err := Solve([][]int64{{1, -1}}, []int64{0}, []int64{-1, 0})
+	// min -y s.t. x = 1, where y's column lists no rows: y grows freely.
+	res, err := Solve(1, [][]int{{0}, {}}, ints(1), []int64{0, -1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Feasible || !res.Unbounded {
 		t.Fatalf("expected unbounded, got %+v", res)
 	}
+	if res.Value != nil {
+		t.Errorf("unbounded value %v, want nil", res.Value)
+	}
+	ratEq(t, res.X[0], 1, 1)
 }
 
 func TestRationalSolution(t *testing.T) {
-	// 2x = 1 → x = 1/2 exactly.
-	res, err := Solve([][]int64{{2}}, []int64{1}, nil)
+	// The triangle x0 + x1 = x1 + x2 = x0 + x2 = 1 has the unique
+	// solution x = 1/2: integral data, a fractional vertex.
+	res, err := Solve(3, [][]int{{0, 2}, {0, 1}, {1, 2}}, ints(1, 1, 1), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratEq(t, res.X[0], 1, 2)
+	if !res.Feasible {
+		t.Fatal("triangle should be feasible")
+	}
+	for j := range res.X {
+		ratEq(t, res.X[j], 1, 2)
+	}
 }
 
 func TestRedundantConstraints(t *testing.T) {
-	// Duplicate rows should remain feasible (degenerate basis handling).
-	res, err := Solve([][]int64{{1, 1}, {1, 1}, {2, 2}}, []int64{2, 2, 4}, nil)
+	// Three copies of x + y = 2 stay feasible (degenerate basis
+	// handling), and phase 2 still optimizes over the redundant rows.
+	cols := [][]int{{0, 1, 2}, {0, 1, 2}}
+	res, err := Solve(3, cols, ints(2, 2, 2), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Feasible {
 		t.Error("redundant system should be feasible")
 	}
+	res, err = Solve(3, cols, ints(2, 2, 2), []int64{2, 1}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible || res.Unbounded {
+		t.Fatalf("status %+v", res)
+	}
+	ratEq(t, res.Value, 2, 1)
+	ratEq(t, res.X[1], 2, 1)
 }
 
 func TestZeroRHS(t *testing.T) {
-	res, err := Solve([][]int64{{1, 1}}, []int64{0}, nil)
+	res, err := Solve(1, [][]int{{0}, {0}}, ints(0), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +164,27 @@ func TestZeroRHS(t *testing.T) {
 }
 
 func TestInputValidation(t *testing.T) {
-	if _, err := Solve(nil, nil, nil); err == nil {
+	cols := [][]int{{0}}
+	if _, err := Solve(0, nil, nil, nil, nil, nil); err == nil {
 		t.Error("expected error for empty system")
 	}
-	if _, err := Solve([][]int64{{1}, {1, 2}}, []int64{1, 2}, nil); err == nil {
-		t.Error("expected ragged-matrix error")
-	}
-	if _, err := Solve([][]int64{{1}}, []int64{1, 2}, nil); err == nil {
+	if _, err := Solve(1, cols, ints(1, 2), nil, nil, nil); err == nil {
 		t.Error("expected b-length error")
 	}
-	if _, err := Solve([][]int64{{1}}, []int64{1}, []int64{1, 2}); err == nil {
+	if _, err := Solve(1, cols, []*big.Rat{nil}, nil, nil, nil); err == nil {
+		t.Error("expected nil-entry error")
+	}
+	if _, err := Solve(1, cols, ints(1), []int64{1, 2}, nil, nil); err == nil {
 		t.Error("expected c-length error")
+	}
+	if _, err := Solve(1, cols, ints(1), nil, []int{4, 5}, nil); err == nil {
+		t.Error("expected ids-length error")
 	}
 }
 
 func TestSolveSparse(t *testing.T) {
 	// Two rows; columns {0}, {1}, {0,1}: x1 + x3 = 2, x2 + x3 = 2.
-	res, err := SolveSparse(2, [][]int{{0}, {1}, {0, 1}}, []int64{2, 2}, nil)
+	res, err := Solve(2, [][]int{{0}, {1}, {0, 1}}, ints(2, 2), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,49 +200,57 @@ func TestSolveSparse(t *testing.T) {
 }
 
 func TestSolveSparseValidation(t *testing.T) {
-	if _, err := SolveSparse(2, [][]int{{5}}, []int64{1, 1}, nil); err == nil {
+	if _, err := Solve(2, [][]int{{5}}, ints(1, 1), nil, nil, nil); err == nil {
 		t.Error("expected row-range error")
+	}
+	if _, err := Solve(2, [][]int{{-1}}, ints(1, 1), nil, nil, nil); err == nil {
+		t.Error("expected negative-row error")
 	}
 }
 
 func TestSolutionsAreAlwaysNonNegativeAndExact(t *testing.T) {
-	// Random small systems: whenever the solver says feasible, the returned
-	// point must satisfy Ax = b exactly with x ≥ 0.
+	// Random systems feasible by construction (b = Ax for a rational
+	// x ≥ 0): the solver must say feasible and return a point that
+	// satisfies Ax = b exactly with x ≥ 0.
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 80; trial++ {
 		m := 1 + rng.Intn(3)
-		n := 1 + rng.Intn(4)
-		a := make([][]int64, m)
-		for i := range a {
-			a[i] = make([]int64, n)
-			for j := range a[i] {
-				a[i][j] = int64(rng.Intn(5) - 2)
+		cols := make([][]int, 1+rng.Intn(4))
+		b := make([]*big.Rat, m)
+		for i := range b {
+			b[i] = new(big.Rat)
+		}
+		for j := range cols {
+			x := big.NewRat(int64(rng.Intn(5)), int64(1+rng.Intn(3)))
+			for i := 0; i < m; i++ {
+				if rng.Intn(2) == 0 {
+					cols[j] = append(cols[j], i)
+					b[i].Add(b[i], x)
+				}
 			}
 		}
-		b := make([]int64, m)
-		for i := range b {
-			b[i] = int64(rng.Intn(7) - 3)
-		}
-		res, err := Solve(a, b, nil)
+		res, err := Solve(m, cols, b, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Feasible {
-			continue
+			t.Fatalf("trial %d: feasible-by-construction system reported infeasible (cols=%v b=%v)", trial, cols, b)
 		}
-		for j := range res.X {
+		lhs := make([]*big.Rat, m)
+		for i := range lhs {
+			lhs[i] = new(big.Rat)
+		}
+		for j, rows := range cols {
 			if res.X[j].Sign() < 0 {
 				t.Fatalf("negative coordinate in %v", res.X)
 			}
-		}
-		for i := 0; i < m; i++ {
-			lhs := new(big.Rat)
-			for j := 0; j < n; j++ {
-				term := new(big.Rat).Mul(big.NewRat(a[i][j], 1), res.X[j])
-				lhs.Add(lhs, term)
+			for _, i := range rows {
+				lhs[i].Add(lhs[i], res.X[j])
 			}
-			if lhs.Cmp(big.NewRat(b[i], 1)) != 0 {
-				t.Fatalf("row %d: Ax=%v, b=%d, x=%v", i, lhs, b[i], res.X)
+		}
+		for i := range lhs {
+			if lhs[i].Cmp(b[i]) != 0 {
+				t.Fatalf("row %d: Ax=%v, b=%v, x=%v", i, lhs[i], b[i], res.X)
 			}
 		}
 	}
@@ -213,15 +260,8 @@ func TestOptimalValueMatchesBruteForceOnAssignment(t *testing.T) {
 	// Transportation-style LP with a known integral optimum:
 	// supplies 3 and 2 to demands 4 and 1 with costs 1,5,2,1.
 	// Variables x11,x12,x21,x22. Rows: supply1, supply2, demand1, demand2.
-	a := [][]int64{
-		{1, 1, 0, 0},
-		{0, 0, 1, 1},
-		{1, 0, 1, 0},
-		{0, 1, 0, 1},
-	}
-	b := []int64{3, 2, 4, 1}
-	c := []int64{1, 5, 2, 1}
-	res, err := Solve(a, b, c)
+	cols := [][]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}}
+	res, err := Solve(4, cols, ints(3, 2, 4, 1), []int64{1, 5, 2, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,36 +272,50 @@ func TestOptimalValueMatchesBruteForceOnAssignment(t *testing.T) {
 	ratEq(t, res.Value, 6, 1)
 }
 
-func TestSolveRatWithRationalCoefficients(t *testing.T) {
-	// (1/2)x + (1/3)y = 1, x - y = 0 → x = y = 6/5.
-	a := [][]*big.Rat{
-		{big.NewRat(1, 2), big.NewRat(1, 3)},
-		{big.NewRat(1, 1), big.NewRat(-1, 1)},
+func TestWarmBasisIsStableIDs(t *testing.T) {
+	// x0 + x1 = 2 (row 0), x1 = 1 (row 1): feasible, and any basis must
+	// name columns through the ids mapping — with or without an
+	// objective, and when replayed as a hint.
+	ids := []int{42, 17}
+	cols := [][]int{{0}, {0, 1}}
+	for _, c := range [][]int64{nil, {1, 1}} {
+		res, err := Solve(2, cols, ints(2, 1), c, ids, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Feasible {
+			t.Fatal("system should be feasible")
+		}
+		if len(res.Basis) != 2 || res.Basis[0] != 17 || res.Basis[1] != 42 {
+			t.Fatalf("c=%v: basis %v, want the sorted stable ids [17 42]", c, res.Basis)
+		}
+		again, err := Solve(2, cols, ints(2, 1), c, ids, res.Basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Feasible || len(again.Basis) != 2 {
+			t.Fatalf("c=%v: replayed basis gave %+v", c, again)
+		}
 	}
-	b := []*big.Rat{big.NewRat(1, 1), big.NewRat(0, 1)}
-	res, err := SolveRat(a, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("should be feasible")
-	}
-	ratEq(t, res.X[0], 6, 5)
-	ratEq(t, res.X[1], 6, 5)
 }
 
-func TestSolveRatObjectiveWithRationals(t *testing.T) {
-	// min (1/4)x + y over x + y = 2: put all mass on x.
-	a := [][]*big.Rat{{big.NewRat(1, 1), big.NewRat(1, 1)}}
-	b := []*big.Rat{big.NewRat(2, 1)}
-	c := []*big.Rat{big.NewRat(1, 4), big.NewRat(1, 1)}
-	res, err := SolveRat(a, b, c)
-	if err != nil {
-		t.Fatal(err)
+func TestWarmEmptyAndDegenerate(t *testing.T) {
+	if res, err := Solve(2, nil, ints(0, 0), nil, nil, nil); err != nil || !res.Feasible || len(res.X) != 0 {
+		t.Fatalf("no columns, zero rhs: %+v err=%v, want feasible with empty X", res, err)
 	}
-	if !res.Feasible || res.Unbounded {
-		t.Fatalf("status %+v", res)
+	if res, err := Solve(2, nil, ints(0, 1), nil, nil, nil); err != nil || res.Feasible {
+		t.Fatalf("no columns, nonzero rhs: %+v err=%v, want infeasible", res, err)
 	}
-	ratEq(t, res.Value, 1, 2)
-	ratEq(t, res.X[0], 2, 1)
+	if res, err := Solve(1, nil, ints(0), []int64{}, nil, nil); err != nil || !res.Feasible || res.Value.Sign() != 0 {
+		t.Fatalf("no columns, empty objective: %+v err=%v, want value 0", res, err)
+	}
+	if _, err := Solve(0, nil, nil, nil, nil, nil); err == nil {
+		t.Fatal("m=0 should error")
+	}
+	if _, err := Solve(2, [][]int{{0}}, ints(1, 0), nil, []int{1, 2}, nil); err == nil {
+		t.Fatal("ids length mismatch should error")
+	}
+	if _, err := Solve(2, [][]int{{7}}, ints(1, 0), nil, nil, nil); err == nil {
+		t.Fatal("out-of-range row should error")
+	}
 }

@@ -27,8 +27,8 @@ func consistentCollection(t *testing.T, seed int64) *bagconsist.Collection {
 }
 
 // slowTriangle builds a cyclic instance whose integer search runs for
-// many seconds under a slowChecker's low-first branching — long enough to
-// still be in flight when a test cancels, sheds around, or drains.
+// many seconds under a slowChecker — long enough to still be in flight
+// when a test cancels, sheds around, or drains.
 func slowTriangle(t *testing.T) *bagconsist.Collection {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -43,13 +43,12 @@ func slowTriangle(t *testing.T) *bagconsist.Collection {
 	return coll
 }
 
-// slowChecker pairs with slowTriangle: low-first branching over ~2^16
+// slowChecker pairs with slowTriangle: a huge node budget over ~2^16
 // margins makes the search effectively unbounded without cancellation.
 func slowChecker(parallelism int) *bagconsist.Checker {
 	return bagconsist.New(
 		bagconsist.WithParallelism(parallelism),
 		bagconsist.WithMaxNodes(2_000_000_000),
-		bagconsist.WithBranchLowFirst(true),
 	)
 }
 

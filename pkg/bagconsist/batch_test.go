@@ -125,7 +125,6 @@ func TestCheckBatchIsolatesFailures(t *testing.T) {
 	checker := bagconsist.New(
 		bagconsist.WithParallelism(4),
 		bagconsist.WithMaxNodes(5),
-		bagconsist.WithBranchLowFirst(true),
 	)
 	reports, err := checker.CheckBatch(context.Background(), instances)
 	if err != nil {
@@ -227,7 +226,6 @@ func TestCheckBatchCancelMidFeedNoLeak(t *testing.T) {
 	checker := bagconsist.New(
 		bagconsist.WithParallelism(2),
 		bagconsist.WithMaxNodes(2_000_000_000),
-		bagconsist.WithBranchLowFirst(true),
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -196,10 +196,11 @@ func (cr *cachedResult) report(can *canon.Canonical, elapsed time.Duration) (*Re
 // agrees. Parallelism and solver parallelism are excluded — they shape
 // scheduling and wall time, never a verdict or witness validity. The key
 // is byte-for-byte what earlier releases wrote, so persisted stores keep
-// hitting; see docs/STORAGE.md for the answers that carry an older
+// hitting: the retired branch-order knob stays in it as the literal
+// "blfalse". See docs/STORAGE.md for the answers that carry an older
 // Report.Method.
 func (c config) optionsKey() string {
-	return fmt.Sprintf("m%d|n%d|lp%t|bl%t|wm%t", c.method, c.maxNodes, c.lpPruning, c.branchLowFirst, c.minimizeWitness)
+	return fmt.Sprintf("m%d|n%d|lp%t|blfalse|wm%t", c.method, c.maxNodes, c.lpPruning, c.minimizeWitness)
 }
 
 // cachedCheck is the shared lookup/compute/coalesce path behind CheckPair

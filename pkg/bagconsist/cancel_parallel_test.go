@@ -16,7 +16,6 @@ import (
 func parallelSlowChecker() *bagconsist.Checker {
 	return bagconsist.New(
 		bagconsist.WithMaxNodes(2_000_000_000),
-		bagconsist.WithBranchLowFirst(true),
 		bagconsist.WithSolverParallelism(4),
 	)
 }

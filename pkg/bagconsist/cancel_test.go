@@ -13,8 +13,7 @@ import (
 )
 
 // slowCollection builds a 3DCT triangle instance whose integer search runs
-// for many seconds under low-first branching (the margins are ~2^16, so
-// value sweeps are enormous) — far longer than the deadlines below, so a
+// for many seconds (the margins are ~2^16, so value sweeps are enormous) — far longer than the deadlines below, so a
 // prompt return can only come from cancellation.
 func slowCollection(t *testing.T) *bagconsist.Collection {
 	t.Helper()
@@ -33,7 +32,6 @@ func slowCollection(t *testing.T) *bagconsist.Collection {
 func slowChecker() *bagconsist.Checker {
 	return bagconsist.New(
 		bagconsist.WithMaxNodes(2_000_000_000),
-		bagconsist.WithBranchLowFirst(true),
 	)
 }
 

@@ -192,7 +192,6 @@ func TestNodeLimitSurfacesAsErrNodeLimit(t *testing.T) {
 	}
 	_, err = bagconsist.New(
 		bagconsist.WithMaxNodes(5),
-		bagconsist.WithBranchLowFirst(true),
 	).CheckGlobal(ctx, coll)
 	if !errors.Is(err, bagconsist.ErrNodeLimit) {
 		t.Fatalf("err = %v, want ErrNodeLimit", err)

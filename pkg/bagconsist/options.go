@@ -53,7 +53,6 @@ type config struct {
 	method          Method
 	maxNodes        int64
 	lpPruning       bool
-	branchLowFirst  bool
 	minimizeWitness bool
 	parallelism     int
 	// solverParallelism is the worker count of the integer search itself;
@@ -97,7 +96,6 @@ func (c config) global() core.GlobalOptions {
 		SkipWitnessMinimization: !c.minimizeWitness,
 		MaxNodes:                c.maxNodes,
 		LPPruning:               c.lpPruning,
-		BranchLowFirst:          c.branchLowFirst,
 		SolverWorkers:           workers,
 	}
 }
@@ -128,13 +126,6 @@ func WithLPPruning(on bool) Option {
 // guaranteed with minimization).
 func WithWitnessMinimization(on bool) Option {
 	return func(c *config) { c.minimizeWitness = on }
-}
-
-// WithBranchLowFirst flips the integer search's value order to 0..ub
-// (ablation; the default high-first order reaches feasible corners of
-// margin systems quickly).
-func WithBranchLowFirst(on bool) Option {
-	return func(c *config) { c.branchLowFirst = on }
 }
 
 // WithParallelism sets the CheckBatch worker-pool size (default
