@@ -1,9 +1,11 @@
 package bag
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"bagconsistency/internal/table"
@@ -42,6 +44,23 @@ func New(s *Schema) *Bag {
 		cols[i] = table.NewDict()
 	}
 	return &Bag{schema: s, cols: cols, rows: table.Rows{W: s.Len()}, index: table.NewIndex(0)}
+}
+
+// NewShared returns an empty bag over s whose columns adopt the given
+// dictionaries, one per attribute of s in canonical order, with room for
+// about rows rows. Decoders use it to make every bag of a request share
+// one dictionary per attribute; rows then go in through AddIDs.
+func NewShared(s *Schema, cols []*table.Dict, rows int) (*Bag, error) {
+	if len(cols) != s.Len() {
+		return nil, fmt.Errorf("bag: %d dictionaries for schema %v", len(cols), s)
+	}
+	w := s.Len()
+	b := &Bag{schema: s, cols: cols, rows: table.Rows{W: w}, index: table.NewIndex(rows)}
+	if rows > 0 {
+		b.rows.IDs = make([]uint32, 0, rows*w)
+		b.rows.Counts = make([]int64, 0, rows)
+	}
+	return b, nil
 }
 
 // newDerived returns an empty bag over s that adopts existing column
@@ -117,18 +136,39 @@ func (b *Bag) internRow(vals []string, row []uint32) {
 // canonical attribute order) by mult. mult must be non-negative; adding 0 is
 // a no-op.
 func (b *Bag) Add(vals []string, mult int64) error {
-	if mult < 0 {
-		return fmt.Errorf("bag: negative multiplicity %d", mult)
-	}
-	if len(vals) != b.schema.Len() {
-		return fmt.Errorf("bag: row has %d values for schema %v", len(vals), b.schema)
-	}
-	if mult == 0 {
-		return nil
+	if err := b.checkAdd(len(vals), mult); err != nil || mult == 0 {
+		return err
 	}
 	row := table.GetUint32s(len(vals))
 	defer table.PutUint32s(row)
 	b.internRow(vals, row)
+	return b.addRow(row, mult)
+}
+
+// AddIDs is Add for a row of ids already interned in the bag's own
+// dictionaries: the same checks in the same order (mult, then width), the
+// same dropping of zero multiplicities and the same summing of repeated
+// rows. Every id must be valid in its column's dictionary. row is read
+// only when the checks pass and mult is positive.
+func (b *Bag) AddIDs(row []uint32, mult int64) error {
+	if err := b.checkAdd(len(row), mult); err != nil || mult == 0 {
+		return err
+	}
+	return b.addRow(row, mult)
+}
+
+func (b *Bag) checkAdd(width int, mult int64) error {
+	if mult < 0 {
+		return fmt.Errorf("bag: negative multiplicity %d", mult)
+	}
+	if width != b.schema.Len() {
+		return fmt.Errorf("bag: row has %d values for schema %v", width, b.schema)
+	}
+	return nil
+}
+
+// addRow adds mult to the row with the given ids, appending it when new.
+func (b *Bag) addRow(row []uint32, mult int64) error {
 	if pos := b.findRow(row); pos >= 0 {
 		c, err := checkedAdd(b.rows.Counts[pos], mult)
 		if err != nil {
@@ -225,34 +265,49 @@ func (b *Bag) resolveRow(pos int, vals []string) {
 // the length-prefixed key encoding of the resolved values, exactly the
 // order the original string-keyed representation iterated in, so every
 // textual rendering and golden file is byte-stable across the engine
-// swap. This is a display-path concern only; the decision procedures
+// swap. No key is built: the "len:value" pieces are prefix-free, so
+// comparing two concatenations is comparing their pieces one column at a
+// time. This is a display-path concern only; the decision procedures
 // never sort by strings. The order is computed fresh per call (never
 // cached on the bag) so read paths stay mutation-free and any number of
 // goroutines can enumerate one bag concurrently.
 func (b *Bag) orderedRows() []int32 {
-	n := b.rows.N()
+	n, w := b.rows.N(), b.rows.W
 	order := make([]int32, n)
-	keys := make([]string, n)
-	vals := make([]string, b.rows.W)
-	for i := 0; i < n; i++ {
+	for i := range order {
 		order[i] = int32(i)
-		b.resolveRow(i, vals)
-		keys[i] = encodeKey(vals)
 	}
-	sort.Sort(&orderByKey{order: order, keys: keys})
+	vals := make([][]string, w)
+	for j, d := range b.cols {
+		vals[j] = d.Snapshot()
+	}
+	ids := b.rows.IDs
+	slices.SortFunc(order, func(x, y int32) int {
+		for j := 0; j < w; j++ {
+			a, c := ids[int(x)*w+j], ids[int(y)*w+j]
+			if a == c {
+				continue
+			}
+			if r := compareKeyPieces(vals[j][a], vals[j][c]); r != 0 {
+				return r
+			}
+		}
+		return 0
+	})
 	return order
 }
 
-type orderByKey struct {
-	order []int32
-	keys  []string
-}
-
-func (o *orderByKey) Len() int           { return len(o.order) }
-func (o *orderByKey) Less(i, j int) bool { return o.keys[i] < o.keys[j] }
-func (o *orderByKey) Swap(i, j int) {
-	o.order[i], o.order[j] = o.order[j], o.order[i]
-	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+// compareKeyPieces orders two values as their encodeKey pieces "len:v"
+// compare. Pieces of equal length compare by value; otherwise the
+// decimal length prefixes differ before either ends, and decide.
+func compareKeyPieces(a, b string) int {
+	if len(a) == len(b) {
+		return strings.Compare(a, b)
+	}
+	var pa, pb [24]byte
+	return bytes.Compare(
+		append(strconv.AppendInt(pa[:0], int64(len(a)), 10), ':'),
+		append(strconv.AppendInt(pb[:0], int64(len(b)), 10), ':'))
 }
 
 // Each calls fn once per support tuple in deterministic order, stopping

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"bagconsistency/internal/bag"
@@ -117,9 +119,11 @@ func TestColumnarFingerprintPinned(t *testing.T) {
 }
 
 // TestColumnarPropertyRandom round-trips random instances through
-// text → bagcol → engine and asserts they are indistinguishable from the
-// direct text → engine path: equal canonical fingerprints, equal check
-// verdicts, byte-identical WriteCollection output.
+// text → bagcol → engine and text → JSON (both wire shapes) → engine, and
+// asserts every arm is indistinguishable from the direct text → engine
+// path: equal canonical fingerprints, equal check verdicts,
+// byte-identical WriteCollection output. The bagcol and JSON arms share
+// one dictionary per attribute across bags; the text arm does not.
 func TestColumnarPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	attrPool := []string{"A", "B", "C", "D", "E"}
@@ -145,29 +149,184 @@ func TestColumnarPropertyRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\ninput:\n%s", trial, err, text.String())
 		}
-		if want, have := canonText(t, textBags), canonText(t, colBags); want != have {
-			t.Fatalf("trial %d: canonical text differs:\n%s\nvs\n%s", trial, want, have)
+		var arr, obj bytes.Buffer
+		if err := EncodeJSON(&arr, textBags); err != nil {
+			t.Fatal(err)
 		}
-		if fpT, fpC := fingerprint(t, textBags), fingerprint(t, colBags); fpT != fpC {
-			t.Fatalf("trial %d: fingerprints differ: %s vs %s", trial, fpT, fpC)
+		if err := EncodeJSONCollection(&obj, "inst", textBags); err != nil {
+			t.Fatal(err)
+		}
+		arrBags, err := DecodeJSON(&arr)
+		if err != nil {
+			t.Fatalf("trial %d: json array: %v", trial, err)
+		}
+		name, objBags, err := DecodeJSONCollection(&obj)
+		if err != nil || name != "inst" {
+			t.Fatalf("trial %d: json object: name %q, %v", trial, name, err)
 		}
 		collT, errT := ToCollection(textBags)
-		collC, errC := ToCollection(colBags)
-		if (errT == nil) != (errC == nil) {
-			t.Fatalf("trial %d: collection build disagrees: %v vs %v", trial, errT, errC)
+		var repT *bagconsist.Report
+		if errT == nil {
+			repT, errT = checker.CheckGlobal(context.Background(), collT)
 		}
-		if errT != nil {
-			continue
-		}
-		repT, errT := checker.CheckGlobal(context.Background(), collT)
-		repC, errC := checker.CheckGlobal(context.Background(), collC)
-		if (errT == nil) != (errC == nil) {
-			t.Fatalf("trial %d: check errors disagree: %v vs %v", trial, errT, errC)
-		}
-		if errT == nil && repT.Consistent != repC.Consistent {
-			t.Fatalf("trial %d: verdicts disagree: text=%v bagcol=%v", trial, repT.Consistent, repC.Consistent)
+		for arm, got := range map[string][]NamedBag{"bagcol": colBags, "json array": arrBags, "json object": objBags} {
+			if want, have := canonText(t, textBags), canonText(t, got); want != have {
+				t.Fatalf("trial %d %s: canonical text differs:\n%s\nvs\n%s", trial, arm, want, have)
+			}
+			if fpT, fp := fingerprint(t, textBags), fingerprint(t, got); fpT != fp {
+				t.Fatalf("trial %d %s: fingerprints differ: %s vs %s", trial, arm, fpT, fp)
+			}
+			coll, err := ToCollection(got)
+			var rep *bagconsist.Report
+			if err == nil {
+				rep, err = checker.CheckGlobal(context.Background(), coll)
+			}
+			if (errT == nil) != (err == nil) {
+				t.Fatalf("trial %d %s: check errors disagree: %v vs %v", trial, arm, errT, err)
+			}
+			if errT == nil && repT.Consistent != rep.Consistent {
+				t.Fatalf("trial %d %s: verdicts disagree: text=%v %s=%v", trial, arm, repT.Consistent, arm, rep.Consistent)
+			}
 		}
 	}
+}
+
+// TestJSONZeroCountValuesDoNotFingerprint: a count-0 tuple is dropped
+// before its values are interned, so values found only in such tuples
+// leave no trace in the shared dictionaries or the fingerprint.
+func TestJSONZeroCountValuesDoNotFingerprint(t *testing.T) {
+	with := `[{"schema":["A","B"],"tuples":[{"values":["a","b"],"count":2},{"values":["ghost","b"],"count":0}]},` +
+		`{"schema":["B"],"tuples":[{"values":["b"],"count":2},{"values":["phantom"],"count":0}]}]`
+	without := `[{"schema":["A","B"],"tuples":[{"values":["a","b"],"count":2}]},{"schema":["B"],"tuples":[{"values":["b"],"count":2}]}]`
+	got, err := DecodeJSON(strings.NewReader(with))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeJSON(strings.NewReader(without))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(t, got) != fingerprint(t, want) {
+		t.Fatal("count-0 tuples changed the fingerprint")
+	}
+	for _, d := range got[0].Bag.View().Cols {
+		if d.Len() != 1 {
+			t.Fatalf("dictionary holds %d values, want 1: count-0 values were interned", d.Len())
+		}
+	}
+}
+
+// TestJSONSharedDictionaryGrowth: Add on one decoded bag grows the
+// dictionary it shares with its sibling; the sibling's rows are ids, so
+// its fingerprint and verdicts do not change.
+func TestJSONSharedDictionaryGrowth(t *testing.T) {
+	body := `[{"schema":["A","B"],"tuples":[{"values":["a1","b1"],"count":2},{"values":["a2","b2"],"count":1}]},` +
+		`{"schema":["B","C"],"tuples":[{"values":["b1","c1"],"count":2},{"values":["b2","c2"],"count":1}]}]`
+	bags, err := DecodeJSON(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, s := bags[0].Bag, bags[1].Bag
+	shared := s.View().Cols[0]
+	if r.View().Cols[1] != shared {
+		t.Fatal("r and s do not share B's dictionary")
+	}
+	checker := bagconsist.New()
+	ctx := context.Background()
+	before, err := canon.One(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repBefore, err := checker.CheckPair(ctx, r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Add([]string{"a9", "b9"}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := shared.Lookup("b9"); !ok {
+		t.Fatal("Add on r did not grow the shared dictionary")
+	}
+	after, err := canon.One(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.FP != after.FP {
+		t.Fatal("growing a shared dictionary changed the sibling's fingerprint")
+	}
+	single, err := bagconsist.New().CheckGlobal(ctx, mustCollection(t, s))
+	if err != nil || !single.Consistent {
+		t.Fatalf("sibling alone: %+v, %v", single, err)
+	}
+	repAfter, err := checker.CheckPair(ctx, r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !repBefore.Consistent || repAfter.Consistent {
+		t.Fatalf("verdicts before/after = %v/%v, want true/false (r gained a B value s lacks)", repBefore.Consistent, repAfter.Consistent)
+	}
+	fresh, err := DecodeJSON(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := checker.CheckPair(ctx, fresh[0].Bag, s); err != nil || !rep.Consistent {
+		t.Fatalf("s against a fresh r: %+v, %v; want consistent", rep, err)
+	}
+}
+
+// TestJSONSharedDictionaryConcurrentGrowth: one goroutine grows a shared
+// dictionary through Add on one decoded bag while others fingerprint and
+// enumerate its sibling. The dictionary is append-only and locked, so
+// the readers see the sibling unchanged (run under -race).
+func TestJSONSharedDictionaryConcurrentGrowth(t *testing.T) {
+	bags, err := DecodeJSON(strings.NewReader(pairJSONText(t, colSample)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, s := bags[0].Bag, bags[1].Bag
+	want, err := canon.One(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantText := s.String()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := r.Add([]string{"a" + strconv.Itoa(i), "b" + strconv.Itoa(i)}, 1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got, err := canon.One(s)
+				if err != nil || got.FP != want.FP || s.String() != wantText {
+					t.Errorf("sibling changed while its shared dictionary grew (err %v)", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func mustCollection(t *testing.T, bs ...*bag.Bag) *bagconsist.Collection {
+	t.Helper()
+	nbs := make([]NamedBag, len(bs))
+	for i, b := range bs {
+		nbs[i] = NamedBag{Bag: b}
+	}
+	c, err := ToCollection(nbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestOpenMappedEquivalence: the mmap decode and the pure-reader decode

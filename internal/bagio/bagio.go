@@ -24,11 +24,14 @@
 // either JSON shape or the text format, so every server endpoint and tool
 // reads all three.
 //
-// Decoding interns at parse time: every value token is handed straight
-// to bag.Add, which dictionary-encodes it into the bag's per-attribute
-// interner (internal/table) — the wire → engine path never materializes
-// a per-tuple key string, and the decoded bags are already in the
-// columnar form the decision procedures run on.
+// Decoding interns at parse time, so the wire → engine path never
+// materializes a per-tuple key string and the decoded bags are already
+// in the columnar form the decision procedures run on. The JSON decoder
+// (json.go) interns each value token straight from the body bytes into
+// one dictionary per attribute name, shared by all bags of the request,
+// and adds rows as ids; bagcol's dictionary pages are shared the same
+// way. The text parser hands tokens to bag.Add, which interns into each
+// bag's own dictionaries.
 package bagio
 
 import (
@@ -212,25 +215,6 @@ func ToJSONBags(bags []NamedBag) ([]JSONBag, error) {
 	return arr, nil
 }
 
-// FromJSONBags validates the wire form back into named bags.
-func FromJSONBags(arr []JSONBag) ([]NamedBag, error) {
-	out := make([]NamedBag, 0, len(arr))
-	for _, jb := range arr {
-		s, err := bag.NewSchema(jb.Schema...)
-		if err != nil {
-			return nil, err
-		}
-		b := bag.New(s)
-		for _, t := range jb.Tuples {
-			if err := b.Add(t.Values, t.Count); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, NamedBag{Name: jb.Name, Bag: b})
-	}
-	return out, nil
-}
-
 // EncodeJSON writes the bags as a JSON array.
 func EncodeJSON(w io.Writer, bags []NamedBag) error {
 	arr, err := ToJSONBags(bags)
@@ -242,13 +226,16 @@ func EncodeJSON(w io.Writer, bags []NamedBag) error {
 	return enc.Encode(arr)
 }
 
-// DecodeJSON reads bags from the JSON array form.
+// DecodeJSON reads bags from the JSON array form (null reads as no
+// bags). It refuses the named-collection object; DecodeJSONCollection
+// reads both shapes.
 func DecodeJSON(r io.Reader) ([]NamedBag, error) {
-	var arr []JSONBag
-	if err := json.NewDecoder(r).Decode(&arr); err != nil {
-		return nil, fmt.Errorf("bagio: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	return FromJSONBags(arr)
+	_, bags, err := decodeJSON(data, true)
+	return bags, err
 }
 
 // EncodeJSONCollection writes bags as a named-collection object.
@@ -270,21 +257,7 @@ func DecodeJSONCollection(r io.Reader) (string, []NamedBag, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return decodeJSONCollection(data)
-}
-
-func decodeJSONCollection(data []byte) (string, []NamedBag, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		var jc JSONCollection
-		if err := json.Unmarshal(trimmed, &jc); err != nil {
-			return "", nil, fmt.Errorf("bagio: %w", err)
-		}
-		bags, err := FromJSONBags(jc.Bags)
-		return jc.Name, bags, err
-	}
-	bags, err := DecodeJSON(bytes.NewReader(data))
-	return "", bags, err
+	return decodeJSON(data, false)
 }
 
 // DecodeAny reads a collection in whichever format the bytes are in: the
@@ -303,7 +276,7 @@ func DecodeAny(r io.Reader) (string, []NamedBag, error) {
 	}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && (trimmed[0] == '[' || trimmed[0] == '{') {
-		return decodeJSONCollection(trimmed)
+		return decodeJSON(trimmed, false)
 	}
 	bags, err := ParseCollection(bytes.NewReader(data))
 	return "", bags, err

@@ -54,21 +54,20 @@ func FuzzParseCollection(f *testing.F) {
 	})
 }
 
-// FuzzDecodeJSON checks the JSON path never panics.
+// FuzzDecodeJSON is the decoder's differential suite: on any input the
+// hand-written JSON decoder must agree with the encoding/json oracle
+// (json_test.go) in both entry points — the same accept/reject outcome,
+// except that only the decoder rejects trailing bytes and repeated
+// fields, and on accepted bodies the same names, schemas, bags and
+// fingerprints.
 func FuzzDecodeJSON(f *testing.F) {
-	f.Add(`[{"schema":["A"],"tuples":[{"values":["x"],"count":2}]}]`)
-	f.Add(`[]`)
-	f.Add(`null`)
-	f.Add(`[{"schema":[""],"tuples":[]}]`)
+	for _, tc := range jsonCases {
+		if len(tc.body) < 1024 { // the depth-limit bodies stay in the table test
+			f.Add(tc.body)
+		}
+	}
 	f.Fuzz(func(t *testing.T, input string) {
-		bags, err := DecodeJSON(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := EncodeJSON(&buf, bags); err != nil {
-			t.Fatalf("encode of decoded input failed: %v", err)
-		}
+		checkJSONDecoder(t, input)
 	})
 }
 

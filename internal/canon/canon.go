@@ -15,15 +15,24 @@
 // instances.
 //
 // The fingerprint is the SHA-256 of a canonical encoding: values are
-// interned per attribute into dense indices by a color-refinement pass
-// (Weisfeiler–Leman style, with value colors refined by the multiset of
-// hashes of the tuples they occur in), and the instance is then emitted as
-// sorted tuples of canonical indices with multiplicities. Equality of
+// ranked per attribute into dense canonical indices by a color-refinement
+// pass (Weisfeiler–Leman style, with value colors refined by the multiset
+// of hashes of the tuples they occur in), and the instance is then emitted
+// as sorted tuples of canonical indices with multiplicities. Equality of
 // fingerprints therefore implies the instances are isomorphic under
 // per-attribute value bijections (up to SHA-256 collisions), which makes
 // the fingerprint a sound cache key: isomorphic instances have the same
-// consistency decision, and a cached witness can be translated through the
-// Canonical value tables of the two instances.
+// consistency decision, and a cached witness stored as canonical indices
+// is rebuilt over a hitting instance through its Canonical's tables.
+//
+// Because equality within an attribute is all the procedures use, the
+// whole computation runs in dictionary-id space. Each dictionary's ids are
+// mapped once into per-attribute space ids; refinement hashes machine
+// words over flat arrays; and a Canonical maps each canonical index
+// straight to an id in one of the instance's own dictionaries. Strings
+// are compared only to break residual ties and to unify values when
+// several dictionaries feed one attribute. The string-keyed value→index
+// map (Index) is built only when a caller asks for it.
 //
 // Completeness of the invariance is best-effort where canonical labeling
 // is inherently hard: when color refinement leaves two values of an
@@ -35,11 +44,14 @@
 package canon
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"hash"
+	"slices"
+	"strings"
 	"sync"
 
 	"bagconsistency/internal/bag"
@@ -57,110 +69,228 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
 
 // Canonical is the result of canonicalizing an instance: its fingerprint
-// plus the per-attribute value tables needed to translate tuples between
-// the instance's concrete values and canonical indices. Two instances with
-// equal fingerprints are isomorphic via the bijection that maps, for every
-// attribute, the value at index i of one table to the value at index i of
-// the other.
+// plus, per attribute, the tables from canonical index to value and to
+// dictionary id. Two instances with equal fingerprints are isomorphic via
+// the bijection that maps, for every attribute, the value at index i of
+// one to the value at index i of the other.
 type Canonical struct {
 	// FP is the instance fingerprint.
 	FP Fingerprint
-	// Values maps each attribute to its values in canonical index order.
-	Values map[string][]string
-	// Index is the inverse of Values: attribute -> value -> canonical index.
-	Index map[string]map[string]int
+
+	cols      []rankTable // one per attribute, in first-seen order
+	indexOnce sync.Once
+	index     map[string]map[string]int
 }
 
-// attrSpace is the per-attribute value universe of one canonicalization:
-// the values actually occurring in support rows, interned into dense
-// "space ids" that the refinement loop uses in place of {attr,val} string
-// pairs. Refinement then hashes integers only.
-type attrSpace struct {
-	attr  string
-	vals  []string          // space id -> value string
-	index map[string]uint32 // value string -> space id
-	color []uint64          // current refinement color per space id
-	occ   [][]uint64        // per-round occurrence hashes (buffers reused)
+// rankTable is one attribute's canonical value order.
+type rankTable struct {
+	attr string
+	vals []string // canonical index -> value
+	// dict is the dictionary of the attribute's first support value (its
+	// home); ids maps canonical index -> id in dict, or table.MissingID
+	// for a value no row over dict holds.
+	dict *table.Dict
+	ids  []uint32
 }
 
-func (sp *attrSpace) intern(v string) uint32 {
-	if id, ok := sp.index[v]; ok {
-		return id
+// IDs returns the table from attr's canonical indices to ids in dict, one
+// of the instance's own dictionaries for attr. Looking up an index's id is
+// one array load, so a cached witness stored as indices is rebuilt over a
+// hitting instance's dictionaries without touching a string. An index maps
+// to table.MissingID when its value occurs only in columns over other
+// dictionaries; no witness of the instance holds such a value, since a
+// witness's values occur in every bag over the attribute. dict is nil when
+// attr has no values.
+func (c *Canonical) IDs(attr string) (*table.Dict, []uint32) {
+	for i := range c.cols {
+		if c.cols[i].attr == attr {
+			return c.cols[i].dict, c.cols[i].ids
+		}
 	}
-	id := uint32(len(sp.vals))
+	return nil, nil
+}
+
+// Index returns, per attribute, the map from value to canonical index. It
+// is built on first use: the fingerprint and the id tables never need it.
+func (c *Canonical) Index() map[string]map[string]int {
+	c.indexOnce.Do(func() {
+		c.index = make(map[string]map[string]int, len(c.cols))
+		for _, t := range c.cols {
+			m := make(map[string]int, len(t.vals))
+			for i, v := range t.vals {
+				m[v] = i
+			}
+			c.index[t.attr] = m
+		}
+	})
+	return c.index
+}
+
+// space is one attribute's value universe during a canonicalization: the
+// values occurring in support rows, numbered by dense space ids.
+type space struct {
+	attr    string
+	bound   int      // sum of Len over the dictionaries feeding the space
+	base    int      // global id of space id 0
+	vals    []string // space id -> value
+	home    *table.Dict
+	homeIDs []uint32 // space id -> id in home, or table.MissingID
+	// index maps value -> space id. It stays nil while the home
+	// dictionary alone feeds the space: dictionaries are injective, so
+	// each new id is then a new value and no string is hashed.
+	index map[string]uint32
+}
+
+// intern returns the space id of v, which is id in dictionary d.
+func (sp *space) intern(v string, d *table.Dict, id uint32) uint32 {
+	if sp.home == nil {
+		sp.home = d
+	}
+	homeID := table.MissingID
+	if d == sp.home {
+		homeID = id
+	} else if sp.index == nil {
+		// A second dictionary feeds the space: equal strings must meet.
+		sp.index = make(map[string]uint32, sp.bound)
+		for k, s := range sp.vals {
+			sp.index[s] = uint32(k)
+		}
+	}
+	if sp.index != nil {
+		if k, ok := sp.index[v]; ok {
+			if homeID != table.MissingID {
+				sp.homeIDs[k] = homeID
+			}
+			return k
+		}
+		sp.index[v] = uint32(len(sp.vals))
+	}
 	sp.vals = append(sp.vals, v)
-	sp.index[v] = id
-	return id
+	sp.homeIDs = append(sp.homeIDs, homeID)
+	return uint32(len(sp.vals) - 1)
+}
+
+// remapKey names one dictionary-id -> space-id table. Columns sharing a
+// dictionary share the table, so each of its values is resolved once.
+type remapKey struct {
+	d  *table.Dict
+	sp int
 }
 
 // Bags canonicalizes an ordered list of bags (bag i of one instance
 // corresponds to bag i of another; collections are indexed by hyperedge
 // position, so bag order is significant and not canonicalized away).
 //
-// The implementation consumes the bags' interned columnar views directly:
-// each bag column's dictionary ids are translated once into per-attribute
-// space ids (a remap array, built with one string lookup per distinct
-// value), and every refinement round then hashes machine integers —
-// no {attr,val} string structs, no map[string] in the loop. The hash
-// functions, refinement schedule, tie-breaking, and final encoding are
-// unchanged from the string-keyed implementation, so fingerprints are
-// bit-for-bit identical (the reference property test pins this).
+// The implementation consumes the bags' interned columnar views directly.
+// Dictionary ids are translated once per dictionary into per-attribute
+// space ids, and every refinement round then hashes machine integers over
+// flat arrays: CSR occurrence lists whose offsets are counted once, colors
+// and ranks indexed by space id. The hash functions, refinement schedule,
+// tie-breaking, and final encoding are those of the original string-keyed
+// implementation, so fingerprints are bit-for-bit identical (the
+// reference property test pins this).
 func Bags(bags []*bag.Bag) (*Canonical, error) {
 	if len(bags) == 0 {
 		return nil, fmt.Errorf("canon: empty instance")
 	}
-
 	views := make([]bag.View, len(bags))
+	attrs := make([][]string, len(bags))
+	nrefs, ncols := 0, 0
 	for i, b := range bags {
 		if b == nil {
 			return nil, fmt.Errorf("canon: nil bag at index %d", i)
 		}
 		views[i] = b.View()
+		attrs[i] = views[i].Schema.Attrs()
+		nrefs += len(views[i].Rows.IDs)
+		ncols += len(attrs[i])
 	}
 
-	// Build the per-attribute value spaces and translate every bag column
-	// into space ids. refs[i] mirrors views[i].Rows.IDs with space ids;
-	// colSpace[i][j] is the space of bag i's column j.
-	var spaces []*attrSpace
-	spaceOf := make(map[string]*attrSpace)
-	refs := make([][]uint32, len(views))
-	colSpace := make([][]*attrSpace, len(views))
-	totalVals := 0
+	// One space per attribute, one remap table per (dictionary, space).
+	var spaces []space
+	spaceOf := make(map[string]int)
+	colSpace := make([]int, 0, ncols) // bag after bag, column after column
+	remaps := make(map[remapKey][]uint32)
 	for i, v := range views {
-		attrs := v.Schema.Attrs()
-		w := v.Rows.W
-		colSpace[i] = make([]*attrSpace, w)
-		refs[i] = make([]uint32, len(v.Rows.IDs))
-		for j := 0; j < w; j++ {
-			sp := spaceOf[attrs[j]]
-			if sp == nil {
-				sp = &attrSpace{attr: attrs[j], index: make(map[string]uint32)}
-				spaceOf[attrs[j]] = sp
-				spaces = append(spaces, sp)
+		for j, a := range attrs[i] {
+			k, ok := spaceOf[a]
+			if !ok {
+				k = len(spaces)
+				spaceOf[a] = k
+				spaces = append(spaces, space{attr: a})
 			}
-			colSpace[i][j] = sp
-			// Remap this column's dictionary ids into space ids, touching
-			// each distinct value's string exactly once.
-			dict := v.Cols[j]
-			remap := table.GetUint32s(dict.Len())
-			for k := range remap {
-				remap[k] = table.MissingID
-			}
-			n := v.Rows.N()
-			for r := 0; r < n; r++ {
-				id := v.Rows.IDs[r*w+j]
-				sid := remap[id]
-				if sid == table.MissingID {
-					sid = sp.intern(dict.Value(id))
-					remap[id] = sid
+			colSpace = append(colSpace, k)
+			key := remapKey{v.Cols[j], k}
+			if _, ok := remaps[key]; !ok {
+				m := table.GetUint32s(key.d.Len())
+				for x := range m {
+					m[x] = table.MissingID
 				}
-				refs[i][r*w+j] = sid
+				remaps[key] = m
+				spaces[k].bound += len(m)
 			}
-			table.PutUint32s(remap)
 		}
 	}
-	for _, sp := range spaces {
-		totalVals += len(sp.vals)
+	defer func() {
+		for _, m := range remaps {
+			table.PutUint32s(m)
+		}
+	}()
+	total := 0
+	for k := range spaces {
+		total += spaces[k].bound
+	}
+	valsBuf := make([]string, total)
+	homeBuf := table.GetUint32s(total)
+	defer table.PutUint32s(homeBuf)
+	for k, off := 0, 0; k < len(spaces); k++ {
+		sp := &spaces[k]
+		sp.vals = valsBuf[off : off : off+sp.bound]
+		sp.homeIDs = homeBuf[off : off : off+sp.bound]
+		off += sp.bound
+	}
+
+	// Translate every bag column into space ids, then into global ids
+	// (space base + space id). refs holds all bags' rows, bag after bag.
+	refs := table.GetUint32s(nrefs)
+	defer table.PutUint32s(refs)
+	c, r0 := 0, 0
+	for _, v := range views {
+		w, ids := v.Rows.W, v.Rows.IDs
+		for j := 0; j < w; j++ {
+			k := colSpace[c+j]
+			d := v.Cols[j]
+			m := remaps[remapKey{d, k}]
+			vals := d.Snapshot()
+			for x := j; x < len(ids); x += w {
+				id := ids[x]
+				sid := m[id]
+				if sid == table.MissingID {
+					sid = spaces[k].intern(vals[id], d, id)
+					m[id] = sid
+				}
+				refs[r0+x] = sid
+			}
+		}
+		c += w
+		r0 += len(ids)
+	}
+	nv := 0
+	for k := range spaces {
+		spaces[k].base = nv
+		nv += len(spaces[k].vals)
+	}
+	c, r0 = 0, 0
+	for _, v := range views {
+		w, n := v.Rows.W, len(v.Rows.IDs)
+		for j := 0; j < w; j++ {
+			base := uint32(spaces[colSpace[c+j]].base)
+			for x := r0 + j; x < r0+n; x += w {
+				refs[x] += base
+			}
+		}
+		c += w
+		r0 += n
 	}
 
 	// Color refinement. Colors are uint64 hashes; the initial color of a
@@ -169,143 +299,148 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 	// hash covers the bag index, the multiplicity, and the current colors
 	// of all its values). Everything a color depends on is
 	// renaming-invariant, so the stable partition is too.
-	for _, sp := range spaces {
-		c := hashStrings("attr", sp.attr)
-		sp.color = make([]uint64, len(sp.vals))
-		for k := range sp.color {
-			sp.color[k] = c
+	color := getU64s(nv)
+	defer putU64s(color)
+	for k := range spaces {
+		sp := &spaces[k]
+		c0 := hashStrings("attr", sp.attr)
+		for g := sp.base; g < sp.base+len(sp.vals); g++ {
+			color[g] = c0
 		}
-		sp.occ = make([][]uint64, len(sp.vals))
 	}
-	scratch := getU64s(totalVals)
-	distinct := countDistinct(spaces, scratch)
+	// Occurrence lists in CSR form: value g's tuple hashes of a round
+	// live in occ[off[g]:off[g+1]]. Rows never change between rounds, so
+	// the offsets are counted once.
+	off := table.GetInt32s(nv + 1)
+	defer table.PutInt32s(off)
+	clear(off)
+	for _, g := range refs {
+		off[g+1]++
+	}
+	for g := 0; g < nv; g++ {
+		off[g+1] += off[g]
+	}
+	cur := table.GetInt32s(nv)
+	defer table.PutInt32s(cur)
+	occ := getU64s(nrefs)
+	defer putU64s(occ)
+	scratch := getU64s(nv)
+	defer putU64s(scratch)
+	distinct := countDistinct(color, scratch)
 	// The partition refines monotonically (old color is folded into the
 	// new one), so it stabilizes after at most |values| strict
 	// refinements.
-	for round := 0; round <= totalVals; round++ {
-		for _, sp := range spaces {
-			for k := range sp.occ {
-				sp.occ[k] = sp.occ[k][:0]
-			}
-		}
-		for i := range views {
-			w := views[i].Rows.W
-			n := views[i].Rows.N()
-			cs := colSpace[i]
-			for r := 0; r < n; r++ {
+	for round := 0; round <= nv; round++ {
+		copy(cur, off[:nv])
+		r0 := 0
+		for i, v := range views {
+			w := v.Rows.W
+			for r, count := range v.Rows.Counts {
+				row := refs[r0+r*w : r0+(r+1)*w]
 				h := newHasher()
 				h.writeUint(uint64(i))
-				h.writeUint(uint64(views[i].Rows.Counts[r]))
-				base := r * w
-				for j := 0; j < w; j++ {
-					h.writeUint(cs[j].color[refs[i][base+j]])
+				h.writeUint(uint64(count))
+				for _, g := range row {
+					h.writeUint(color[g])
 				}
 				th := h.sum()
-				for j := 0; j < w; j++ {
-					sid := refs[i][base+j]
-					cs[j].occ[sid] = append(cs[j].occ[sid], th)
+				for _, g := range row {
+					occ[cur[g]] = th
+					cur[g]++
 				}
 			}
+			r0 += len(v.Rows.IDs)
 		}
-		for _, sp := range spaces {
-			for k := range sp.color {
-				hs := sp.occ[k]
-				sortU64s(hs)
-				h := newHasher()
-				h.writeUint(sp.color[k])
-				for _, v := range hs {
-					h.writeUint(v)
-				}
-				sp.color[k] = h.sum()
+		for g := 0; g < nv; g++ {
+			hs := occ[off[g]:off[g+1]]
+			slices.Sort(hs)
+			h := newHasher()
+			h.writeUint(color[g])
+			for _, x := range hs {
+				h.writeUint(x)
 			}
+			color[g] = h.sum()
 		}
-		if d := countDistinct(spaces, scratch); d == distinct {
+		if d := countDistinct(color, scratch); d == distinct {
 			break
 		} else {
 			distinct = d
 		}
 	}
-	putU64s(scratch)
 
 	// Canonical interning: within each attribute, order values by final
 	// color, breaking residual ties by the original value string (see the
 	// package comment for why this is sound).
-	can := &Canonical{
-		Values: make(map[string][]string, len(spaces)),
-		Index:  make(map[string]map[string]int, len(spaces)),
-	}
-	canIdx := make(map[string][]int, len(spaces)) // attr -> space id -> canonical index
-	for _, sp := range spaces {
-		order := make([]int, len(sp.vals))
-		for k := range order {
-			order[k] = k
+	can := &Canonical{cols: make([]rankTable, len(spaces))}
+	rankVals := make([]string, nv)
+	rankIDs := make([]uint32, nv)
+	rankOf := table.GetUint32s(nv) // global id -> canonical index
+	defer table.PutUint32s(rankOf)
+	order := table.GetUint32s(nv)
+	defer table.PutUint32s(order)
+	for k := range spaces {
+		sp := &spaces[k]
+		n, base := len(sp.vals), sp.base
+		ord := order[base : base+n]
+		for x := range ord {
+			ord[x] = uint32(x)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ca, cb := sp.color[order[a]], sp.color[order[b]]
-			if ca != cb {
-				return ca < cb
+		col := color[base : base+n]
+		slices.SortFunc(ord, func(a, b uint32) int {
+			if c := cmp.Compare(col[a], col[b]); c != 0 {
+				return c
 			}
-			return sp.vals[order[a]] < sp.vals[order[b]]
+			return strings.Compare(sp.vals[a], sp.vals[b])
 		})
-		vals := make([]string, len(order))
-		idx := make(map[string]int, len(order))
-		ci := make([]int, len(order))
-		for rank, sid := range order {
-			vals[rank] = sp.vals[sid]
-			idx[sp.vals[sid]] = rank
-			ci[sid] = rank
+		t := rankTable{attr: sp.attr, dict: sp.home, vals: rankVals[base : base+n : base+n], ids: rankIDs[base : base+n : base+n]}
+		for rank, sid := range ord {
+			t.vals[rank] = sp.vals[sid]
+			t.ids[rank] = sp.homeIDs[sid]
+			rankOf[base+int(sid)] = uint32(rank)
 		}
-		can.Values[sp.attr] = vals
-		can.Index[sp.attr] = idx
-		canIdx[sp.attr] = ci
+		can.cols[k] = t
 	}
 
 	// Emit the canonical encoding: per bag, its attribute names, then its
 	// tuples as canonical index vectors with multiplicities, sorted by
 	// index vector. The encoding is a faithful description of the
 	// instance up to per-attribute renaming.
-	enc := sha256.New()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		enc.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeU64(uint64(len(s)))
-		enc.Write([]byte(s))
-	}
-	writeU64(uint64(len(views)))
+	enc := digest{h: sha256.New()}
+	enc.u64(uint64(len(views)))
+	r0 = 0
 	for i, v := range views {
-		attrs := v.Schema.Attrs()
-		writeU64(uint64(len(attrs)))
-		for _, a := range attrs {
-			writeStr(a)
+		enc.u64(uint64(len(attrs[i])))
+		for _, a := range attrs[i] {
+			enc.str(a)
 		}
-		w := v.Rows.W
-		n := v.Rows.N()
-		// One flat block for all index vectors; rows are views into it.
+		w, n := v.Rows.W, v.Rows.N()
 		stride := w + 1
 		block := getU64s(n * stride)
-		rows := make([][]uint64, n)
-		for r := 0; r < n; r++ {
-			vec := block[r*stride : r*stride : (r+1)*stride]
-			base := r * w
-			for j := 0; j < w; j++ {
-				vec = append(vec, uint64(canIdx[attrs[j]][refs[i][base+j]]))
+		for r, count := range v.Rows.Counts {
+			vec := block[r*stride : (r+1)*stride]
+			for j, g := range refs[r0+r*w : r0+(r+1)*w] {
+				vec[j] = uint64(rankOf[g])
 			}
-			vec = append(vec, uint64(v.Rows.Counts[r]))
-			rows[r] = vec
+			vec[w] = uint64(count)
 		}
-		sort.Slice(rows, func(a, b int) bool { return lessUint64s(rows[a], rows[b]) })
-		writeU64(uint64(n))
-		for _, vec := range rows {
-			for _, v := range vec {
-				writeU64(v)
+		perm := table.GetInt32s(n)
+		for x := range perm {
+			perm[x] = int32(x)
+		}
+		slices.SortFunc(perm, func(a, b int32) int {
+			return slices.Compare(block[int(a)*stride:int(a+1)*stride], block[int(b)*stride:int(b+1)*stride])
+		})
+		enc.u64(uint64(n))
+		for _, p := range perm {
+			for _, x := range block[int(p)*stride : int(p+1)*stride] {
+				enc.u64(x)
 			}
 		}
+		table.PutInt32s(perm)
 		putU64s(block)
+		r0 += len(v.Rows.IDs)
 	}
-	copy(can.FP[:], enc.Sum(nil))
+	enc.sum(can.FP[:0])
 	return can, nil
 }
 
@@ -320,34 +455,16 @@ func One(b *bag.Bag) (*Canonical, error) {
 	return Bags([]*bag.Bag{b})
 }
 
-// Translate maps a tuple's values for the given sorted attribute list from
-// this canonicalization's index space into concrete values. It inverts
-// Indices on a Canonical computed from the *same* fingerprint class, which
-// is how a cached witness is re-expressed in a new instance's values.
-func (c *Canonical) Translate(attrs []string, indices []int) ([]string, error) {
-	if len(attrs) != len(indices) {
-		return nil, fmt.Errorf("canon: %d attrs but %d indices", len(attrs), len(indices))
-	}
-	vals := make([]string, len(indices))
-	for i, attr := range attrs {
-		table := c.Values[attr]
-		if indices[i] < 0 || indices[i] >= len(table) {
-			return nil, fmt.Errorf("canon: index %d out of range for attribute %q (%d values)", indices[i], attr, len(table))
-		}
-		vals[i] = table[indices[i]]
-	}
-	return vals, nil
-}
-
 // Indices maps a tuple's concrete values for the given sorted attribute
 // list into canonical index space.
 func (c *Canonical) Indices(attrs []string, vals []string) ([]int, error) {
 	if len(attrs) != len(vals) {
 		return nil, fmt.Errorf("canon: %d attrs but %d values", len(attrs), len(vals))
 	}
+	index := c.Index()
 	out := make([]int, len(vals))
 	for i, attr := range attrs {
-		idx, ok := c.Index[attr][vals[i]]
+		idx, ok := index[attr][vals[i]]
 		if !ok {
 			return nil, fmt.Errorf("canon: value %q not in the instance's %q column", vals[i], attr)
 		}
@@ -359,12 +476,10 @@ func (c *Canonical) Indices(attrs []string, vals []string) ([]int, error) {
 // countDistinct counts the distinct colors across every attribute space
 // (matching the string-keyed implementation, which counted over the whole
 // valueRef universe at once). scratch must hold all colors.
-func countDistinct(spaces []*attrSpace, scratch []uint64) int {
-	all := scratch[:0]
-	for _, sp := range spaces {
-		all = append(all, sp.color...)
-	}
-	sortU64s(all)
+func countDistinct(colors, scratch []uint64) int {
+	all := scratch[:len(colors)]
+	copy(all, colors)
+	slices.Sort(all)
 	d := 0
 	for i, v := range all {
 		if i == 0 || all[i-1] != v {
@@ -372,10 +487,6 @@ func countDistinct(spaces []*attrSpace, scratch []uint64) int {
 		}
 	}
 	return d
-}
-
-func sortU64s(s []uint64) {
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
 }
 
 var u64Pool = sync.Pool{New: func() any { s := make([]uint64, 0, 256); return &s }}
@@ -393,13 +504,43 @@ func putU64s(s []uint64) {
 	u64Pool.Put(&s)
 }
 
-func lessUint64s(a, b []uint64) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+// digest feeds the canonical encoding to SHA-256 in blocks: big-endian
+// words and length-prefixed strings, the same bytes in the same order as
+// one Write per word.
+type digest struct {
+	h   hash.Hash
+	n   int
+	buf [1024]byte
+}
+
+func (d *digest) u64(v uint64) {
+	if d.n+8 > len(d.buf) {
+		d.flush()
 	}
-	return len(a) < len(b)
+	binary.BigEndian.PutUint64(d.buf[d.n:], v)
+	d.n += 8
+}
+
+func (d *digest) str(s string) {
+	d.u64(uint64(len(s)))
+	for len(s) > 0 {
+		if d.n == len(d.buf) {
+			d.flush()
+		}
+		c := copy(d.buf[d.n:], s)
+		d.n += c
+		s = s[c:]
+	}
+}
+
+func (d *digest) flush() {
+	d.h.Write(d.buf[:d.n])
+	d.n = 0
+}
+
+func (d *digest) sum(out []byte) []byte {
+	d.flush()
+	return d.h.Sum(out)
 }
 
 // hasher is FNV-1a over uint64 words: cheap, deterministic across runs and
@@ -409,14 +550,22 @@ func lessUint64s(a, b []uint64) bool {
 // the stack, allocation-free.
 type hasher struct{ h uint64 }
 
+const fnvPrime = 1099511628211
+
 func newHasher() hasher { return hasher{h: 14695981039346656037} }
 
+// writeUint hashes v's 8 bytes, least significant first.
 func (x *hasher) writeUint(v uint64) {
-	for i := 0; i < 8; i++ {
-		x.h ^= v & 0xff
-		x.h *= 1099511628211
-		v >>= 8
-	}
+	h := x.h
+	h = (h ^ v&0xff) * fnvPrime
+	h = (h ^ v>>8&0xff) * fnvPrime
+	h = (h ^ v>>16&0xff) * fnvPrime
+	h = (h ^ v>>24&0xff) * fnvPrime
+	h = (h ^ v>>32&0xff) * fnvPrime
+	h = (h ^ v>>40&0xff) * fnvPrime
+	h = (h ^ v>>48&0xff) * fnvPrime
+	h = (h ^ v>>56) * fnvPrime
+	x.h = h
 }
 
 func (x *hasher) sum() uint64 { return x.h }

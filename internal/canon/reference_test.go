@@ -10,6 +10,7 @@ import (
 
 	"bagconsistency/internal/bag"
 	"bagconsistency/internal/gen"
+	"bagconsistency/internal/table"
 )
 
 // This file pins the interned refinement to the original string-keyed
@@ -25,7 +26,15 @@ type refValueRef struct {
 	val  string
 }
 
-func refBags(bags []*bag.Bag) (*Canonical, error) {
+// refCanonical is what the string-keyed implementation returned: the
+// fingerprint and both value tables, built eagerly.
+type refCanonical struct {
+	FP     Fingerprint
+	Values map[string][]string
+	Index  map[string]map[string]int
+}
+
+func refBags(bags []*bag.Bag) (*refCanonical, error) {
 	type tupleRow struct {
 		refs  []refValueRef
 		count int64
@@ -107,7 +116,7 @@ func refBags(bags []*bag.Bag) (*Canonical, error) {
 	for ref := range valueSet {
 		perAttr[ref.attr] = append(perAttr[ref.attr], ref.val)
 	}
-	can := &Canonical{
+	can := &refCanonical{
 		Values: make(map[string][]string, len(perAttr)),
 		Index:  make(map[string]map[string]int, len(perAttr)),
 	}
@@ -153,7 +162,7 @@ func refBags(bags []*bag.Bag) (*Canonical, error) {
 			vec = append(vec, uint64(row.count))
 			rows[r] = vec
 		}
-		sort.Slice(rows, func(a, b int) bool { return lessUint64s(rows[a], rows[b]) })
+		sort.Slice(rows, func(a, b int) bool { return refLessUint64s(rows[a], rows[b]) })
 		writeU64(uint64(len(rows)))
 		for _, vec := range rows {
 			for _, v := range vec {
@@ -163,6 +172,24 @@ func refBags(bags []*bag.Bag) (*Canonical, error) {
 	}
 	copy(can.FP[:], enc.Sum(nil))
 	return can, nil
+}
+
+func refLessUint64s(a, b []uint64) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}
+
+// values returns the canonical value tables in the reference's shape.
+func (c *Canonical) values() map[string][]string {
+	m := make(map[string][]string, len(c.cols))
+	for _, t := range c.cols {
+		m[t.attr] = t.vals
+	}
+	return m
 }
 
 // TestFingerprintMatchesStringKeyedReference checks, on randomized
@@ -196,10 +223,10 @@ func TestFingerprintMatchesStringKeyedReference(t *testing.T) {
 			t.Fatalf("trial %d: fingerprint diverged from string-keyed reference\n got %s\nwant %s",
 				trial, got.FP, want.FP)
 		}
-		if !reflect.DeepEqual(got.Values, want.Values) {
-			t.Fatalf("trial %d: canonical value tables diverged\n got %v\nwant %v", trial, got.Values, want.Values)
+		if !reflect.DeepEqual(got.values(), want.Values) {
+			t.Fatalf("trial %d: canonical value tables diverged\n got %v\nwant %v", trial, got.values(), want.Values)
 		}
-		if !reflect.DeepEqual(got.Index, want.Index) {
+		if !reflect.DeepEqual(got.Index(), want.Index) {
 			t.Fatalf("trial %d: canonical index tables diverged", trial)
 		}
 	}
@@ -256,6 +283,68 @@ func TestFingerprintEmptyAndDegenerate(t *testing.T) {
 		}
 		if got.FP != want.FP {
 			t.Fatalf("%s: fingerprint diverged from reference", name)
+		}
+	}
+}
+
+// TestFingerprintMatchesReferenceOnSharedDictionaries runs the same
+// comparison where dictionaries are shared and sparse: each bag sits
+// beside a marginal of it (which adopts the parent's dictionaries, values
+// the marginal's rows never use included) or a clone with one tuple
+// deleted (its dictionaries keep the deleted values). A space is then fed
+// by one dictionary through several columns, or by several dictionaries
+// whose strings must meet.
+func TestFingerprintMatchesReferenceOnSharedDictionaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		h, err := gen.RandomAcyclicHypergraph(rng, 2+rng.Intn(4), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := gen.RandomConsistent(rng, h, 2+rng.Intn(20), 1<<uint(1+rng.Intn(8)), 2+rng.Intn(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bags []*bag.Bag
+		for _, b := range c.Bags() {
+			attrs := b.Schema().Attrs()
+			if len(attrs) > 1 && rng.Intn(2) == 0 {
+				m, err := b.Marginal(bag.MustSchema(attrs[1:]...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bags = append(bags, m, b)
+				continue
+			}
+			cl := b.Clone()
+			if tups := cl.Tuples(); len(tups) > 1 {
+				if err := cl.Set(tups[0].Values(), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bags = append(bags, b, cl)
+		}
+		got, err := Bags(bags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refBags(bags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.FP != want.FP {
+			t.Fatalf("trial %d: fingerprint diverged from string-keyed reference", trial)
+		}
+		if !reflect.DeepEqual(got.values(), want.Values) || !reflect.DeepEqual(got.Index(), want.Index) {
+			t.Fatalf("trial %d: canonical value tables diverged", trial)
+		}
+		for attr, vals := range want.Values {
+			d, ids := got.IDs(attr)
+			for rank, id := range ids {
+				if id != table.MissingID && d.Value(id) != vals[rank] {
+					t.Fatalf("trial %d: %q index %d maps to %q, want %q", trial, attr, rank, d.Value(id), vals[rank])
+				}
+			}
 		}
 	}
 }

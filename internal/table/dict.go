@@ -102,6 +102,33 @@ func (d *Dict) Intern(v string) uint32 {
 	return id
 }
 
+// InternBytes is Intern for a value held in a byte slice, such as a token
+// of a request body. The lookups convert without allocating, so the
+// value's string is allocated only on its first sight.
+func (d *Dict) InternBytes(v []byte) uint32 {
+	d.mu.RLock()
+	lazy := d.idx == nil
+	id, ok := d.idx[string(v)]
+	d.mu.RUnlock()
+	if ok {
+		return id
+	}
+	if lazy {
+		d.ensureIdx()
+		return d.InternBytes(v)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if id, ok := d.idx[string(v)]; ok {
+		return id
+	}
+	s := string(v)
+	id = uint32(len(d.vals))
+	d.vals = append(d.vals, s)
+	d.idx[s] = id
+	return id
+}
+
 // Lookup returns the id of v without interning it.
 func (d *Dict) Lookup(v string) (uint32, bool) {
 	d.mu.RLock()

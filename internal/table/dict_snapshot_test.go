@@ -1,6 +1,10 @@
 package table
 
-import "testing"
+import (
+	"strconv"
+	"sync"
+	"testing"
+)
 
 // DictFromSnapshot adopts a decoded value table without building the
 // value→id map; string-keyed operations must materialize it lazily and
@@ -69,5 +73,51 @@ func TestDictFromSnapshotRemap(t *testing.T) {
 	out := Remap(from, to)
 	if out[0] != MissingID || out[1] != 0 {
 		t.Fatalf("Remap = %v", out)
+	}
+}
+
+// InternBytes agrees with Intern — on a snapshot dict whose index is
+// still lazy, too — keeps its own copy of a new value (decoders hand it
+// slices of a request body), and is safe beside concurrent Intern calls
+// on the same dictionary.
+func TestDictInternBytes(t *testing.T) {
+	d := DictFromSnapshot([]string{"x", "y"})
+	if id := d.InternBytes([]byte("y")); id != 1 || d.Len() != 2 {
+		t.Fatalf("InternBytes(existing y) = %d with Len %d, want 1 with 2", id, d.Len())
+	}
+	buf := []byte("z")
+	if id := d.InternBytes(buf); id != 2 {
+		t.Fatalf("InternBytes(new z) = %d, want 2", id)
+	}
+	buf[0] = 'q'
+	if got := d.Value(2); got != "z" {
+		t.Fatalf("Value(2) = %q after the caller reused its bytes, want %q", got, "z")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				v := "v" + strconv.Itoa(i%50)
+				if g%2 == 0 {
+					d.InternBytes([]byte(v))
+				} else {
+					d.Intern(v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d.Len() != 3+50 {
+		t.Fatalf("Len = %d after concurrent interning of 50 values, want %d", d.Len(), 3+50)
+	}
+	for i := 0; i < 50; i++ {
+		v := "v" + strconv.Itoa(i)
+		id, ok := d.Lookup(v)
+		if !ok || d.Value(id) != v || d.InternBytes([]byte(v)) != id {
+			t.Fatalf("%q: id %d (found %v) does not round-trip", v, id, ok)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"bagconsistency/internal/bag"
 	"bagconsistency/internal/cache"
 	"bagconsistency/internal/canon"
+	"bagconsistency/internal/table"
 	"bagconsistency/internal/trace"
 )
 
@@ -159,7 +160,8 @@ func encodeCached(rep *Report, can *canon.Canonical) (*cachedResult, error) {
 }
 
 // report materializes the cached result for an instance with the given
-// canonicalization, translating the witness into that instance's values.
+// canonicalization, rebuilding the witness over that instance's own
+// dictionaries.
 func (cr *cachedResult) report(can *canon.Canonical, elapsed time.Duration) (*Report, error) {
 	rep := &Report{
 		Consistent:     cr.consistent,
@@ -172,23 +174,56 @@ func (cr *cachedResult) report(can *canon.Canonical, elapsed time.Duration) (*Re
 		Elapsed:        elapsed,
 	}
 	if cr.witnessAttrs != nil {
-		s, err := bag.NewSchema(cr.witnessAttrs...)
+		w, err := cr.witness(can)
 		if err != nil {
 			return nil, err
-		}
-		w := bag.New(s)
-		for _, row := range cr.witnessRows {
-			vals, err := can.Translate(cr.witnessAttrs, row.indices)
-			if err != nil {
-				return nil, err
-			}
-			if err := w.Add(vals, row.count); err != nil {
-				return nil, err
-			}
 		}
 		rep.Witness = newWitness(w)
 	}
 	return rep, nil
+}
+
+// witness rebuilds the cached witness in id space: each canonical index
+// becomes an id in the instance's dictionary for its attribute by one
+// array load. It keeps the checks string translation made: every index
+// in range, counts non-negative, zero counts dropped, repeated rows
+// summed.
+func (cr *cachedResult) witness(can *canon.Canonical) (*bag.Bag, error) {
+	attrs := cr.witnessAttrs
+	s, err := bag.NewSchema(attrs...)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]*table.Dict, len(attrs))
+	ids := make([][]uint32, len(attrs))
+	for j, a := range attrs {
+		cols[j], ids[j] = can.IDs(a)
+		if cols[j] == nil {
+			cols[j] = table.NewDict() // no values: any row is out of range
+		}
+	}
+	w, err := bag.NewShared(s, cols, len(cr.witnessRows))
+	if err != nil {
+		return nil, err
+	}
+	row := make([]uint32, len(attrs))
+	for _, r := range cr.witnessRows {
+		if len(r.indices) != len(attrs) {
+			return nil, fmt.Errorf("bagconsist: cached witness row has %d indices for %d attributes", len(r.indices), len(attrs))
+		}
+		for j, x := range r.indices {
+			if x < 0 || x >= len(ids[j]) {
+				return nil, fmt.Errorf("bagconsist: cached witness index %d out of range for attribute %q (%d values)", x, attrs[j], len(ids[j]))
+			}
+			if row[j] = ids[j][x]; row[j] == table.MissingID && r.count > 0 {
+				return nil, fmt.Errorf("bagconsist: cached witness index %d of attribute %q is not in the instance's dictionary", x, attrs[j])
+			}
+		}
+		if err := w.AddIDs(row, r.count); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
 }
 
 // optionsKey is the per-Checker component of every cache key: two

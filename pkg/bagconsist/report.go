@@ -66,17 +66,33 @@ type WitnessRow struct {
 	Count  int64    `json:"count"`
 }
 
-// newWitness captures a bag into its wire form. The bag's Each iterates
-// in sorted key order, so the encoding is deterministic.
+// newWitness captures a bag into its wire form, in the bag's sorted
+// tuple order so the encoding is deterministic. Every row's values are
+// resolved into one flat slice.
 func newWitness(b *bag.Bag) *Witness {
 	if b == nil {
 		return nil
 	}
 	w := &Witness{Attrs: b.Schema().Attrs(), b: b}
-	_ = b.Each(func(t bag.Tuple, count int64) error {
-		w.Rows = append(w.Rows, WitnessRow{Values: t.Values(), Count: count})
-		return nil
-	})
+	order := b.OrderedPositions()
+	if len(order) == 0 {
+		return w
+	}
+	v := b.View()
+	width := v.Rows.W
+	dicts := make([][]string, width)
+	for j, d := range v.Cols {
+		dicts[j] = d.Snapshot()
+	}
+	flat := make([]string, len(order)*width)
+	w.Rows = make([]WitnessRow, len(order))
+	for k, pos := range order {
+		vals := flat[k*width : (k+1)*width : (k+1)*width]
+		for j, id := range v.Rows.Row(int(pos)) {
+			vals[j] = dicts[j][id]
+		}
+		w.Rows[k] = WitnessRow{Values: vals, Count: v.Rows.Counts[pos]}
+	}
 	return w
 }
 

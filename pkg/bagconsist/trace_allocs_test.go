@@ -3,6 +3,7 @@ package bagconsist_test
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"bagconsistency/internal/gen"
@@ -81,5 +82,48 @@ func TestTraceAllocBudgets(t *testing.T) {
 	}
 	if allocs := measureFacadePairAllocs(t, true); allocs > tracedPairCheckBudget {
 		t.Fatalf("traced CheckPair allocates %.0f/op, budget %d", allocs, tracedPairCheckBudget)
+	}
+}
+
+// TestCacheHitAllocsFlat: a warm cache hit on a value-renamed pair
+// rebuilds its witness in id space — one array load per index, into
+// buffers sized once — so it allocates the same at every support size.
+// The string translation it replaced allocated per witness row.
+func TestCacheHitAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	// A collection mid-measurement would empty the scratch pools and
+	// charge their refill to whichever size was running.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var first float64
+	for i, support := range []int{64, 256, 1024} {
+		rng := rand.New(rand.NewSource(1))
+		r, s, err := gen.RandomConsistentPair(rng, support, 1<<20, support/8+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll, err := bagconsist.NewCollection2(r, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renamed := renamedCopy(t, coll)
+		checker := bagconsist.New(bagconsist.WithCache(16))
+		ctx := context.Background()
+		if _, err := checker.CheckGlobal(ctx, coll); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			rep, err := checker.CheckGlobal(ctx, renamed)
+			if err != nil || !rep.CacheHit || rep.Witness == nil {
+				t.Fatalf("want a cache hit with a witness: %+v, %v", rep, err)
+			}
+		})
+		t.Logf("support %d: %.0f allocs per warm hit", support, allocs)
+		if i == 0 {
+			first = allocs
+		} else if allocs != first {
+			t.Fatalf("warm hit allocates %.0f at support %d but %.0f at support 64", allocs, support, first)
+		}
 	}
 }
