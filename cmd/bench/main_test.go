@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -101,7 +104,7 @@ func TestQuickSweepWritesJSON(t *testing.T) {
 	}
 }
 
-func TestFamilyListPrevAndCompare(t *testing.T) {
+func TestFamilyListAndCompare(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_new.json")
 	var log bytes.Buffer
@@ -119,33 +122,14 @@ func TestFamilyListPrevAndCompare(t *testing.T) {
 	if !fams["pair"] || !fams["cyclic"] || fams["acyclic"] {
 		t.Fatalf("comma-separated -family selected %v", fams)
 	}
-
-	// A previous-engine document: same entries, 10x slower uncached.
-	prev := *doc
-	prev.Entries = append([]Entry(nil), doc.Entries...)
-	for i := range prev.Entries {
-		prev.Entries[i].NsPerOp *= 10
-	}
-	prevPath := filepath.Join(dir, "BENCH_prev.json")
-	writeDoc(t, prevPath, &prev)
-	if err := embedEngineSpeedups(&log, out, prevPath); err != nil {
-		t.Fatal(err)
-	}
-	doc, err = loadOutput(out)
+	// CI's gate baseline: the run holds every uncached pair and cyclic
+	// entry of the committed BENCH_pr7_quick.json.
+	base, err := loadOutput("../../BENCH_pr7_quick.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := 0
-	for _, sp := range doc.Speedups {
-		if sp.Variant == "engine" {
-			engine++
-			if sp.Speedup < 9.9 || sp.Speedup > 10.1 {
-				t.Errorf("%s: engine speedup %.2fx, want ~10x", sp.Params, sp.Speedup)
-			}
-		}
-	}
-	if engine == 0 {
-		t.Fatal("no engine speedups embedded")
+	if err := covers(doc, base); err != nil {
+		t.Fatal(err)
 	}
 
 	// Compare against itself: zero regression, passes.
@@ -162,6 +146,49 @@ func TestFamilyListPrevAndCompare(t *testing.T) {
 	writeDoc(t, fastPath, &fast)
 	if err := compareBaseline(&log, out, fastPath, false); err == nil {
 		t.Fatal("compare against 2x-faster baseline did not fail")
+	}
+}
+
+// gate runs compareBaseline on a quick baseline of uncached pair entries
+// at 1000 ns/op and a run of the same entries at the given ns/op, minus
+// the entry at index drop (-1 keeps all).
+func gate(t *testing.T, quick bool, drop int, normalize bool, ns ...float64) error {
+	t.Helper()
+	dir := t.TempDir()
+	base, doc := Output{Quick: true}, Output{Quick: quick}
+	for i, n := range ns {
+		e := Entry{Name: fmt.Sprintf("pair/auto/cache=off/support=%d", i), Family: "pair", Cache: "off", NsPerOp: 1000}
+		base.Entries = append(base.Entries, e)
+		if e.NsPerOp = n; i != drop {
+			doc.Entries = append(doc.Entries, e)
+		}
+	}
+	writeDoc(t, filepath.Join(dir, "run.json"), &doc)
+	writeDoc(t, filepath.Join(dir, "base.json"), &base)
+	return compareBaseline(io.Discard, filepath.Join(dir, "run.json"), filepath.Join(dir, "base.json"), normalize)
+}
+
+func TestCompareChecksCoverage(t *testing.T) {
+	if err := gate(t, false, -1, true, 1000, 1000, 1000, 1000); err == nil || !strings.Contains(err.Error(), "full sweep, the baseline the quick sweep") {
+		t.Errorf("full run against quick baseline: %v", err)
+	}
+	if err := gate(t, true, 1, true, 1000, 1000, 1000, 1000); err == nil || !strings.Contains(err.Error(), "support=1") {
+		t.Errorf("run without support=1: %v", err)
+	}
+}
+
+func TestCompareNormalize(t *testing.T) {
+	// The median normalizer cancels a uniform 2x slowdown; the raw gate
+	// does not.
+	if err := gate(t, true, -1, true, 2000, 2000, 2000, 2000); err != nil {
+		t.Errorf("uniform 2x slowdown failed the normalized gate: %v", err)
+	}
+	if err := gate(t, true, -1, false, 2000, 2000, 2000, 2000); err == nil {
+		t.Error("uniform 2x slowdown passed the raw gate")
+	}
+	// One entry 1.5x slower than the rest fails.
+	if err := gate(t, true, -1, true, 1000, 1000, 1500, 1000); err == nil || !strings.Contains(err.Error(), "support=2") {
+		t.Errorf("one entry 1.5x slower than the rest: %v", err)
 	}
 }
 

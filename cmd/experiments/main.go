@@ -2,7 +2,9 @@
 // (its theorems, lemmas, worked examples, and complexity claims) as
 // computational experiments E1–E9, plus the implemented Section 6
 // extensions as E10, printing a paper-claim vs. measured block for each.
-// EXPERIMENTS.md is generated from this output.
+// Every timed row measures a case of the internal/harness workload table,
+// the one cmd/bench and go test -bench measure, and prints its facts from
+// the instance it timed. DESIGN.md's Experiments section describes each.
 //
 // Usage:
 //
@@ -14,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -33,19 +34,44 @@ import (
 // a single background context is threaded through every public-API call.
 var ctx = context.Background()
 
-// hopts selects the shared-harness measurement floor. All timings printed
-// by the experiments go through internal/harness — the same loop
-// cmd/bench records BENCH_*.json with — so the two tools' numbers agree.
-// Every measured block first makes one authoritative call to print the
-// decision fields; that call doubles as the warmup, so the harness's own
-// warmup is skipped (it would re-run multi-second exact searches).
-func hopts(quick bool) harness.Options {
-	o := harness.Options{}
-	if quick {
-		o = harness.Quick
+// timedRow is a table case's instance, the report of its authoritative
+// call and its measured time per operation.
+type timedRow struct {
+	harness.Instance
+	rep  *bagconsist.Report
+	took time.Duration
+}
+
+// timed sets up the named table case and times its operation through
+// internal/harness, the loop cmd/bench records BENCH_*.json with, so the
+// two tools' numbers agree. The row's facts come from one authoritative
+// call first; it doubles as the warmup, so the harness's own is skipped
+// (it would re-run multi-second exact searches).
+func timed(name string, quick bool) (timedRow, error) {
+	c, err := harness.Find(name)
+	if err != nil {
+		return timedRow{}, err
 	}
-	o.SkipWarmup = true
-	return o
+	run, err := c.Setup()
+	if err != nil {
+		return timedRow{}, fmt.Errorf("%s: %w", name, err)
+	}
+	defer run.Close()
+	row := timedRow{Instance: run.Instance}
+	if row.rep, err = run.Op(); err != nil {
+		return row, fmt.Errorf("%s: %w", name, err)
+	}
+	opts := harness.Options{}
+	if quick {
+		opts = harness.Quick
+	}
+	opts.SkipWarmup = true
+	res, err := harness.Measure(func() error { _, err := run.Op(); return err }, opts)
+	if err != nil {
+		return row, fmt.Errorf("%s: %w", name, err)
+	}
+	row.took = res.Duration().Round(time.Microsecond)
+	return row, nil
 }
 
 func main() {
@@ -138,39 +164,18 @@ func e1(out io.Writer, quick bool) error {
 	}
 	fmt.Fprintln(out, "measured scaling (support size -> pair-test time, witness time, witness valid):")
 	for _, n := range sizes {
-		r, s, err := gen.RandomConsistentPair(rng, n, 1<<20, int(math.Sqrt(float64(n)))+2)
+		check, err := timed(fmt.Sprintf("experiments/e1-check-pair/cache=off/support=%d", n), quick)
 		if err != nil {
 			return err
 		}
-		checker := bagconsist.New(bagconsist.WithWitnessMinimization(false))
-		crep, err := checker.CheckPair(ctx, r, s)
+		wit, err := timed(fmt.Sprintf("experiments/e1-pair-witness/cache=off/support=%d", n), quick)
 		if err != nil {
 			return err
 		}
-		ok := crep.Consistent
-		checkRes, err := harness.Measure(func() error {
-			_, err := checker.CheckPair(ctx, r, s)
-			return err
-		}, hopts(quick))
-		if err != nil {
-			return err
-		}
-		tCheck := checkRes.Duration()
-		wrep, err := checker.PairWitness(ctx, r, s)
-		if err != nil {
-			return err
-		}
-		witnessRes, err := harness.Measure(func() error {
-			_, err := checker.PairWitness(ctx, r, s)
-			return err
-		}, hopts(quick))
-		if err != nil {
-			return err
-		}
-		tWitness := witnessRes.Duration()
+		r, s := wit.R, wit.S
 		valid := false
-		if wrep.Consistent {
-			w, err := wrep.WitnessBag()
+		if wit.rep.Consistent {
+			w, err := wit.rep.WitnessBag()
 			if err != nil {
 				return err
 			}
@@ -185,7 +190,7 @@ func e1(out io.Writer, quick bool) error {
 			valid = wr.Equal(r) && ws.Equal(s)
 		}
 		fmt.Fprintf(out, "  |R'|=%-5d |S'|=%-5d consistent=%-5v check=%-10v witness=%-10v valid=%v\n",
-			r.SupportSize(), s.SupportSize(), ok, tCheck.Round(time.Microsecond), tWitness.Round(time.Microsecond), valid)
+			r.SupportSize(), s.SupportSize(), check.rep.Consistent, check.took, wit.took, valid)
 	}
 	return nil
 }
@@ -374,7 +379,6 @@ func e5(out io.Writer, quick bool) error {
 // acyclic path vs super-polynomial growth of branch-and-bound on the
 // triangle (3DCT).
 func e6(out io.Writer, quick bool) error {
-	rng := rand.New(rand.NewSource(6))
 	fmt.Fprintln(out, "paper: GCPB(H) ∈ P for acyclic H; NP-complete for cyclic H (e.g. the triangle, via 3DCT).")
 	fmt.Fprintln(out, "measured (acyclic path P_m, marginal instances, domain 4):")
 	ms := []int{4, 8, 16, 32}
@@ -382,23 +386,11 @@ func e6(out io.Writer, quick bool) error {
 		ms = []int{4, 8}
 	}
 	for _, m := range ms {
-		c, _, err := gen.RandomConsistent(rng, hypergraph.Path(m+1), 64, 1<<16, 4)
+		row, err := timed(fmt.Sprintf("acyclic/path/cache=off/m=%d,mult=65536", m), quick)
 		if err != nil {
 			return err
 		}
-		checker := bagconsist.New()
-		rep, err := checker.CheckGlobal(ctx, c)
-		if err != nil {
-			return err
-		}
-		res, err := harness.Measure(func() error {
-			_, err := checker.CheckGlobal(ctx, c)
-			return err
-		}, hopts(quick))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  m=%-3d bags: consistent=%v method=%s time=%v\n", m, rep.Consistent, rep.Method, res.Duration().Round(time.Microsecond))
+		fmt.Fprintf(out, "  m=%-3d bags: consistent=%v method=%s time=%v\n", m, row.rep.Consistent, row.rep.Method, row.took)
 	}
 	fmt.Fprintln(out, "measured (cyclic triangle C3, random interior 3DCT margins, exact search):")
 	ns := []int{2, 3, 4, 5}
@@ -406,27 +398,11 @@ func e6(out io.Writer, quick bool) error {
 		ns = []int{2, 3}
 	}
 	for _, n := range ns {
-		inst, err := gen.RandomThreeDCT(rng, n, 3)
+		row, err := timed(fmt.Sprintf("cyclic/3dct/integer-program/cache=off/n=%d", n), quick)
 		if err != nil {
 			return err
 		}
-		c, err := inst.ToCollection()
-		if err != nil {
-			return err
-		}
-		checker := bagconsist.New(bagconsist.WithMaxNodes(50_000_000))
-		rep, err := checker.CheckGlobal(ctx, c)
-		if err != nil {
-			return err
-		}
-		res, err := harness.Measure(func() error {
-			_, err := checker.CheckGlobal(ctx, c)
-			return err
-		}, hopts(quick))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  n=%-3d cube: consistent=%v method=%s nodes=%-8d time=%v\n", n, rep.Consistent, rep.Method, rep.Nodes, res.Duration().Round(time.Microsecond))
+		fmt.Fprintf(out, "  n=%-3d cube: consistent=%v method=%s nodes=%-8d time=%v\n", n, row.rep.Consistent, row.rep.Method, row.rep.Nodes, row.took)
 	}
 	fmt.Fprintln(out, "measured (cyclic triangle C3, boundary instances: margins perturbed by")
 	fmt.Fprintln(out, " pairwise-consistency-preserving rectangle swaps; worst of 3 trials):")
@@ -435,6 +411,9 @@ func e6(out io.Writer, quick bool) error {
 		bs = []int{3, 4}
 	}
 	const budget = 2_000_000
+	// The boundary trials are not a benchmark workload: they show budget
+	// exhaustion on a few fresh draws per size, from their own generator.
+	rng := rand.New(rand.NewSource(6))
 	for _, n := range bs {
 		var worstNodes int64
 		var worstTime time.Duration
@@ -483,7 +462,6 @@ func e6(out io.Writer, quick bool) error {
 
 // e7 measures the witness-size guarantees of Theorems 5 and 6.
 func e7(out io.Writer, quick bool) error {
-	rng := rand.New(rand.NewSource(7))
 	fmt.Fprintln(out, "paper: minimal pair witnesses have ‖W‖supp ≤ ‖R‖supp+‖S‖supp (Thm 5); over acyclic")
 	fmt.Fprintln(out, "       schemas a witness with ‖W‖supp ≤ Σ‖Ri‖supp is built in polynomial time (Thm 6).")
 	fmt.Fprintln(out, "measured (minimal pair witnesses):")
@@ -492,25 +470,13 @@ func e7(out io.Writer, quick bool) error {
 		sizes = []int{16, 64}
 	}
 	for _, n := range sizes {
-		r, s, err := gen.RandomConsistentPair(rng, n, 1<<12, 6)
+		row, err := timed(fmt.Sprintf("experiments/e7-pair-witness/cache=off/support=%d", n), quick)
 		if err != nil {
 			return err
 		}
-		checker := bagconsist.New()
-		wrep, err := checker.PairWitness(ctx, r, s)
-		if err != nil {
-			return fmt.Errorf("consistent pair rejected: %w", err)
-		}
-		res, err := harness.Measure(func() error {
-			_, err := checker.PairWitness(ctx, r, s)
-			return err
-		}, hopts(quick))
-		if err != nil {
-			return err
-		}
+		bound := row.R.SupportSize() + row.S.SupportSize()
 		fmt.Fprintf(out, "  |R'|+|S'|=%-5d ‖W‖supp=%-5d bound-holds=%-5v time=%v\n",
-			r.SupportSize()+s.SupportSize(), wrep.WitnessSupport,
-			wrep.WitnessSupport <= r.SupportSize()+s.SupportSize(), res.Duration().Round(time.Microsecond))
+			bound, row.rep.WitnessSupport, row.rep.WitnessSupport <= bound, row.took)
 	}
 	fmt.Fprintln(out, "measured (acyclic composition over stars):")
 	stars := []int{8, 16, 32, 64}
@@ -518,36 +484,24 @@ func e7(out io.Writer, quick bool) error {
 		stars = []int{8, 16}
 	}
 	for _, m := range stars {
-		c, _, err := gen.RandomConsistent(rng, hypergraph.Star(m), 48, 1<<10, 4)
+		row, err := timed(fmt.Sprintf("experiments/e7-witness/cache=off/star,m=%d", m), quick)
 		if err != nil {
 			return err
 		}
 		sum := 0
-		for _, b := range c.Bags() {
+		for _, b := range row.Coll.Bags() {
 			sum += b.SupportSize()
 		}
-		checker := bagconsist.New()
-		rep, err := checker.Witness(ctx, c)
-		if err != nil {
-			return fmt.Errorf("marginal collection rejected: %w", err)
-		}
-		w, err := rep.WitnessBag()
+		w, err := row.rep.WitnessBag()
 		if err != nil {
 			return err
 		}
-		valid, err := c.VerifyWitness(w)
-		if err != nil {
-			return err
-		}
-		res, err := harness.Measure(func() error {
-			_, err := checker.Witness(ctx, c)
-			return err
-		}, hopts(quick))
+		valid, err := row.Coll.VerifyWitness(w)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "  m=%-3d bags: ‖W‖supp=%-5d Σ‖Ri‖supp=%-5d bound-holds=%-5v valid=%-5v time=%v\n",
-			m, rep.WitnessSupport, sum, rep.WitnessSupport <= sum, valid, res.Duration().Round(time.Microsecond))
+			m, row.rep.WitnessSupport, sum, row.rep.WitnessSupport <= sum, valid, row.took)
 	}
 	return nil
 }
@@ -668,36 +622,16 @@ func e9(out io.Writer, quick bool) error {
 		sizes = []int{8, 16}
 	}
 	for _, n := range sizes {
-		h := hypergraph.Triangle()
-		g, err := gen.RandomGlobalBag(rng, h, n, 1, n)
+		row, err := timed(fmt.Sprintf("core/relational-consistent/cache=off/triangle,size=%d", n), quick)
 		if err != nil {
 			return err
 		}
-		var rels []*relational.Relation
-		for i := 0; i < h.NumEdges(); i++ {
-			s, err := bag.NewSchema(h.Edge(i)...)
-			if err != nil {
-				return err
-			}
-			m, err := g.Marginal(s)
-			if err != nil {
-				return err
-			}
-			rels = append(rels, relational.FromBagSupport(m))
-		}
-		consistent, _, err := relational.GloballyConsistent(rels)
-		if err != nil {
-			return err
-		}
-		res, err := harness.Measure(func() error {
-			_, _, err := relational.GloballyConsistent(rels)
-			return err
-		}, hopts(quick))
+		consistent, _, err := relational.GloballyConsistent(row.Rels)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "  |Ri| ≈ %-4d consistent=%v time=%v (polynomial: full join + projections)\n",
-			rels[0].Len(), consistent, res.Duration().Round(time.Microsecond))
+			row.Rels[0].Len(), consistent, row.took)
 	}
 	return nil
 }

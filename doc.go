@@ -34,7 +34,7 @@
 //	internal/metrics     dependency-free counters/gauges/histograms with
 //	                     Prometheus text exposition
 //	internal/buildinfo   version/commit stamping behind every -version flag
-//	internal/harness     the shared timing loop behind cmd/bench and cmd/experiments
+//	internal/harness     the timing loop and the one table of measured workloads
 //	internal/relational  the set-semantics baseline
 //	internal/reductions  HLY80 3-coloring, 3DCT, and the Lemma 6/7 lifts
 //	internal/gen         instance families and random workloads
@@ -47,8 +47,8 @@
 // cmd/bench (the reproducible performance sweeps behind BENCH_pr2.json
 // and the cold-vs-warm-restart BENCH_pr4.json), and cmd/bagcd (the HTTP
 // serving daemon of docs/SERVING.md, persistent with -data-dir).
-// The benchmarks in bench_test.go regenerate every experiment's
-// measurement and additionally exercise the public API surface.
+// bench_test.go runs the quick sweep of the internal/harness workload
+// table as go test -bench sub-benchmarks.
 // docs/PAPER_MAP.md maps each of the paper's results to the code
 // reproducing it.
 package bagconsistency

@@ -1,8 +1,10 @@
-// Package harness is the shared timing harness behind cmd/bench and
-// cmd/experiments: one measurement loop, one definition of ns/op and
-// allocs/op, so every number the repo reports is produced the same way
-// and the trajectories in BENCH_*.json are comparable with the
-// experiment printouts.
+// Package harness holds the repo's one table of measured workloads
+// (Cases) and its one measurement loop (Measure). Each case is a seeded
+// instance, a configured operation and the answer check that operation
+// makes, under the name cmd/bench reports it by. cmd/bench, the root
+// package's go test -bench adapter and cmd/experiments all read the
+// table, so a workload has one definition and one name in every tool;
+// cmd/bench and cmd/experiments time it through Measure.
 //
 // The loop mirrors testing.B's shape — warm up, then run batches of
 // doubling size until the minimum measurement time is reached — but works
@@ -14,7 +16,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 )
@@ -36,11 +37,6 @@ type Result struct {
 
 // Duration returns the mean wall time per iteration.
 func (r Result) Duration() time.Duration { return time.Duration(r.NsPerOp) }
-
-// String renders the result the way Go benchmarks do.
-func (r Result) String() string {
-	return fmt.Sprintf("%d iterations, %.0f ns/op, %.0f allocs/op", r.Iterations, r.NsPerOp, r.AllocsPerOp)
-}
 
 // Options tunes a measurement.
 type Options struct {
