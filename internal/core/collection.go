@@ -293,11 +293,15 @@ func (c *Collection) BuildProgram() (*ilp.Problem, []bag.Tuple, error) {
 		projs[i] = p
 	}
 
+	// Every column touches one row per bag: the row lists are slices of
+	// one backing array, capped so no list can grow into the next.
+	nb := len(c.bags)
 	cols := make([][]int, len(tuples))
+	backing := make([]int, len(tuples)*nb)
 	projRow := table.GetUint32s(jw)
 	defer table.PutUint32s(projRow)
 	for tj, jpos := range jorder {
-		rows := make([]int, len(c.bags))
+		rows := backing[tj*nb : (tj+1)*nb : (tj+1)*nb]
 		base := int(jpos) * jw
 		for i := range c.bags {
 			p := &projs[i]

@@ -88,8 +88,20 @@ func engineProgram(t *testing.T, c *core.Collection) *ilp.Problem {
 	return p
 }
 
-func TestDifferentialEngineCorpora(t *testing.T) {
+// corpusProgram is one engine-built program with its known verdict.
+type corpusProgram struct {
+	label string
+	p     *ilp.Problem
+	want  bool
+}
+
+// engineCorpora builds the engine programs of the differential suite:
+// 3DCT margins (feasible), pairwise consistent but infeasible 3DCT
+// perturbations, and near-acyclic schemas at every chord count.
+func engineCorpora(t *testing.T) []corpusProgram {
+	t.Helper()
 	rng := rand.New(rand.NewSource(17))
+	var out []corpusProgram
 
 	// Feasible: margins of random 3-dimensional contingency tables.
 	for trial := 0; trial < 6; trial++ {
@@ -101,7 +113,7 @@ func TestDifferentialEngineCorpora(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSweep(t, engineProgram(t, coll), true, "threedct")
+		out = append(out, corpusProgram{"threedct", engineProgram(t, coll), true})
 	}
 
 	// Infeasible but pairwise consistent: the NP-hard regime's core shape.
@@ -114,7 +126,7 @@ func TestDifferentialEngineCorpora(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSweep(t, engineProgram(t, coll), false, "infeasible-threedct")
+		out = append(out, corpusProgram{"infeasible-threedct", engineProgram(t, coll), false})
 	}
 
 	// Feasible near-acyclic schemas: path plus chords at every k.
@@ -127,7 +139,14 @@ func TestDifferentialEngineCorpora(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSweep(t, engineProgram(t, coll), true, "near-acyclic")
+		out = append(out, corpusProgram{"near-acyclic", engineProgram(t, coll), true})
+	}
+	return out
+}
+
+func TestDifferentialEngineCorpora(t *testing.T) {
+	for _, c := range engineCorpora(t) {
+		checkSweep(t, c.p, c.want, c.label)
 	}
 }
 

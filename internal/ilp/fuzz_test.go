@@ -45,9 +45,11 @@ func decodeProblem(data []byte) *ilp.Problem {
 }
 
 // FuzzSolve asserts the solver's safety contract on arbitrary small
-// programs: no panics, the node budget is always respected (with at most
-// worker-count overshoot), sequential and parallel verdicts agree, and
-// every reported solution verifies exactly.
+// programs: no panics, the sequential search matches the clone oracle
+// (verdict, witness, node count, errors and enumeration order), the node
+// budget is always respected (with at most worker-count overshoot),
+// sequential and parallel verdicts agree, and every reported solution
+// verifies exactly.
 func FuzzSolve(f *testing.F) {
 	// Degenerate corpus: empty program, single variable, infeasible at
 	// the root, and a multi-row system with shared columns.
@@ -62,6 +64,7 @@ func FuzzSolve(f *testing.F) {
 		if p == nil {
 			return
 		}
+		matchOracle(t, "fuzz", p, false)
 		const budget = 20_000
 		seq, seqErr := ilp.Solve(p, ilp.Options{MaxNodes: budget})
 		for _, w := range []int{1, 4} {

@@ -127,13 +127,20 @@ func (p *Problem) Verify(x []int64) bool {
 
 // searcher holds the mutable search state.
 type searcher struct {
-	p        *Problem
-	rowCols  [][]int // rows -> columns touching them
+	p *Problem
+	// Row i's columns are rowCol[rowStart[i]:rowStart[i+1]], in column
+	// order.
+	rowStart []int
+	rowCol   []int
 	opts     Options
 	ctx      context.Context
 	nodes    int64
 	ticks    int64 // branch attempts, including ones that fail propagation
 	maxNodes int64
+	// trail lists the assigned columns in assignment order, so the
+	// sequential search can undo back to a mark. It is nil in the parallel
+	// search, whose frames own their states and never undo.
+	trail []int
 }
 
 // ctxCheckMask controls how often the search polls its context: every
@@ -142,23 +149,28 @@ type searcher struct {
 // any hardware that can run the search at all.
 const ctxCheckMask = 1<<10 - 1
 
-// state is one node's residuals and column activity. Columns are "active"
-// while unassigned; assigning a column subtracts its value from residuals
-// and deactivates it.
+// state is the search's residuals and column assignment. A column is
+// active while unassigned (x is -1); assigning it subtracts its value from
+// its rows' residuals. The slices share one backing array, so a copy is
+// one allocation.
 type state struct {
-	residual []int64
-	active   []bool
-	nActive  []int // active column count per row
-	x        []int64
+	residual []int64 // per row
+	nActive  []int64 // per row: active columns, one per Cols entry
+	x        []int64 // per column: its value, or -1 while active
+	nonzero  int     // rows whose residual is not 0
 }
 
-func (s *state) clone() *state {
-	c := &state{
-		residual: append([]int64(nil), s.residual...),
-		active:   append([]bool(nil), s.active...),
-		nActive:  append([]int(nil), s.nActive...),
-		x:        append([]int64(nil), s.x...),
-	}
+func newState(m, n int) state {
+	buf := make([]int64, 2*m+n)
+	return state{residual: buf[:m:m], nActive: buf[m : 2*m : 2*m], x: buf[2*m:]}
+}
+
+func (s *state) clone() state {
+	c := newState(len(s.residual), len(s.x))
+	copy(c.residual, s.residual)
+	copy(c.nActive, s.nActive)
+	copy(c.x, s.x)
+	c.nonzero = s.nonzero
 	return c
 }
 
@@ -196,7 +208,7 @@ func solveTraced(ctx context.Context, p *Problem, opts Options, span *trace.Span
 	}
 	var found []int64
 	solved := false
-	err = sr.dfs(st, nil, func(x []int64) error {
+	err = sr.search(st, func(x []int64) error {
 		// An explicit flag, not found != nil: the zero-column program's
 		// solution is the empty slice, which append leaves nil.
 		found = append([]int64(nil), x...)
@@ -242,7 +254,7 @@ func EnumerateContext(ctx context.Context, p *Problem, opts Options, fn func(x [
 	if err != nil {
 		return err
 	}
-	return sr.dfs(st, nil, fn)
+	return sr.search(st, fn)
 }
 
 // errStop is a sentinel used by Solve to stop after the first solution.
@@ -255,78 +267,135 @@ func newSearch(ctx context.Context, p *Problem, opts Options) (*searcher, *state
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rowCols := make([][]int, p.M)
-	for j, rows := range p.Cols {
+	// Count each row's entries and accumulate them to the end of each
+	// row's run, then place the columns from last to first: every cursor
+	// walks back to its row's start, leaving the run in column order.
+	rowStart := make([]int, p.M+1)
+	for _, rows := range p.Cols {
 		for _, r := range rows {
-			rowCols[r] = append(rowCols[r], j)
+			rowStart[r]++
+		}
+	}
+	for i := 1; i <= p.M; i++ {
+		rowStart[i] += rowStart[i-1]
+	}
+	rowCol := make([]int, rowStart[p.M])
+	for j := len(p.Cols) - 1; j >= 0; j-- {
+		for _, r := range p.Cols[j] {
+			rowStart[r]--
+			rowCol[rowStart[r]] = j
 		}
 	}
 	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	st := &state{
-		residual: append([]int64(nil), p.B...),
-		active:   make([]bool, len(p.Cols)),
-		nActive:  make([]int, p.M),
-		x:        make([]int64, len(p.Cols)),
+	st := newState(p.M, len(p.Cols))
+	copy(st.residual, p.B)
+	for i, b := range p.B {
+		st.nActive[i] = int64(rowStart[i+1] - rowStart[i])
+		if b != 0 {
+			st.nonzero++
+		}
 	}
-	for j := range st.active {
-		st.active[j] = true
+	for j := range st.x {
 		st.x[j] = -1
 	}
-	for i, cols := range rowCols {
-		st.nActive[i] = len(cols)
-	}
-	return &searcher{p: p, rowCols: rowCols, opts: opts, ctx: ctx, maxNodes: maxNodes}, st, nil
+	sr := &searcher{p: p, rowStart: rowStart, rowCol: rowCol, opts: opts, ctx: ctx, maxNodes: maxNodes}
+	return sr, &st, nil
 }
 
-// assign fixes column j to value v in-place; returns false on immediate
-// contradiction (a positive-residual row with no active columns).
+// search runs the sequential search from the root state st, in place.
+func (sr *searcher) search(st *state, fn func(x []int64) error) error {
+	// A column is on the trail only while assigned, so len(p.Cols) bounds it.
+	sr.trail = make([]int, 0, len(sr.p.Cols))
+	return sr.dfs(st, -1, nil, fn)
+}
+
+// assign fixes active column j to v and reports whether all of j's rows
+// can still be met: no residual went negative, and no positive residual
+// lost its last active column. It updates every row either way, so undo
+// restores the state exactly.
 func (sr *searcher) assign(st *state, j int, v int64) bool {
-	st.active[j] = false
 	st.x[j] = v
+	if sr.trail != nil {
+		sr.trail = append(sr.trail, j)
+	}
+	ok := true
 	for _, r := range sr.p.Cols[j] {
-		st.residual[r] -= v
-		st.nActive[r]--
-		if st.residual[r] < 0 {
-			return false
+		res := st.residual[r]
+		if v != 0 {
+			res = st.addResidual(r, -v)
 		}
-		if st.residual[r] > 0 && st.nActive[r] == 0 {
+		st.nActive[r]--
+		if res < 0 || res > 0 && st.nActive[r] == 0 {
+			ok = false
+		}
+	}
+	return ok
+}
+
+// addResidual adds d to row r's residual, keeps nonzero current, and
+// returns the new residual.
+func (st *state) addResidual(r int, d int64) int64 {
+	res := st.residual[r]
+	if res != 0 {
+		st.nonzero--
+	}
+	res += d
+	if res != 0 {
+		st.nonzero++
+	}
+	st.residual[r] = res
+	return res
+}
+
+// undo unassigns the columns the trail recorded after mark.
+func (sr *searcher) undo(st *state, mark int) {
+	for k := len(sr.trail) - 1; k >= mark; k-- {
+		j := sr.trail[k]
+		v := st.x[j]
+		st.x[j] = -1
+		for _, r := range sr.p.Cols[j] {
+			if v != 0 {
+				st.addResidual(r, v)
+			}
+			st.nActive[r]++
+		}
+	}
+	sr.trail = sr.trail[:mark]
+}
+
+// propagate applies the zero-residual rule: every active column on a
+// zero-residual row must be 0. Assigning 0 changes no residual, so one
+// pass over the zero rows reaches the fixpoint. The root (branch < 0)
+// scans every row. Below it, the parent's propagation left no active
+// column on a zero row and only the branch column's rows changed, so only
+// those are visited. Returns false on contradiction.
+func (sr *searcher) propagate(st *state, branch int) bool {
+	if branch < 0 {
+		for i := 0; i < sr.p.M; i++ {
+			if !sr.zeroRow(st, i) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, r := range sr.p.Cols[branch] {
+		if !sr.zeroRow(st, r) {
 			return false
 		}
 	}
 	return true
 }
 
-// propagate applies the zero-residual rule to fixpoint: any active column
-// touching a zero-residual row must be 0. Returns false on contradiction.
-func (sr *searcher) propagate(st *state) bool {
-	for {
-		changed := false
-		for i := 0; i < sr.p.M; i++ {
-			if st.residual[i] != 0 || st.nActive[i] == 0 {
-				continue
-			}
-			for _, j := range sr.rowCols[i] {
-				if st.active[j] {
-					if !sr.assign(st, j, 0) {
-						return false
-					}
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return true
-		}
+// zeroRow assigns 0 to row i's active columns if its residual is 0.
+func (sr *searcher) zeroRow(st *state, i int) bool {
+	if st.residual[i] != 0 || st.nActive[i] == 0 {
+		return true
 	}
-}
-
-// done reports whether all residuals are zero.
-func (st *state) done() bool {
-	for _, r := range st.residual {
-		if r != 0 {
+	for _, j := range sr.rowCol[sr.rowStart[i]:sr.rowStart[i+1]] {
+		if st.x[j] < 0 && !sr.assign(st, j, 0) {
 			return false
 		}
 	}
@@ -359,7 +428,7 @@ func (sr *searcher) lpBound(st *state, hint lp.Basis) (bool, lp.Basis, error) {
 	var cols [][]int
 	var ids []int
 	for j, rows := range sr.p.Cols {
-		if st.active[j] {
+		if st.x[j] < 0 {
 			cols = append(cols, rows)
 			ids = append(ids, j)
 		}
@@ -382,18 +451,19 @@ func (sr *searcher) lpBound(st *state, hint lp.Basis) (bool, lp.Basis, error) {
 // no branch exists — a positive-residual row with no active column is a
 // contradiction.
 func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
-	row := -1
-	for i := 0; i < sr.p.M; i++ {
-		if st.residual[i] > 0 && (row < 0 || st.nActive[i] < st.nActive[row]) {
-			row = i
+	row, fewest := -1, int64(0)
+	nActive := st.nActive[:len(st.residual)]
+	for i, r := range st.residual {
+		if r > 0 && (row < 0 || nActive[i] < fewest) {
+			row, fewest = i, nActive[i]
 		}
 	}
 	if row < 0 {
-		return 0, 0, false // unreachable: done() was false but no positive residual
+		return 0, 0, false // unreachable: a residual is nonzero but none is positive
 	}
 	branch = -1
-	for _, j := range sr.rowCols[row] {
-		if st.active[j] {
+	for _, j := range sr.rowCol[sr.rowStart[row]:sr.rowStart[row+1]] {
+		if st.x[j] < 0 {
 			branch = j
 			break
 		}
@@ -410,14 +480,17 @@ func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
 	return branch, ub, true
 }
 
-// dfs runs the branch-and-bound search. fn is invoked on each complete
-// solution; returning errStop (or any error) unwinds the search. hint is
-// the LP basis of the parent node's relaxation (nil at the root), threaded
-// down so each node's simplex warm-starts from its parent. The branch
-// column's values are tried from ub down to 0: large values saturate
-// residuals and trigger propagation, so margin-style systems reach a
-// feasible corner quickly.
-func (sr *searcher) dfs(st *state, hint lp.Basis, fn func(x []int64) error) error {
+// dfs runs the branch-and-bound search in place on st: each branch
+// attempt assigns the branch column, searches the child, and undoes back
+// to the node's trail mark. branch is the column the parent assigned (-1
+// at the root). fn is invoked on each complete solution; returning
+// errStop (or any error) unwinds the search and leaves st mid-search.
+// hint is the LP basis of the parent node's relaxation (nil at the
+// root), threaded down so each node's simplex warm-starts from its
+// parent. The branch column's values are tried from ub down to 0: large
+// values saturate residuals and trigger propagation, so margin-style
+// systems reach a feasible corner quickly.
+func (sr *searcher) dfs(st *state, branch int, hint lp.Basis, fn func(x []int64) error) error {
 	sr.nodes++
 	if sr.nodes > sr.maxNodes {
 		return ErrNodeLimit
@@ -427,20 +500,21 @@ func (sr *searcher) dfs(st *state, hint lp.Basis, fn func(x []int64) error) erro
 			return err
 		}
 	}
-	if !sr.propagate(st) {
+	if !sr.propagate(st, branch) {
 		return nil
 	}
-	if st.done() {
+	if st.nonzero == 0 {
 		return fn(st.solution())
 	}
 	ok, basis, err := sr.lpBound(st, hint)
 	if err != nil || !ok {
 		return err
 	}
-	branch, ub, ok := sr.branchOn(st)
+	col, ub, ok := sr.branchOn(st)
 	if !ok {
 		return nil
 	}
+	mark := len(sr.trail)
 	for v := ub; v >= 0; v-- {
 		// Branch attempts that die in assign never reach dfs's node-counter
 		// poll, and a single value sweep can be 2^16 iterations on
@@ -452,13 +526,12 @@ func (sr *searcher) dfs(st *state, hint lp.Basis, fn func(x []int64) error) erro
 				return err
 			}
 		}
-		child := st.clone()
-		if !sr.assign(child, branch, v) {
-			continue
+		if sr.assign(st, col, v) {
+			if err := sr.dfs(st, col, basis, fn); err != nil {
+				return err
+			}
 		}
-		if err := sr.dfs(child, basis, fn); err != nil {
-			return err
-		}
+		sr.undo(st, mark)
 	}
 	return nil
 }

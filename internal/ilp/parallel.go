@@ -21,12 +21,14 @@ import (
 // the first solution any worker reaches; which solution that is, and how
 // many nodes were expanded before it, legitimately vary run to run.
 
-// frame is a lazily expanded search node: the node's state together with
-// the chosen branch column and the next candidate value to try. Child
-// states are cloned per value, so a frame is owned by exactly one worker
-// at a time and ownership transfers wholesale on donation.
+// frame is a lazily expanded search node: the node's propagated state
+// together with the chosen branch column and the next candidate value to
+// try. Each child starts from a copy of the frame's state, made in one
+// allocation, so a frame is owned by exactly one worker at a time and
+// ownership transfers wholesale on donation. The parallel search keeps no
+// undo trail.
 type frame struct {
-	st     *state
+	st     state
 	branch int
 	next   int64    // next candidate value for st.x[branch], counting down to 0
 	basis  lp.Basis // parent relaxation basis, read-only once set
@@ -35,7 +37,8 @@ type frame struct {
 // parSearcher is the shared coordination state of one parallel solve.
 type parSearcher struct {
 	p        *Problem
-	rowCols  [][]int
+	rowStart []int
+	rowCol   []int
 	opts     Options
 	ctx      context.Context
 	maxNodes int64
@@ -64,7 +67,8 @@ func solveParallel(ctx context.Context, p *Problem, opts Options) (*Solution, er
 	}
 	ps := &parSearcher{
 		p:        p,
-		rowCols:  sr.rowCols,
+		rowStart: sr.rowStart,
+		rowCol:   sr.rowCol,
 		opts:     opts,
 		ctx:      sr.ctx,
 		maxNodes: sr.maxNodes,
@@ -75,7 +79,7 @@ func solveParallel(ctx context.Context, p *Problem, opts Options) (*Solution, er
 
 	// Expand the root inline: a root that is solved, refuted, or over
 	// budget never needs workers at all.
-	root, rootErr := ps.expand(sr, st, nil)
+	root, rootErr := ps.expand(sr, st, -1, nil)
 	ps.mu.Lock()
 	rootDone := ps.done
 	ps.mu.Unlock()
@@ -119,7 +123,7 @@ func solveParallel(ctx context.Context, p *Problem, opts Options) (*Solution, er
 func (ps *parSearcher) worker() {
 	// assign/propagate/lpBound/branchOn only read the shared problem, so a
 	// per-worker searcher shell is race-free by construction.
-	sr := &searcher{p: ps.p, rowCols: ps.rowCols, opts: ps.opts, ctx: ps.ctx}
+	sr := &searcher{p: ps.p, rowStart: ps.rowStart, rowCol: ps.rowCol, opts: ps.opts, ctx: ps.ctx}
 	var stack []*frame
 	var ticks int64
 	for {
@@ -152,10 +156,10 @@ func (ps *parSearcher) worker() {
 			}
 		}
 		child := f.st.clone()
-		if !sr.assign(child, f.branch, v) {
+		if !sr.assign(&child, f.branch, v) {
 			continue
 		}
-		nf, err := ps.expand(sr, child, f.basis)
+		nf, err := ps.expand(sr, &child, f.branch, f.basis)
 		if err != nil {
 			ps.fail(err)
 			return
@@ -169,8 +173,9 @@ func (ps *parSearcher) worker() {
 
 // expand processes one search node — budget, propagation, completion test,
 // LP bound, branch selection — and returns the frame to push, or nil when
-// the node is a leaf (solution, contradiction, or prune).
-func (ps *parSearcher) expand(sr *searcher, st *state, hint lp.Basis) (*frame, error) {
+// the node is a leaf (solution, contradiction, or prune). branch is the
+// column the parent assigned (-1 at the root), as in dfs.
+func (ps *parSearcher) expand(sr *searcher, st *state, branch int, hint lp.Basis) (*frame, error) {
 	n := ps.nodes.Add(1)
 	if n > ps.maxNodes {
 		return nil, ErrNodeLimit
@@ -180,10 +185,10 @@ func (ps *parSearcher) expand(sr *searcher, st *state, hint lp.Basis) (*frame, e
 			return nil, err
 		}
 	}
-	if !sr.propagate(st) {
+	if !sr.propagate(st, branch) {
 		return nil, nil
 	}
-	if st.done() {
+	if st.nonzero == 0 {
 		ps.publish(st.solution())
 		return nil, nil
 	}
@@ -191,11 +196,11 @@ func (ps *parSearcher) expand(sr *searcher, st *state, hint lp.Basis) (*frame, e
 	if err != nil || !ok {
 		return nil, err
 	}
-	branch, ub, ok := sr.branchOn(st)
+	col, ub, ok := sr.branchOn(st)
 	if !ok {
 		return nil, nil
 	}
-	return &frame{st: st, branch: branch, next: ub, basis: basis}, nil
+	return &frame{st: *st, branch: col, next: ub, basis: basis}, nil
 }
 
 // take pops the oldest frontier frame (oldest-first keeps stolen work far
