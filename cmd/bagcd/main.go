@@ -25,7 +25,8 @@
 // the default 1 avoids multiplying the request pool). The search covers
 // only a schema's cyclic core: GYO strips the acyclic fringe, which is
 // then composed back polynomially. Search volume is observable as
-// bagcd_ilp_nodes_total / bagcd_ilp_steals_total / bagcd_ilp_idles_total.
+// bagcd_ilp_nodes_total; a traced request's engine.ilp-search span also
+// counts the parallel search's steals and idles.
 //
 // Admission sheds by predicted hardness: each request's cost is
 // classified at admission (schema acyclicity via the GYO reduction +

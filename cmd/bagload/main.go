@@ -443,8 +443,6 @@ func serverDelta(before, after promSnapshot) *ServerStats {
 		CacheCoalesced:    before.delta(after, "bagcd_cache_coalesced_total"),
 		CacheEvictions:    before.delta(after, "bagcd_cache_evictions_total"),
 		ILPNodes:          before.delta(after, "bagcd_ilp_nodes_total"),
-		ILPSteals:         before.delta(after, "bagcd_ilp_steals_total"),
-		ILPIdles:          before.delta(after, "bagcd_ilp_idles_total"),
 		Completed:         map[string]float64{},
 		MeanQueueWaitMs:   map[string]float64{},
 		MeanServiceMs:     map[string]float64{},

@@ -195,12 +195,9 @@ type ServerStats struct {
 	CacheEvictions    float64            `json:"cache_evictions"`
 	MeanQueueWaitMs   map[string]float64 `json:"mean_queue_wait_ms"`
 	MeanServiceMs     map[string]float64 `json:"mean_service_ms"`
-	// ILP engine deltas: branch-and-bound nodes expanded, work-stealing
-	// steals, and idle worker parks during the run — the compute-side
-	// cost behind the latency numbers above.
-	ILPNodes  float64 `json:"ilp_nodes,omitempty"`
-	ILPSteals float64 `json:"ilp_steals,omitempty"`
-	ILPIdles  float64 `json:"ilp_idles,omitempty"`
+	// ILPNodes is the run's delta of branch-and-bound nodes expanded —
+	// the compute-side cost behind the latency numbers above.
+	ILPNodes float64 `json:"ilp_nodes,omitempty"`
 }
 
 // Conservation is the request-accounting invariant, both halves.
@@ -270,9 +267,8 @@ func writeTable(w io.Writer, r *Report) {
 			fmt.Fprintf(w, "  %-6s queue-wait %8.2fms   service %8.2fms\n",
 				kind, s.MeanQueueWaitMs[kind], s.MeanServiceMs[kind])
 		}
-		if s.ILPNodes > 0 || s.ILPSteals > 0 || s.ILPIdles > 0 {
-			fmt.Fprintf(w, "  ilp: nodes %g   steals %g   idles %g\n",
-				s.ILPNodes, s.ILPSteals, s.ILPIdles)
+		if s.ILPNodes > 0 {
+			fmt.Fprintf(w, "  ilp: nodes %g\n", s.ILPNodes)
 		}
 	}
 	writeWorkloadSection(w, r.Workload)

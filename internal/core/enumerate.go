@@ -8,10 +8,10 @@ import (
 )
 
 // CountWitnesses counts the bags witnessing the global consistency of the
-// collection by enumerating the integer points of P(R1,...,Rm). It
-// generalizes CountPairWitnesses to any number of bags; the count is 0 iff
-// the collection is globally inconsistent. Exponential in general —
-// intended for small instances and verification.
+// collection by enumerating the integer points of P(R1,...,Rm); for two
+// bags (NewCollection2) it counts the bags witnessing their consistency.
+// The count is 0 iff the collection is globally inconsistent. Exponential
+// in general — intended for small instances and verification.
 func (c *Collection) CountWitnesses(opts ilp.Options) (int64, error) {
 	return c.CountWitnessesContext(context.Background(), opts)
 }
@@ -46,12 +46,9 @@ func (c *Collection) EnumerateWitnessesContext(ctx context.Context, opts ilp.Opt
 	if err != nil {
 		return err
 	}
-	if len(p.Cols) == 0 {
-		if emptyProgramConsistent(p) {
-			return fn(bag.New(union))
-		}
-		return nil
-	}
+	// A program with no columns (an empty join) has one solution, the
+	// empty bag, exactly when every right-hand side is 0; the search's
+	// root decides it.
 	return ilp.EnumerateContext(ctx, p, opts, func(x []int64) error {
 		w := bag.New(union)
 		for j, v := range x {

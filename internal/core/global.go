@@ -80,10 +80,6 @@ type Decision struct {
 	Method Method
 	// Nodes is the number of search nodes (MethodILP and MethodHybrid).
 	Nodes int64
-	// Steals and Idles are work-stealing statistics of the parallel
-	// integer search (zero on sequential solves and non-ILP methods).
-	Steals int64
-	Idles  int64
 }
 
 // GloballyConsistent decides whether the collection is globally consistent
@@ -171,7 +167,7 @@ func (c *Collection) solveProgram(ctx context.Context, opts GlobalOptions) (*Dec
 		return nil, err
 	}
 	if !sol.Feasible {
-		return &Decision{Consistent: false, Method: MethodILP, Nodes: sol.Nodes, Steals: sol.Steals, Idles: sol.Idles}, nil
+		return &Decision{Consistent: false, Method: MethodILP, Nodes: sol.Nodes}, nil
 	}
 	w := bag.New(union)
 	for j, v := range sol.X {
@@ -181,7 +177,7 @@ func (c *Collection) solveProgram(ctx context.Context, opts GlobalOptions) (*Dec
 			}
 		}
 	}
-	return &Decision{Consistent: true, Witness: w, Method: MethodILP, Nodes: sol.Nodes, Steals: sol.Steals, Idles: sol.Idles}, nil
+	return &Decision{Consistent: true, Witness: w, Method: MethodILP, Nodes: sol.Nodes}, nil
 }
 
 // WitnessAcyclic runs the polynomial witness construction of Theorem 6 on

@@ -38,7 +38,7 @@ func TestMinCostPairWitnessIsOptimal(t *testing.T) {
 	// Exhaustive minimum.
 	best := new(big.Int)
 	first := true
-	err = EnumeratePairWitnesses(r, s, ilp.Options{}, func(other *bag.Bag) error {
+	err = pairCollection(t, r, s).EnumerateWitnesses(ilp.Options{}, func(other *bag.Bag) error {
 		c, err := WitnessCost(other, cost)
 		if err != nil {
 			return err
@@ -89,7 +89,7 @@ func TestMinCostPairWitnessRandomOptimalityProperty(t *testing.T) {
 		}
 		best := new(big.Int)
 		first := true
-		err = EnumeratePairWitnesses(r, s, ilp.Options{MaxNodes: 5_000_000}, func(other *bag.Bag) error {
+		err = pairCollection(t, r, s).EnumerateWitnesses(ilp.Options{MaxNodes: 5_000_000}, func(other *bag.Bag) error {
 			c, err := WitnessCost(other, cost)
 			if err != nil {
 				return err

@@ -347,60 +347,3 @@ func buildPairProgram(r, s *bag.Bag) (*ilp.Problem, []bag.Tuple, error) {
 	}
 	return c.BuildProgram()
 }
-
-// CountPairWitnesses counts the bags T witnessing the consistency of R and
-// S by enumerating the integer points of P(R,S). Used by the Section 3
-// example experiment (exactly 2^{n-1} witnesses for the R_{n-1}/S_{n-1}
-// family).
-func CountPairWitnesses(r, s *bag.Bag, opts ilp.Options) (int64, error) {
-	return CountPairWitnessesContext(context.Background(), r, s, opts)
-}
-
-// CountPairWitnessesContext is CountPairWitnesses with cooperative
-// cancellation of the enumeration.
-func CountPairWitnessesContext(ctx context.Context, r, s *bag.Bag, opts ilp.Options) (int64, error) {
-	p, _, err := buildPairProgram(r, s)
-	if err != nil {
-		return 0, err
-	}
-	if len(p.Cols) == 0 {
-		if emptyProgramConsistent(p) {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return ilp.CountContext(ctx, p, opts)
-}
-
-// EnumeratePairWitnesses calls fn with every witness of the consistency of
-// R and S, in a deterministic order.
-func EnumeratePairWitnesses(r, s *bag.Bag, opts ilp.Options, fn func(*bag.Bag) error) error {
-	return EnumeratePairWitnessesContext(context.Background(), r, s, opts, fn)
-}
-
-// EnumeratePairWitnessesContext is EnumeratePairWitnesses with cooperative
-// cancellation of the enumeration.
-func EnumeratePairWitnessesContext(ctx context.Context, r, s *bag.Bag, opts ilp.Options, fn func(*bag.Bag) error) error {
-	p, tuples, err := buildPairProgram(r, s)
-	if err != nil {
-		return err
-	}
-	union := r.Schema().Union(s.Schema())
-	if len(p.Cols) == 0 {
-		if emptyProgramConsistent(p) {
-			return fn(bag.New(union))
-		}
-		return nil
-	}
-	return ilp.EnumerateContext(ctx, p, opts, func(x []int64) error {
-		w := bag.New(union)
-		for j, v := range x {
-			if v > 0 {
-				if err := w.AddTuple(tuples[j], v); err != nil {
-					return err
-				}
-			}
-		}
-		return fn(w)
-	})
-}

@@ -115,12 +115,23 @@ func TestPairWitnessIsValid(t *testing.T) {
 	}
 }
 
+// pairCollection wraps R and S as a two-bag collection, whose witnesses
+// are the bags witnessing the pair's consistency.
+func pairCollection(t *testing.T, r, s *bag.Bag) *Collection {
+	t.Helper()
+	c, err := NewCollection2(r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestSection3ExactlyTwoWitnesses(t *testing.T) {
 	// The paper: T1 = {(1,2,2):1, (2,2,1):1} and T2 = {(1,2,1):1,
 	// (2,2,2):1} witness R1, S1 "but, as one can easily verify, no other
 	// bag".
 	r, s := section3Pair(t)
-	n, err := CountPairWitnesses(r, s, ilp.Options{})
+	n, err := pairCollection(t, r, s).CountWitnesses(ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +142,7 @@ func TestSection3ExactlyTwoWitnesses(t *testing.T) {
 	t1 := mustBag(t, abc, [][]string{{"1", "2", "2"}, {"2", "2", "1"}}, nil)
 	t2 := mustBag(t, abc, [][]string{{"1", "2", "1"}, {"2", "2", "2"}}, nil)
 	seen := map[string]bool{}
-	err = EnumeratePairWitnesses(r, s, ilp.Options{}, func(w *bag.Bag) error {
+	err = pairCollection(t, r, s).EnumerateWitnesses(ilp.Options{}, func(w *bag.Bag) error {
 		switch {
 		case w.Equal(t1):
 			seen["t1"] = true
@@ -158,7 +169,7 @@ func TestSection3WitnessSupportsProperSubsetOfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = EnumeratePairWitnesses(r, s, ilp.Options{}, func(w *bag.Bag) error {
+	err = pairCollection(t, r, s).EnumerateWitnesses(ilp.Options{}, func(w *bag.Bag) error {
 		if w.Len() >= join.Len() {
 			t.Errorf("witness support size %d not strictly below join size %d", w.Len(), join.Len())
 		}
@@ -265,7 +276,7 @@ func TestMinimalPairWitnessIsMinimal(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	err = EnumeratePairWitnesses(r, s, ilp.Options{}, func(other *bag.Bag) error {
+	err = pairCollection(t, r, s).EnumerateWitnesses(ilp.Options{}, func(other *bag.Bag) error {
 		if other.Len() < w.Len() && other.SupportBag().ContainedIn(w.SupportBag()) {
 			t.Errorf("witness with smaller support inside the minimal one:\n%v", other)
 		}
@@ -318,7 +329,7 @@ func TestEmptyBagsAreConsistent(t *testing.T) {
 	if w.Len() != 0 {
 		t.Errorf("witness of empty bags should be empty, got %v", w)
 	}
-	n, err := CountPairWitnesses(r, s, ilp.Options{})
+	n, err := pairCollection(t, r, s).CountWitnesses(ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +348,7 @@ func TestEmptyVsNonEmptyInconsistent(t *testing.T) {
 	if ok {
 		t.Fatal("empty and non-empty bags cannot be consistent")
 	}
-	n, err := CountPairWitnesses(r, s, ilp.Options{})
+	n, err := pairCollection(t, r, s).CountWitnesses(ilp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

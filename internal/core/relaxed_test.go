@@ -178,8 +178,8 @@ func TestRelaxedGlobalEmptyCases(t *testing.T) {
 }
 
 func TestCollectionWitnessEnumeration(t *testing.T) {
-	// The pair enumeration and the collection enumeration must agree on
-	// 2-bag collections (Section 3 base case: exactly 2 witnesses).
+	// A 2-bag collection's witnesses are the pair's (Section 3 base
+	// case: exactly 2 witnesses), and each verifies.
 	r, s := section3Pair(t)
 	c, err := NewCollection2(r, s)
 	if err != nil {

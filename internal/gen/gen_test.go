@@ -31,7 +31,11 @@ func TestSection3FamilyWitnessCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.CountPairWitnesses(r, s, ilp.Options{})
+		c, err := core.NewCollection2(r, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.CountWitnesses(ilp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +57,12 @@ func TestSection3FamilyWitnessesPairwiseIncomparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := core.NewCollection2(r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var witnesses []*bag.Bag
-	err = core.EnumeratePairWitnesses(r, s, ilp.Options{}, func(w *bag.Bag) error {
+	err = c.EnumerateWitnesses(ilp.Options{}, func(w *bag.Bag) error {
 		witnesses = append(witnesses, w)
 		return nil
 	})

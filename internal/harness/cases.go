@@ -737,7 +737,11 @@ func coreCases() []Case {
 	for _, n := range []int{4, 6, 8, 10} {
 		add("count-pair-witnesses", fmt.Sprintf("n=%d", n), onPair(func() (*bag.Bag, *bag.Bag, error) { return gen.Section3Family(n) }, func(r, s *bag.Bag) op {
 			return func() (*bagconsist.Report, error) {
-				got, err := core.CountPairWitnesses(r, s, ilp.Options{})
+				c, err := core.NewCollection2(r, s)
+				if err != nil {
+					return nil, err
+				}
+				got, err := c.CountWitnesses(ilp.Options{})
 				if want := int64(1) << uint(n-1); err == nil && got != want {
 					err = fmt.Errorf("count=%d want=%d", got, want)
 				}

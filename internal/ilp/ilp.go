@@ -69,7 +69,7 @@ type Solution struct {
 	// search this varies run to run (workers race to the first solution);
 	// it never exceeds MaxNodes by more than the worker count.
 	Nodes int64
-	// Steals counts frontier handoffs between workers (parallel search
+	// Steals counts jobs workers took off the frontier (parallel search
 	// only; 0 for the sequential path).
 	Steals int64
 	// Idles counts worker transitions into the idle state while waiting
@@ -125,7 +125,8 @@ func (p *Problem) Verify(x []int64) bool {
 	return true
 }
 
-// searcher holds the mutable search state.
+// searcher holds the mutable state of one search: the sequential one, or
+// one worker of the parallel search.
 type searcher struct {
 	p *Problem
 	// Row i's columns are rowCol[rowStart[i]:rowStart[i+1]], in column
@@ -137,10 +138,26 @@ type searcher struct {
 	nodes    int64
 	ticks    int64 // branch attempts, including ones that fail propagation
 	maxNodes int64
-	// trail lists the assigned columns in assignment order, so the
-	// sequential search can undo back to a mark. It is nil in the parallel
-	// search, whose frames own their states and never undo.
+	// trail lists the assigned columns in assignment order, so the search
+	// can undo back to a mark.
 	trail []int
+	// open holds one entry per node on the current path that branch is
+	// looping over, shallowest first.
+	open []openNode
+	// pool is the parallel search this searcher is a worker of; nil for
+	// the sequential search.
+	pool *parSearcher
+}
+
+// openNode is a node on the current path: its branch column, the next
+// value to try (counting down; negative once none is left), the trail
+// length before the column was assigned, and the LP basis its children
+// warm-start from.
+type openNode struct {
+	col   int
+	next  int64
+	mark  int
+	basis lp.Basis
 }
 
 // ctxCheckMask controls how often the search polls its context: every
@@ -208,7 +225,7 @@ func solveTraced(ctx context.Context, p *Problem, opts Options, span *trace.Span
 	}
 	var found []int64
 	solved := false
-	err = sr.search(st, func(x []int64) error {
+	err = sr.dfs(st, -1, nil, func(x []int64) error {
 		// An explicit flag, not found != nil: the zero-column program's
 		// solution is the empty slice, which append leaves nil.
 		found = append([]int64(nil), x...)
@@ -254,7 +271,7 @@ func EnumerateContext(ctx context.Context, p *Problem, opts Options, fn func(x [
 	if err != nil {
 		return err
 	}
-	return sr.search(st, fn)
+	return sr.dfs(st, -1, nil, fn)
 }
 
 // errStop is a sentinel used by Solve to stop after the first solution.
@@ -301,15 +318,11 @@ func newSearch(ctx context.Context, p *Problem, opts Options) (*searcher, *state
 	for j := range st.x {
 		st.x[j] = -1
 	}
-	sr := &searcher{p: p, rowStart: rowStart, rowCol: rowCol, opts: opts, ctx: ctx, maxNodes: maxNodes}
+	// A column is on the trail only while assigned, and each open node
+	// branches on a column of its own, so len(p.Cols) bounds both stacks.
+	sr := &searcher{p: p, rowStart: rowStart, rowCol: rowCol, opts: opts, ctx: ctx, maxNodes: maxNodes,
+		trail: make([]int, 0, len(p.Cols)), open: make([]openNode, 0, len(p.Cols))}
 	return sr, &st, nil
-}
-
-// search runs the sequential search from the root state st, in place.
-func (sr *searcher) search(st *state, fn func(x []int64) error) error {
-	// A column is on the trail only while assigned, so len(p.Cols) bounds it.
-	sr.trail = make([]int, 0, len(sr.p.Cols))
-	return sr.dfs(st, -1, nil, fn)
 }
 
 // assign fixes active column j to v and reports whether all of j's rows
@@ -318,9 +331,7 @@ func (sr *searcher) search(st *state, fn func(x []int64) error) error {
 // restores the state exactly.
 func (sr *searcher) assign(st *state, j int, v int64) bool {
 	st.x[j] = v
-	if sr.trail != nil {
-		sr.trail = append(sr.trail, j)
-	}
+	sr.trail = append(sr.trail, j)
 	ok := true
 	for _, r := range sr.p.Cols[j] {
 		res := st.residual[r]
@@ -352,8 +363,14 @@ func (st *state) addResidual(r int, d int64) int64 {
 
 // undo unassigns the columns the trail recorded after mark.
 func (sr *searcher) undo(st *state, mark int) {
-	for k := len(sr.trail) - 1; k >= mark; k-- {
-		j := sr.trail[k]
+	sr.unassign(st, sr.trail[mark:])
+	sr.trail = sr.trail[:mark]
+}
+
+// unassign makes the columns cols active again, last assigned first.
+func (sr *searcher) unassign(st *state, cols []int) {
+	for k := len(cols) - 1; k >= 0; k-- {
+		j := cols[k]
 		v := st.x[j]
 		st.x[j] = -1
 		for _, r := range sr.p.Cols[j] {
@@ -363,7 +380,6 @@ func (sr *searcher) undo(st *state, mark int) {
 			st.nActive[r]++
 		}
 	}
-	sr.trail = sr.trail[:mark]
 }
 
 // propagate applies the zero-residual rule: every active column on a
@@ -480,22 +496,28 @@ func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
 	return branch, ub, true
 }
 
-// dfs runs the branch-and-bound search in place on st: each branch
-// attempt assigns the branch column, searches the child, and undoes back
-// to the node's trail mark. branch is the column the parent assigned (-1
-// at the root). fn is invoked on each complete solution; returning
-// errStop (or any error) unwinds the search and leaves st mid-search.
-// hint is the LP basis of the parent node's relaxation (nil at the
-// root), threaded down so each node's simplex warm-starts from its
-// parent. The branch column's values are tried from ub down to 0: large
-// values saturate residuals and trigger propagation, so margin-style
-// systems reach a feasible corner quickly.
+// dfs runs one search node in place on st: it counts the node against
+// the budget, propagates, and either reports a solution, prunes, or
+// branches. branch is the column the parent assigned (-1 at the root). fn
+// is invoked on each complete solution; returning errStop (or any error)
+// unwinds the search and leaves st mid-search. hint is the LP basis of
+// the parent node's relaxation (nil at the root), threaded down so each
+// node's simplex warm-starts from its parent.
 func (sr *searcher) dfs(st *state, branch int, hint lp.Basis, fn func(x []int64) error) error {
-	sr.nodes++
-	if sr.nodes > sr.maxNodes {
+	var n int64
+	if ps := sr.pool; ps != nil {
+		if ps.stop.Load() {
+			return errStop
+		}
+		n = ps.nodes.Add(1)
+	} else {
+		sr.nodes++
+		n = sr.nodes
+	}
+	if n > sr.maxNodes {
 		return ErrNodeLimit
 	}
-	if sr.nodes&ctxCheckMask == 0 {
+	if n&ctxCheckMask == 0 {
 		if err := sr.ctx.Err(); err != nil {
 			return err
 		}
@@ -514,8 +536,25 @@ func (sr *searcher) dfs(st *state, branch int, hint lp.Basis, fn func(x []int64)
 	if !ok {
 		return nil
 	}
-	mark := len(sr.trail)
-	for v := ub; v >= 0; v-- {
+	return sr.branch(st, col, ub, basis, fn)
+}
+
+// branch tries the values ub down to 0 for column col at the node st
+// holds: each attempt assigns the column, searches the child, and undoes
+// back to the node's trail mark. Large values saturate residuals and
+// trigger propagation, so margin-style systems reach a feasible corner
+// quickly. The values left to try live on the open stack, where the
+// parallel search can hand them to another worker; the loop then ends
+// after its current value.
+func (sr *searcher) branch(st *state, col int, ub int64, basis lp.Basis, fn func(x []int64) error) error {
+	k, mark := len(sr.open), len(sr.trail)
+	sr.open = append(sr.open, openNode{col: col, next: ub, mark: mark, basis: basis})
+	for {
+		v := sr.open[k].next
+		if v < 0 {
+			break
+		}
+		sr.open[k].next = v - 1
 		// Branch attempts that die in assign never reach dfs's node-counter
 		// poll, and a single value sweep can be 2^16 iterations on
 		// large-multiplicity rows — so poll the context here as well, keyed
@@ -526,6 +565,9 @@ func (sr *searcher) dfs(st *state, branch int, hint lp.Basis, fn func(x []int64)
 				return err
 			}
 		}
+		if ps := sr.pool; ps != nil && ps.queued.Load() < int64(ps.workers) {
+			ps.donate(sr, st)
+		}
 		if sr.assign(st, col, v) {
 			if err := sr.dfs(st, col, basis, fn); err != nil {
 				return err
@@ -533,5 +575,6 @@ func (sr *searcher) dfs(st *state, branch int, hint lp.Basis, fn func(x []int64)
 		}
 		sr.undo(st, mark)
 	}
+	sr.open = sr.open[:k]
 	return nil
 }

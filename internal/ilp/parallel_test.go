@@ -93,8 +93,8 @@ func TestParallelDeadline(t *testing.T) {
 
 // TestParallelNodeLimit asserts MaxNodes is a global budget across
 // workers: the search fails with ErrNodeLimit and the recorded node count
-// overshoots by at most the worker count (each worker can be mid-expand
-// when the budget trips).
+// overshoots by at most the worker count (each worker can be counting a
+// node when the budget trips).
 func TestParallelNodeLimit(t *testing.T) {
 	// Infeasible (the two rows demand different totals from the same two
 	// columns) with a ~50x50 value tree: no worker can ever publish a
@@ -112,32 +112,24 @@ func TestParallelNodeLimit(t *testing.T) {
 	}
 }
 
-// TestParallelStealStats asserts the work-stealing counters move: any
-// multi-worker solve starts with at least the root handoff, and a search
-// big enough to keep donating shows steals beyond it.
+// TestParallelStealStats asserts the work-stealing counters move. Worker
+// 0 starts at the root and, with the frontier empty, donates the root's
+// untried values before its first child. The program is infeasible, so
+// the solve cannot end before some worker takes that job: at least one
+// steal at every worker count.
 func TestParallelStealStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	inst, err := gen.RandomThreeDCT(rng, 3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll, err := inst.ToCollection()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _, err := coll.BuildProgram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := ilp.Solve(p, ilp.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Feasible {
-		t.Fatal("3DCT margins of a real table must be feasible")
-	}
-	if sol.Steals < 1 {
-		t.Fatalf("expected at least the root steal, got %d", sol.Steals)
+	p := splitProgram(2, 8)
+	for _, w := range []int{2, 4, 8} {
+		sol, err := ilp.Solve(p, ilp.Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Feasible {
+			t.Fatal("split program judged feasible")
+		}
+		if sol.Steals < 1 {
+			t.Fatalf("workers=%d: expected at least the root steal, got %d", w, sol.Steals)
+		}
 	}
 	// Sequential solves must not report parallel stats.
 	seq, err := ilp.Solve(p, ilp.Options{})

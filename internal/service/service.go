@@ -148,8 +148,6 @@ type Service struct {
 	shedReasons   map[string]*metrics.Counter
 	admittedClass map[Cost]*metrics.Counter
 	ilpNodes      *metrics.Counter // integer-search nodes across computed queries
-	ilpSteals     *metrics.Counter // parallel-search frontier handoffs
-	ilpIdles      *metrics.Counter // parallel-search idle transitions
 }
 
 type task struct {
@@ -214,8 +212,6 @@ func New(cfg Config) (*Service, error) {
 		shedReasons:      make(map[string]*metrics.Counter),
 		admittedClass:    make(map[Cost]*metrics.Counter),
 		ilpNodes:         reg.Counter("bagcd_ilp_nodes_total", "", "Integer-search nodes expanded by computed (non-cache-hit) queries."),
-		ilpSteals:        reg.Counter("bagcd_ilp_steals_total", "", "Work-stealing frontier handoffs inside the parallel integer search."),
-		ilpIdles:         reg.Counter("bagcd_ilp_idles_total", "", "Worker idle transitions inside the parallel integer search."),
 	}
 	for _, kind := range []Kind{Global, Pair} {
 		for _, outcome := range []string{"ok", "error", "cancelled"} {
@@ -484,16 +480,8 @@ func (s *Service) run(t *task) {
 		}
 	}
 	s.flight.Observe((wait + elapsed).Seconds())
-	if rep != nil && !rep.CacheHit {
-		if rep.Nodes > 0 {
-			s.ilpNodes.Add(uint64(rep.Nodes))
-		}
-		if rep.Steals > 0 {
-			s.ilpSteals.Add(uint64(rep.Steals))
-		}
-		if rep.Idles > 0 {
-			s.ilpIdles.Add(uint64(rep.Idles))
-		}
+	if rep != nil && !rep.CacheHit && rep.Nodes > 0 {
+		s.ilpNodes.Add(uint64(rep.Nodes))
 	}
 	outcome := "ok"
 	switch {

@@ -252,8 +252,6 @@ func (c *Checker) checkGlobalUncached(ctx context.Context, coll *Collection) (*R
 		Method:     string(dec.Method),
 		Bags:       coll.Len(),
 		Nodes:      dec.Nodes,
-		Steals:     dec.Steals,
-		Idles:      dec.Idles,
 		Elapsed:    time.Since(start),
 	}
 	if dec.Witness != nil {
@@ -306,19 +304,21 @@ func (c *Checker) MinimizeWitness(ctx context.Context, coll *Collection, w *Bag)
 // CountPairWitnesses counts the bags witnessing the consistency of two
 // bags by complete enumeration of the integer points of P(R,S).
 func (c *Checker) CountPairWitnesses(ctx context.Context, r, s *Bag) (int64, error) {
-	if err := c.ready(); err != nil {
+	coll, err := core.NewCollection2(r, s)
+	if err != nil {
 		return 0, err
 	}
-	return core.CountPairWitnessesContext(ctx, r, s, c.cfg.global().ILP())
+	return c.CountWitnesses(ctx, coll)
 }
 
 // EnumeratePairWitnesses calls fn with every witness of the consistency
 // of two bags, in a deterministic order; fn may return an error to stop.
 func (c *Checker) EnumeratePairWitnesses(ctx context.Context, r, s *Bag, fn func(*Bag) error) error {
-	if err := c.ready(); err != nil {
+	coll, err := core.NewCollection2(r, s)
+	if err != nil {
 		return err
 	}
-	return core.EnumeratePairWitnessesContext(ctx, r, s, c.cfg.global().ILP(), fn)
+	return c.EnumerateWitnesses(ctx, coll, fn)
 }
 
 // CountWitnesses counts the witnesses of the collection's global

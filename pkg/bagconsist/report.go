@@ -20,12 +20,6 @@ type Report struct {
 	Bags int `json:"bags"`
 	// Nodes counts integer-search nodes (0 when no search ran).
 	Nodes int64 `json:"search_nodes,omitempty"`
-	// Steals and Idles are work-stealing statistics of the parallel
-	// integer search: frontier handoffs between workers and worker
-	// transitions into the idle state (0 on sequential solves, non-search
-	// methods, and cache hits).
-	Steals int64 `json:"solver_steals,omitempty"`
-	Idles  int64 `json:"solver_idles,omitempty"`
 	// FlowValue is the saturated flow value for max-flow pair checks
 	// (the total multiplicity routed through N(R,S)).
 	FlowValue int64 `json:"flow_value,omitempty"`
