@@ -11,7 +11,6 @@
 // Usage:
 //
 //	bagcd [-addr :8080] [-parallelism N] [-queue-depth N] [-cache-size N]
-//	      [-solver-parallelism N]
 //	      [-data-dir DIR] [-store-segment-bytes N] [-store-sync]
 //	      [-max-nodes N] [-default-timeout 0] [-max-timeout 60s]
 //	      [-shed-threshold 0.5] [-expensive-support N]
@@ -20,13 +19,12 @@
 //	      [-flightrec-p99-budget D] [-flightrec-retain N]
 //	      [-drain-timeout 30s] [-max-batch-lines N] [-version]
 //
-// -solver-parallelism runs the integer search for a single cyclic
-// instance on N work-stealing workers (verdicts are identical at any N;
-// the default 1 avoids multiplying the request pool). The search covers
-// only a schema's cyclic core: GYO strips the acyclic fringe, which is
-// then composed back polynomially. Search volume is observable as
-// bagcd_ilp_nodes_total; a traced request's engine.ilp-search span also
-// counts the parallel search's steals and idles.
+// Each cyclic instance's integer search runs on the worker that serves
+// it, under a -max-nodes budget. The search covers only a schema's cyclic
+// core: GYO strips the acyclic fringe, which is then composed back
+// polynomially. Search volume is observable as bagcd_ilp_nodes_total,
+// which counts searches that stop at the budget or a deadline as well as
+// those that decide.
 //
 // Admission sheds by predicted hardness: each request's cost is
 // classified at admission (schema acyclicity via the GYO reduction +
@@ -98,38 +96,37 @@ func main() {
 
 // options collects the daemon's flags.
 type options struct {
-	addr              string
-	parallelism       int
-	solverParallelism int
-	queueDepth        int
-	cacheSize         int
-	dataDir           string
-	storeSegBytes     int64
-	storeSync         bool
-	maxNodes          int64
-	defaultTimeout    time.Duration
-	maxTimeout        time.Duration
-	drainTimeout      time.Duration
-	maxBatchLines     int
-	maxBodyBytes      int64
-	pprofAddr         string
-	shedThreshold     float64
-	expensiveSupport  int
-	traceSlowMs       int64
-	traceRing         int
-	logFormat         string
-	hotkeyK           int
-	flightrec         bool
-	flightQueueFrac   float64
-	flightP99Budget   time.Duration
-	flightRetain      int
-	flightCheck       time.Duration                    // trigger poll interval; no flag (tests speed it up)
-	flightCooldown    time.Duration                    // capture spacing; no flag (tests shrink it)
-	storeLogf         func(format string, args ...any) // recovery warnings; tests capture it
-	accessLog         *slog.Logger                     // set by run(); tests may inject their own
-	slow              *trace.SlowCapture               // built by buildServer when -trace-slow-ms >= 0
-	workload          *telemetry.Workload              // built by buildServer when -hotkey-k > 0
-	flight            *telemetry.Recorder              // built by buildServer when -flightrec
+	addr             string
+	parallelism      int
+	queueDepth       int
+	cacheSize        int
+	dataDir          string
+	storeSegBytes    int64
+	storeSync        bool
+	maxNodes         int64
+	defaultTimeout   time.Duration
+	maxTimeout       time.Duration
+	drainTimeout     time.Duration
+	maxBatchLines    int
+	maxBodyBytes     int64
+	pprofAddr        string
+	shedThreshold    float64
+	expensiveSupport int
+	traceSlowMs      int64
+	traceRing        int
+	logFormat        string
+	hotkeyK          int
+	flightrec        bool
+	flightQueueFrac  float64
+	flightP99Budget  time.Duration
+	flightRetain     int
+	flightCheck      time.Duration                    // trigger poll interval; no flag (tests speed it up)
+	flightCooldown   time.Duration                    // capture spacing; no flag (tests shrink it)
+	storeLogf        func(format string, args ...any) // recovery warnings; tests capture it
+	accessLog        *slog.Logger                     // set by run(); tests may inject their own
+	slow             *trace.SlowCapture               // built by buildServer when -trace-slow-ms >= 0
+	workload         *telemetry.Workload              // built by buildServer when -hotkey-k > 0
+	flight           *telemetry.Recorder              // built by buildServer when -flightrec
 }
 
 func parseFlags(args []string, out io.Writer) (*options, bool, error) {
@@ -137,7 +134,6 @@ func parseFlags(args []string, out io.Writer) (*options, bool, error) {
 	opt := &options{}
 	fs.StringVar(&opt.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	fs.IntVar(&opt.parallelism, "parallelism", 0, "worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&opt.solverParallelism, "solver-parallelism", 1, "workers inside each integer search on cyclic schemas (1 = sequential, 0 = match the request pool size)")
 	fs.IntVar(&opt.queueDepth, "queue-depth", service.DefaultQueueDepth, "admission queue bound; beyond it requests shed with 503")
 	fs.IntVar(&opt.cacheSize, "cache-size", 4096, "shared result cache entries (must be at least 1)")
 	fs.StringVar(&opt.dataDir, "data-dir", "", "directory for the persistent result store (empty = RAM cache only)")
@@ -185,9 +181,6 @@ func (o *options) validate() error {
 	}
 	if o.parallelism < 0 {
 		return fmt.Errorf("-parallelism must be >= 0, got %d", o.parallelism)
-	}
-	if o.solverParallelism < 0 {
-		return fmt.Errorf("-solver-parallelism must be >= 0, got %d", o.solverParallelism)
 	}
 	if o.queueDepth < 1 {
 		return fmt.Errorf("-queue-depth must be at least 1, got %d", o.queueDepth)
@@ -252,9 +245,6 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 	checkerOpts := []bagconsist.Option{bagconsist.WithMaxNodes(opt.maxNodes)}
 	if opt.parallelism > 0 {
 		checkerOpts = append(checkerOpts, bagconsist.WithParallelism(opt.parallelism))
-	}
-	if opt.solverParallelism != 1 {
-		checkerOpts = append(checkerOpts, bagconsist.WithSolverParallelism(opt.solverParallelism))
 	}
 	cache := bagconsist.NewCache(opt.cacheSize)
 	checkerOpts = append(checkerOpts, bagconsist.WithSharedCache(cache))

@@ -106,7 +106,7 @@ type Entry struct {
 type Speedup struct {
 	Family   string  `json:"family"`
 	Params   string  `json:"params"`
-	Variant  string  `json:"variant"` // identical | permuted | renamed | restart | par4 | par4+decomp | bagcol | bagcol-mmap
+	Variant  string  `json:"variant"` // identical | permuted | renamed | restart | decomp | bagcol | bagcol-mmap
 	ColdNs   float64 `json:"cold_ns_per_op"`
 	WarmNs   float64 `json:"warm_ns_per_op"`
 	Speedup  float64 `json:"speedup"`

@@ -50,12 +50,12 @@ func TestQuickSweepWritesJSON(t *testing.T) {
 	}
 	var sawRestart, sawDecomp, sawIngest bool
 	for _, sp := range doc.Speedups {
-		// cycliccore speedups compare solver configurations (parallel /
-		// decomposition vs the sequential monolith) and ingest speedups
+		// cycliccore speedups compare solver configurations (the
+		// decomposition vs the monolith) and ingest speedups
 		// compare wire formats (bagcol decode vs text parse), not cache
 		// tiers; no cache is configured in either.
 		if sp.Family == "cycliccore" || sp.Family == "ingest" {
-			if sp.Variant == "par4+decomp" {
+			if sp.Variant == "decomp" {
 				sawDecomp = true
 			}
 			if sp.Family == "ingest" {
@@ -97,7 +97,7 @@ func TestQuickSweepWritesJSON(t *testing.T) {
 		t.Error("no restart speedup measured")
 	}
 	if !sawDecomp {
-		t.Error("no cycliccore par4+decomp speedup measured")
+		t.Error("no cycliccore decomp speedup measured")
 	}
 	if !sawIngest {
 		t.Error("no ingest format speedup measured")

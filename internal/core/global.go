@@ -54,10 +54,6 @@ type GlobalOptions struct {
 	// LPPruning enables the exact rational relaxation bound at every
 	// integer-search node.
 	LPPruning bool
-	// SolverWorkers sets the worker count of the integer search; values
-	// below 2 run the sequential search. The verdict and witness validity
-	// are identical for every worker count.
-	SolverWorkers int
 }
 
 // ILP projects the options onto the integer-search tuning knobs.
@@ -65,7 +61,6 @@ func (o GlobalOptions) ILP() ilp.Options {
 	return ilp.Options{
 		MaxNodes:  o.MaxNodes,
 		LPPruning: o.LPPruning,
-		Workers:   o.SolverWorkers,
 	}
 }
 

@@ -180,8 +180,7 @@ func TestAutoOnThreeDCTTrianglesIsTheMonolith(t *testing.T) {
 func TestHybridMatchesMonolithicOnGeneratedFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 
-	// Feasible near-acyclic schemas across the whole k dial, with the
-	// parallel solver in the loop at two worker counts.
+	// Feasible near-acyclic schemas across the whole k dial.
 	for k := 0; k <= 3; k++ {
 		h, err := gen.NearAcyclicHypergraph(6, k)
 		if err != nil {
@@ -191,24 +190,22 @@ func TestHybridMatchesMonolithicOnGeneratedFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			mono := decide(t, coll, core.GlobalOptions{ForceILP: true, SolverWorkers: workers})
-			auto := decide(t, coll, core.GlobalOptions{SolverWorkers: workers})
-			if !mono.Consistent || !auto.Consistent {
-				t.Fatalf("k=%d workers=%d: generated-consistent instance judged inconsistent (ForceILP=%v Auto=%v)",
-					k, workers, mono.Consistent, auto.Consistent)
-			}
-			verifyWitness(t, coll, mono, "ForceILP")
-			verifyWitness(t, coll, auto, "Auto")
-			// k = 0 is acyclic: no core to search, Auto composes along a
-			// join tree.
-			want := core.MethodHybrid
-			if k == 0 {
-				want = core.MethodAcyclic
-			}
-			if auto.Method != want || mono.Method != core.MethodILP {
-				t.Fatalf("k=%d methods: Auto %q (want %q), ForceILP %q", k, auto.Method, want, mono.Method)
-			}
+		mono := decide(t, coll, core.GlobalOptions{ForceILP: true})
+		auto := decide(t, coll, core.GlobalOptions{})
+		if !mono.Consistent || !auto.Consistent {
+			t.Fatalf("k=%d: generated-consistent instance judged inconsistent (ForceILP=%v Auto=%v)",
+				k, mono.Consistent, auto.Consistent)
+		}
+		verifyWitness(t, coll, mono, "ForceILP")
+		verifyWitness(t, coll, auto, "Auto")
+		// k = 0 is acyclic: no core to search, Auto composes along a join
+		// tree.
+		want := core.MethodHybrid
+		if k == 0 {
+			want = core.MethodAcyclic
+		}
+		if auto.Method != want || mono.Method != core.MethodILP {
+			t.Fatalf("k=%d methods: Auto %q (want %q), ForceILP %q", k, auto.Method, want, mono.Method)
 		}
 	}
 

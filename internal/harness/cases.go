@@ -320,10 +320,8 @@ func cyclicCases() []Case {
 
 // cyclicCoreCases sweep distance from acyclicity: a path with k chords,
 // whose GYO core holds 2k+1 edges. Each instance is decided by the
-// monolithic search (WithMethod(ILP)) sequentially and with 4 workers,
-// and by Auto with 4 workers, which searches the core only (named
-// par4+decomp so baselines still match). Each parallel arm is a speedup
-// over the sequential one.
+// monolithic search (WithMethod(ILP)) and by Auto, which searches the
+// core only; the decomp arm is a speedup over the monolith.
 func cyclicCoreCases() []Case {
 	var cs []Case
 	for _, sweep := range []struct {
@@ -341,27 +339,21 @@ func cyclicCoreCases() []Case {
 				return seededColl(7, h, 6, 4, 2)()
 			}
 			for _, cfg := range []struct {
-				name    string
-				method  bagconsist.Method
-				workers int
-			}{{"seq", bagconsist.ILP, 0}, {"par4", bagconsist.ILP, 4}, {"par4+decomp", bagconsist.Auto, 4}} {
-				opts := []bagconsist.Option{
-					bagconsist.WithMethod(cfg.method),
-					bagconsist.WithMaxNodes(2_000_000_000),
-					// The measurement targets the search, not witness
-					// post-processing.
-					bagconsist.WithWitnessMinimization(false),
-				}
-				if cfg.workers > 0 {
-					opts = append(opts, bagconsist.WithSolverParallelism(cfg.workers))
-				}
+				name   string
+				method bagconsist.Method
+			}{{"seq", bagconsist.ILP}, {"decomp", bagconsist.Auto}} {
 				c := Case{
 					Name:   fmt.Sprintf("cycliccore/%s/cache=off/m=%d,k=%d", cfg.name, m, k),
 					Family: "cycliccore", Method: cfg.method.String(), Cache: "off", Params: fmt.Sprintf("m=%d,k=%d,solver=%s", m, k, cfg.name),
 					Quick: sweep.quick, Full: !sweep.quick,
-					Setup: onColl(build, checkGlobal("off", opts...)),
+					Setup: onColl(build, checkGlobal("off",
+						bagconsist.WithMethod(cfg.method),
+						bagconsist.WithMaxNodes(2_000_000_000),
+						// The measurement targets the search, not witness
+						// post-processing.
+						bagconsist.WithWitnessMinimization(false))),
 				}
-				if cfg.workers > 0 {
+				if cfg.method == bagconsist.Auto {
 					c.Versus = &Versus{fmt.Sprintf("cycliccore/seq/cache=off/m=%d,k=%d", m, k), "cycliccore", fmt.Sprintf("m=%d,k=%d", m, k), cfg.name}
 				}
 				cs = append(cs, c)

@@ -1,18 +1,18 @@
 package ilp_test
 
 import (
-	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"bagconsistency/internal/ilp"
 )
 
-// The sequential search allocates per solve, never per node or branch
-// attempt: it runs in place on one state and undoes each branch from a
-// trail sized once. The search it replaced copied the node's state for
-// every value it tried: 277 allocations on the 10-node program below and
-// 20,031 on the 1,287-node one. This one measures 7 on each.
+// The search allocates per solve, never per node, branch attempt or
+// restart: each walk runs in place on one state and undoes each branch
+// from a trail sized once, and the randomized runs past the solo phase
+// share one walker, rewound to the root for each. The search that copied
+// the node's state for every value it tried made 277 allocations on the
+// 10-node program below and 20,031 on the 1,287-node one.
 
 // splitProgram is two rows over the same n columns with right-hand sides
 // k and k+1: infeasible, but propagation only sees it once row 0 is
@@ -56,36 +56,14 @@ func TestSolveAllocsFlat(t *testing.T) {
 		t.Fatalf("Solve allocates %.0f/op at %d nodes but %.0f/op at %d nodes; want at most 2 more",
 			large, largeNodes, small, smallNodes)
 	}
-}
-
-// The parallel search allocates per donation, not per value tried: its
-// workers run the same in-place search, and a donated node's state is
-// the one copy a handoff makes. The search it replaced copied a state for
-// every value it tried: about 5,200 allocations for 80–215 steals on the
-// 1,287-node program below, against 440–620 for 170–250 steals here.
-func TestParallelSolveAllocsPerDonation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
+	// Past the solo phase the schedule adds one walker for all of its
+	// randomized runs.
+	restarts, restartNodes := measureSolveAllocs(t, noProgram(t, 796))
+	if restartNodes <= portfolioSolo {
+		t.Fatalf("the refuted triangle needs %d nodes; want more than the solo phase's %d", restartNodes, portfolioSolo)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const workers, runs = 4, 10
-	p := splitProgram(5, 10)
-	var steals int64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		sol, err := ilp.Solve(p, ilp.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Feasible {
-			t.Fatal("split program judged feasible")
-		}
-		steals += sol.Steals
-	}
-	runtime.ReadMemStats(&after)
-	allocs := int64(after.Mallocs - before.Mallocs)
-	if limit := 4 * (steals + runs*workers); allocs > limit {
-		t.Fatalf("%d solves allocated %d times for %d steals; want at most %d", runs, allocs, steals, limit)
+	if restarts > small+5 {
+		t.Fatalf("Solve allocates %.0f/op at %d nodes but %.0f/op at %d nodes; want at most 5 more",
+			restarts, restartNodes, small, smallNodes)
 	}
 }

@@ -1,8 +1,7 @@
-// Differential harness for the parallel solver: the sequential search is
-// the oracle, and every worker count must reproduce its feasibility
-// verdict — on random sparse systems and on the real programs the engine
-// builds from generated instances. Witness contents may differ between
-// runs (workers race to the first solution); witness validity may not.
+// Differential harness for the search: Solve, with the LP bound off and
+// on, must reproduce the deterministic walk's feasibility verdict, on
+// random sparse systems and on the real programs the engine builds from
+// generated instances, and every witness must verify.
 package ilp_test
 
 import (
@@ -13,10 +12,6 @@ import (
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/ilp"
 )
-
-// workerSweep is the worker-count grid of the differential suite (1 uses
-// the sequential path by construction).
-var workerSweep = []int{1, 2, 8}
 
 // randomProblem samples a small sparse system; roughly half the draws are
 // infeasible at these densities.
@@ -41,26 +36,23 @@ func randomProblem(rng *rand.Rand) *ilp.Problem {
 	return &ilp.Problem{M: m, Cols: cols, B: b}
 }
 
-// checkSweep solves p at every worker count and LP-pruning setting and
-// fails unless all verdicts match want and every SAT witness verifies.
+// checkSweep solves p with LP pruning off and on and fails unless both
+// verdicts match want and every SAT witness verifies.
 func checkSweep(t *testing.T, p *ilp.Problem, want bool, label string) {
 	t.Helper()
 	for _, lp := range []bool{false, true} {
-		for _, w := range workerSweep {
-			sol, err := ilp.Solve(p, ilp.Options{Workers: w, LPPruning: lp})
-			if err != nil {
-				t.Fatalf("%s: workers=%d lp=%v: %v", label, w, lp, err)
-			}
-			if sol.Feasible != want {
-				t.Fatalf("%s: workers=%d lp=%v: verdict %v, sequential oracle %v",
-					label, w, lp, sol.Feasible, want)
-			}
-			if sol.Feasible && !p.Verify(sol.X) {
-				t.Fatalf("%s: workers=%d lp=%v: witness %v does not verify", label, w, lp, sol.X)
-			}
-			if sol.Nodes <= 0 {
-				t.Fatalf("%s: workers=%d lp=%v: nonpositive node count %d", label, w, lp, sol.Nodes)
-			}
+		sol, err := ilp.Solve(p, ilp.Options{LPPruning: lp})
+		if err != nil {
+			t.Fatalf("%s: lp=%v: %v", label, lp, err)
+		}
+		if sol.Feasible != want {
+			t.Fatalf("%s: lp=%v: verdict %v, oracle %v", label, lp, sol.Feasible, want)
+		}
+		if sol.Feasible && !p.Verify(sol.X) {
+			t.Fatalf("%s: lp=%v: witness %v does not verify", label, lp, sol.X)
+		}
+		if sol.Nodes <= 0 {
+			t.Fatalf("%s: lp=%v: nonpositive node count %d", label, lp, sol.Nodes)
 		}
 	}
 }
@@ -69,9 +61,9 @@ func TestDifferentialRandomProblems(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
 		p := randomProblem(rng)
-		oracle, err := ilp.Solve(p, ilp.Options{})
+		oracle, err := ilp.Solve(p, ilp.Deterministic(ilp.Options{}))
 		if err != nil {
-			t.Fatalf("trial %d: sequential oracle: %v", trial, err)
+			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
 		checkSweep(t, p, oracle.Feasible, "random")
 	}
@@ -163,26 +155,23 @@ func TestDifferentialColumnPermutation(t *testing.T) {
 		for j, pj := range perm {
 			q.Cols[pj] = p.Cols[j]
 		}
-		for _, w := range workerSweep {
-			opts := ilp.Options{Workers: w, MaxNodes: budget}
-			a, err := ilp.Solve(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := ilp.Solve(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Feasible != b.Feasible {
-				t.Fatalf("trial %d workers=%d: permuted verdict %v != original %v",
-					trial, w, b.Feasible, a.Feasible)
-			}
-			if a.Nodes > budget+int64(w) || b.Nodes > budget+int64(w) {
-				t.Fatalf("trial %d workers=%d: node budget exceeded: %d / %d", trial, w, a.Nodes, b.Nodes)
-			}
-			if b.Feasible && !q.Verify(b.X) {
-				t.Fatalf("trial %d workers=%d: permuted witness does not verify", trial, w)
-			}
+		opts := ilp.Options{MaxNodes: budget}
+		a, err := ilp.Solve(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ilp.Solve(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Feasible != b.Feasible {
+			t.Fatalf("trial %d: permuted verdict %v != original %v", trial, b.Feasible, a.Feasible)
+		}
+		if a.Nodes > budget || b.Nodes > budget {
+			t.Fatalf("trial %d: node budget exceeded: %d / %d", trial, a.Nodes, b.Nodes)
+		}
+		if b.Feasible && !q.Verify(b.X) {
+			t.Fatalf("trial %d: permuted witness does not verify", trial)
 		}
 	}
 }

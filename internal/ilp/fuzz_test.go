@@ -1,7 +1,6 @@
 package ilp_test
 
 import (
-	"errors"
 	"testing"
 
 	"bagconsistency/internal/ilp"
@@ -45,11 +44,10 @@ func decodeProblem(data []byte) *ilp.Problem {
 }
 
 // FuzzSolve asserts the solver's safety contract on arbitrary small
-// programs: no panics, the sequential search matches the clone oracle
-// (verdict, witness, node count, errors and enumeration order), the node
-// budget is always respected (with at most worker-count overshoot),
-// sequential and parallel verdicts agree, and every reported solution
-// verifies exactly.
+// programs: no panics, the deterministic walk matches the clone oracle
+// (verdict, witness, node count, errors and enumeration order), and
+// Solve's full schedule returns the oracle's verdict within the node
+// budget, with a witness that verifies exactly.
 func FuzzSolve(f *testing.F) {
 	// Degenerate corpus: empty program, single variable, infeasible at
 	// the root, and a multi-row system with shared columns.
@@ -65,27 +63,5 @@ func FuzzSolve(f *testing.F) {
 			return
 		}
 		matchOracle(t, "fuzz", p, false)
-		const budget = 20_000
-		seq, seqErr := ilp.Solve(p, ilp.Options{MaxNodes: budget})
-		for _, w := range []int{1, 4} {
-			sol, err := ilp.Solve(p, ilp.Options{MaxNodes: budget, Workers: w})
-			if err != nil {
-				if !errors.Is(err, ilp.ErrNodeLimit) {
-					t.Fatalf("workers=%d: unexpected error %v", w, err)
-				}
-				continue
-			}
-			if sol.Nodes > budget+int64(w) {
-				t.Fatalf("workers=%d: nodes %d exceed budget %d", w, sol.Nodes, budget)
-			}
-			if sol.Feasible && !p.Verify(sol.X) {
-				t.Fatalf("workers=%d: solution %v does not verify", w, sol.X)
-			}
-			// A clean verdict must match the sequential oracle whenever the
-			// oracle also finished inside the budget.
-			if seqErr == nil && sol.Feasible != seq.Feasible {
-				t.Fatalf("workers=%d: verdict %v, sequential %v", w, sol.Feasible, seq.Feasible)
-			}
-		}
 	})
 }

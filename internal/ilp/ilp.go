@@ -8,15 +8,20 @@
 // feasibility is NP-complete (Theorem 4 of the paper), so this package
 // implements an exact branch-and-bound search with constraint propagation,
 // an optional exact-LP relaxation bound, an explicit node budget (worst
-// cases fail loudly instead of hanging), and complete enumeration of all
-// solutions for the witness-counting experiments.
+// cases fail loudly instead of hanging), a seeded restart portfolio that
+// keeps one bad early branch choice from deciding Solve's running time,
+// and complete enumeration of all solutions for the witness-counting
+// experiments.
 package ilp
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
+	"math/rand/v2"
 	"strconv"
 
 	"bagconsistency/internal/lp"
@@ -46,14 +51,9 @@ type Options struct {
 	// node. It can shrink the tree dramatically but each node becomes much
 	// more expensive; the dichotomy benchmarks run with it off.
 	LPPruning bool
-	// Workers sets the number of concurrent search workers for Solve. 0 or
-	// 1 runs the sequential search; n > 1 runs the work-stealing parallel
-	// search of parallel.go. The feasibility verdict and the validity of
-	// any returned witness are identical for every worker count; the
-	// specific witness found and the node count may differ run to run.
-	// Enumerate and Count always run sequentially (their deterministic
-	// emission order is part of their contract).
-	Workers int
+	// deterministic holds Solve to the deterministic walk alone, the one
+	// Enumerate runs. Only tests set it.
+	deterministic bool
 }
 
 // DefaultMaxNodes is the node budget used when Options.MaxNodes is 0.
@@ -65,17 +65,26 @@ type Solution struct {
 	Feasible bool
 	// X is a feasible assignment (nil when infeasible).
 	X []int64
-	// Nodes is the number of search nodes explored. Under the parallel
-	// search this varies run to run (workers race to the first solution);
-	// it never exceeds MaxNodes by more than the worker count.
+	// Nodes is the number of search nodes explored, over every walk of
+	// Solve's schedule. It never exceeds MaxNodes.
 	Nodes int64
-	// Steals counts jobs workers took off the frontier (parallel search
-	// only; 0 for the sequential path).
-	Steals int64
-	// Idles counts worker transitions into the idle state while waiting
-	// for stealable work (parallel search only).
-	Idles int64
 }
+
+// stopError is the error of a search that stopped without a verdict: at
+// its node budget, when its context ended, or on an LP failure. It reads
+// as, and unwraps to, the error that stopped it, and carries the nodes
+// the search explored, which callers that account search work read
+// through its Nodes method.
+type stopError struct {
+	err   error
+	nodes int64
+}
+
+func (e *stopError) Error() string { return e.err.Error() }
+func (e *stopError) Unwrap() error { return e.err }
+
+// Nodes returns the number of nodes the search explored before it stopped.
+func (e *stopError) Nodes() int64 { return e.nodes }
 
 // validate checks problem well-formedness.
 func (p *Problem) validate() error {
@@ -125,9 +134,9 @@ func (p *Problem) Verify(x []int64) bool {
 	return true
 }
 
-// searcher holds the mutable state of one search: the sequential one, or
-// one worker of the parallel search.
-type searcher struct {
+// search is one call's problem, options and node budget. Every walk of the
+// call shares it, so the budget and the context polls count all of them.
+type search struct {
 	p *Problem
 	// Row i's columns are rowCol[rowStart[i]:rowStart[i+1]], in column
 	// order.
@@ -138,15 +147,24 @@ type searcher struct {
 	nodes    int64
 	ticks    int64 // branch attempts, including ones that fail propagation
 	maxNodes int64
-	// trail lists the assigned columns in assignment order, so the search
+}
+
+// walker is one depth-first walk of the search tree, run in place on its
+// own state: the deterministic walk, or one of Solve's randomized runs.
+type walker struct {
+	*search
+	st state
+	// trail lists the assigned columns in assignment order, so the walk
 	// can undo back to a mark.
 	trail []int
-	// open holds one entry per node on the current path that branch is
-	// looping over, shallowest first.
+	// open holds one entry per node on the current path, shallowest
+	// first. It is the walk's position: run resumes from its top.
 	open []openNode
-	// pool is the parallel search this searcher is a worker of; nil for
-	// the sequential search.
-	pool *parSearcher
+	// started is set once the walk has run its root node.
+	started bool
+	// random makes branchOn break its ties with rng: a randomized run.
+	random bool
+	rng    rand.PCG
 }
 
 // openNode is a node on the current path: its branch column, the next
@@ -166,10 +184,23 @@ type openNode struct {
 // any hardware that can run the search at all.
 const ctxCheckMask = 1<<10 - 1
 
+// Solve's schedule. The deterministic walk runs alone for portfolioSolo
+// nodes, so every tree that small is walked exactly as Enumerate walks it.
+// Past that, round k = 1, 2, ... runs the resumed deterministic walk and
+// then a randomized run from the root, each for portfolioUnit·luby(k)
+// nodes, until one of them decides. Luby, Sinclair and Zuckerman's
+// universal sequence ("Optimal speedup of Las Vegas algorithms", 1993)
+// bounds the cost of a heavy-tailed walk without knowing its tail. The
+// deterministic slice of a round always runs first, so a refutation costs
+// less than twice the deterministic tree.
+const (
+	portfolioSolo = 4096
+	portfolioUnit = 4096
+)
+
 // state is the search's residuals and column assignment. A column is
 // active while unassigned (x is -1); assigning it subtracts its value from
-// its rows' residuals. The slices share one backing array, so a copy is
-// one allocation.
+// its rows' residuals. The slices share one backing array.
 type state struct {
 	residual []int64 // per row
 	nActive  []int64 // per row: active columns, one per Cols entry
@@ -182,16 +213,9 @@ func newState(m, n int) state {
 	return state{residual: buf[:m:m], nActive: buf[m : 2*m : 2*m], x: buf[2*m:]}
 }
 
-func (s *state) clone() state {
-	c := newState(len(s.residual), len(s.x))
-	copy(c.residual, s.residual)
-	copy(c.nActive, s.nActive)
-	copy(c.x, s.x)
-	c.nonzero = s.nonzero
-	return c
-}
-
-// Solve searches for one feasible integer solution.
+// Solve searches for one feasible integer solution. The search is
+// deterministic: every call on the same problem and options returns the
+// same X and Nodes.
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	return SolveContext(context.Background(), p, opts)
 }
@@ -208,24 +232,18 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 		return nil, err
 	}
 	span.SetCounter("nodes", sol.Nodes)
-	span.SetCounter("steals", sol.Steals)
-	span.SetCounter("idles", sol.Idles)
 	span.SetAttr("feasible", strconv.FormatBool(sol.Feasible))
 	return sol, nil
 }
 
 func solveTraced(ctx context.Context, p *Problem, opts Options, span *trace.Span) (*Solution, error) {
-	if opts.Workers > 1 {
-		span.SetAttr("workers", strconv.Itoa(opts.Workers))
-		return solveParallel(ctx, p, opts)
-	}
-	sr, st, err := newSearch(ctx, p, opts)
+	w, err := newSearch(ctx, p, opts)
 	if err != nil {
 		return nil, err
 	}
 	var found []int64
 	solved := false
-	err = sr.dfs(st, -1, nil, func(x []int64) error {
+	err = w.portfolio(func(x []int64) error {
 		// An explicit flag, not found != nil: the zero-column program's
 		// solution is the empty slice, which append leaves nil.
 		found = append([]int64(nil), x...)
@@ -233,15 +251,56 @@ func solveTraced(ctx context.Context, p *Problem, opts Options, span *trace.Span
 		return errStop
 	})
 	if err != nil && !errors.Is(err, errStop) {
-		if sr.nodes > 0 {
-			span.SetCounter("nodes", sr.nodes)
+		if w.nodes > 0 {
+			span.SetCounter("nodes", w.nodes)
 		}
-		return nil, err
+		return nil, &stopError{err: err, nodes: w.nodes}
 	}
 	if !solved {
-		return &Solution{Feasible: false, Nodes: sr.nodes}, nil
+		return &Solution{Feasible: false, Nodes: w.nodes}, nil
 	}
-	return &Solution{Feasible: true, X: found, Nodes: sr.nodes}, nil
+	return &Solution{Feasible: true, X: found, Nodes: w.nodes}, nil
+}
+
+// portfolio runs Solve's schedule from w, the deterministic walk. Every
+// walk covers the whole tree, so the first to find a solution proves the
+// program feasible (fn's errStop is returned) and the first to exhaust its
+// tree proves it infeasible (nil is returned). The randomized runs share
+// one walker, rewound to the root and reseeded from k for each, so they
+// allocate once per solve.
+func (w *walker) portfolio(fn func(x []int64) error) error {
+	if w.opts.deterministic {
+		_, err := w.run(math.MaxInt64, fn)
+		return err
+	}
+	done, err := w.run(portfolioSolo, fn)
+	var r *walker
+	for k := int64(1); !done && err == nil; k++ {
+		n := portfolioUnit * luby(k)
+		if done, err = w.run(n, fn); done || err != nil {
+			break
+		}
+		if r == nil {
+			r = w.walker()
+			r.random = true
+		}
+		r.restart(k)
+		done, err = r.run(n, fn)
+	}
+	return err
+}
+
+// luby returns term k ≥ 1 of the universal restart sequence 1, 1, 2, 1,
+// 1, 2, 4, 1, ...: 2^(i-1) when k = 2^i - 1, and otherwise term
+// k - 2^(i-1) + 1, for the i with 2^(i-1) ≤ k < 2^i.
+func luby(k int64) int64 {
+	for {
+		i := bits.Len64(uint64(k))
+		if k == 1<<i-1 {
+			return 1 << (i - 1)
+		}
+		k -= 1<<(i-1) - 1
+	}
 }
 
 // Count enumerates every feasible solution, returning their number.
@@ -267,19 +326,21 @@ func Enumerate(p *Problem, opts Options, fn func(x []int64) error) error {
 
 // EnumerateContext is Enumerate with cooperative cancellation.
 func EnumerateContext(ctx context.Context, p *Problem, opts Options, fn func(x []int64) error) error {
-	sr, st, err := newSearch(ctx, p, opts)
+	w, err := newSearch(ctx, p, opts)
 	if err != nil {
 		return err
 	}
-	return sr.dfs(st, -1, nil, fn)
+	_, err = w.run(math.MaxInt64, fn)
+	return err
 }
 
 // errStop is a sentinel used by Solve to stop after the first solution.
 var errStop = errors.New("ilp: stop")
 
-func newSearch(ctx context.Context, p *Problem, opts Options) (*searcher, *state, error) {
+// newSearch validates p and returns its deterministic walk.
+func newSearch(ctx context.Context, p *Problem, opts Options) (*walker, error) {
 	if err := p.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -307,10 +368,18 @@ func newSearch(ctx context.Context, p *Problem, opts Options) (*searcher, *state
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
+	s := &search{p: p, rowStart: rowStart, rowCol: rowCol, opts: opts, ctx: ctx, maxNodes: maxNodes}
+	return s.walker(), nil
+}
+
+// walker returns a new walk of s at the root: every column active and
+// every residual its right-hand side.
+func (s *search) walker() *walker {
+	p := s.p
 	st := newState(p.M, len(p.Cols))
 	copy(st.residual, p.B)
 	for i, b := range p.B {
-		st.nActive[i] = int64(rowStart[i+1] - rowStart[i])
+		st.nActive[i] = int64(s.rowStart[i+1] - s.rowStart[i])
 		if b != 0 {
 			st.nonzero++
 		}
@@ -320,20 +389,28 @@ func newSearch(ctx context.Context, p *Problem, opts Options) (*searcher, *state
 	}
 	// A column is on the trail only while assigned, and each open node
 	// branches on a column of its own, so len(p.Cols) bounds both stacks.
-	sr := &searcher{p: p, rowStart: rowStart, rowCol: rowCol, opts: opts, ctx: ctx, maxNodes: maxNodes,
-		trail: make([]int, 0, len(p.Cols)), open: make([]openNode, 0, len(p.Cols))}
-	return sr, &st, nil
+	return &walker{search: s, st: st, trail: make([]int, 0, len(p.Cols)), open: make([]openNode, 0, len(p.Cols))}
+}
+
+// restart rewinds the walk to the root for randomized run k, with its
+// choices seeded from k.
+func (w *walker) restart(k int64) {
+	w.undo(0)
+	w.open = w.open[:0]
+	w.started = false
+	w.rng.Seed(uint64(k), uint64(k))
 }
 
 // assign fixes active column j to v and reports whether all of j's rows
 // can still be met: no residual went negative, and no positive residual
 // lost its last active column. It updates every row either way, so undo
 // restores the state exactly.
-func (sr *searcher) assign(st *state, j int, v int64) bool {
+func (w *walker) assign(j int, v int64) bool {
+	st := &w.st
 	st.x[j] = v
-	sr.trail = append(sr.trail, j)
+	w.trail = append(w.trail, j)
 	ok := true
-	for _, r := range sr.p.Cols[j] {
+	for _, r := range w.p.Cols[j] {
 		res := st.residual[r]
 		if v != 0 {
 			res = st.addResidual(r, -v)
@@ -361,25 +438,22 @@ func (st *state) addResidual(r int, d int64) int64 {
 	return res
 }
 
-// undo unassigns the columns the trail recorded after mark.
-func (sr *searcher) undo(st *state, mark int) {
-	sr.unassign(st, sr.trail[mark:])
-	sr.trail = sr.trail[:mark]
-}
-
-// unassign makes the columns cols active again, last assigned first.
-func (sr *searcher) unassign(st *state, cols []int) {
-	for k := len(cols) - 1; k >= 0; k-- {
-		j := cols[k]
+// undo makes the columns the trail recorded after mark active again,
+// last assigned first.
+func (w *walker) undo(mark int) {
+	st := &w.st
+	for k := len(w.trail) - 1; k >= mark; k-- {
+		j := w.trail[k]
 		v := st.x[j]
 		st.x[j] = -1
-		for _, r := range sr.p.Cols[j] {
+		for _, r := range w.p.Cols[j] {
 			if v != 0 {
 				st.addResidual(r, v)
 			}
 			st.nActive[r]++
 		}
 	}
+	w.trail = w.trail[:mark]
 }
 
 // propagate applies the zero-residual rule: every active column on a
@@ -388,17 +462,17 @@ func (sr *searcher) unassign(st *state, cols []int) {
 // scans every row. Below it, the parent's propagation left no active
 // column on a zero row and only the branch column's rows changed, so only
 // those are visited. Returns false on contradiction.
-func (sr *searcher) propagate(st *state, branch int) bool {
+func (w *walker) propagate(branch int) bool {
 	if branch < 0 {
-		for i := 0; i < sr.p.M; i++ {
-			if !sr.zeroRow(st, i) {
+		for i := 0; i < w.p.M; i++ {
+			if !w.zeroRow(i) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, r := range sr.p.Cols[branch] {
-		if !sr.zeroRow(st, r) {
+	for _, r := range w.p.Cols[branch] {
+		if !w.zeroRow(r) {
 			return false
 		}
 	}
@@ -406,12 +480,12 @@ func (sr *searcher) propagate(st *state, branch int) bool {
 }
 
 // zeroRow assigns 0 to row i's active columns if its residual is 0.
-func (sr *searcher) zeroRow(st *state, i int) bool {
-	if st.residual[i] != 0 || st.nActive[i] == 0 {
+func (w *walker) zeroRow(i int) bool {
+	if w.st.residual[i] != 0 || w.st.nActive[i] == 0 {
 		return true
 	}
-	for _, j := range sr.rowCol[sr.rowStart[i]:sr.rowStart[i+1]] {
-		if st.x[j] < 0 && !sr.assign(st, j, 0) {
+	for _, j := range w.rowCol[w.rowStart[i]:w.rowStart[i+1]] {
+		if w.st.x[j] < 0 && !w.assign(j, 0) {
 			return false
 		}
 	}
@@ -437,36 +511,39 @@ func (st *state) solution() []int64 {
 // whether the node survives, and the basis its children warm-start from.
 // hint is the basis of a related relaxation (the parent node's, in stable
 // original-column ids); with pruning off it passes straight through.
-func (sr *searcher) lpBound(st *state, hint lp.Basis) (bool, lp.Basis, error) {
-	if !sr.opts.LPPruning {
+func (w *walker) lpBound(hint lp.Basis) (bool, lp.Basis, error) {
+	if !w.opts.LPPruning {
 		return true, hint, nil
 	}
 	var cols [][]int
 	var ids []int
-	for j, rows := range sr.p.Cols {
-		if st.x[j] < 0 {
+	for j, rows := range w.p.Cols {
+		if w.st.x[j] < 0 {
 			cols = append(cols, rows)
 			ids = append(ids, j)
 		}
 	}
-	vals := make([]big.Rat, sr.p.M)
-	b := make([]*big.Rat, sr.p.M)
-	for i, r := range st.residual {
+	vals := make([]big.Rat, w.p.M)
+	b := make([]*big.Rat, w.p.M)
+	for i, r := range w.st.residual {
 		b[i] = vals[i].SetInt64(r)
 	}
-	res, err := lp.Solve(sr.p.M, cols, b, nil, ids, hint)
+	res, err := lp.Solve(w.p.M, cols, b, nil, ids, hint)
 	if err != nil {
 		return false, nil, err
 	}
 	return res.Feasible, res.Basis, nil
 }
 
-// branchOn picks the node's branch: the unsatisfied row with the fewest
-// active columns, its first active column, and ub, the column's largest
-// admissible value (the least residual over its rows). ok is false when
-// no branch exists — a positive-residual row with no active column is a
-// contradiction.
-func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
+// branchOn picks the node's branch: an unsatisfied row with the fewest
+// active columns, an active column of that row, and ub, the column's
+// largest admissible value (the least residual over its rows). The
+// deterministic walk takes the lowest such row and its first active
+// column; a randomized run picks uniformly among the tied rows and among
+// the row's active columns. ok is false when no branch exists — a
+// positive-residual row with no active column is a contradiction.
+func (w *walker) branchOn() (branch int, ub int64, ok bool) {
+	st := &w.st
 	row, fewest := -1, int64(0)
 	nActive := st.nActive[:len(st.residual)]
 	for i, r := range st.residual {
@@ -477,18 +554,40 @@ func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
 	if row < 0 {
 		return 0, 0, false // unreachable: a residual is nonzero but none is positive
 	}
+	cols := w.rowCol[w.rowStart[row]:w.rowStart[row+1]]
 	branch = -1
-	for _, j := range sr.rowCol[sr.rowStart[row]:sr.rowStart[row+1]] {
-		if st.x[j] < 0 {
-			branch = j
-			break
+	if w.random {
+		// Reservoir sampling: the k-th candidate replaces the pick with
+		// probability 1/k.
+		var ties uint64
+		for i := row; i < len(st.residual); i++ {
+			if st.residual[i] > 0 && nActive[i] == fewest {
+				if ties++; w.rng.Uint64()%ties == 0 {
+					cols = w.rowCol[w.rowStart[i]:w.rowStart[i+1]]
+				}
+			}
+		}
+		var active uint64
+		for _, j := range cols {
+			if st.x[j] < 0 {
+				if active++; w.rng.Uint64()%active == 0 {
+					branch = j
+				}
+			}
+		}
+	} else {
+		for _, j := range cols {
+			if st.x[j] < 0 {
+				branch = j
+				break
+			}
 		}
 	}
 	if branch < 0 {
 		return 0, 0, false
 	}
 	ub = -1
-	for _, r := range sr.p.Cols[branch] {
+	for _, r := range w.p.Cols[branch] {
 		if ub < 0 || st.residual[r] < ub {
 			ub = st.residual[r]
 		}
@@ -496,85 +595,90 @@ func (sr *searcher) branchOn(st *state) (branch int, ub int64, ok bool) {
 	return branch, ub, true
 }
 
-// dfs runs one search node in place on st: it counts the node against
-// the budget, propagates, and either reports a solution, prunes, or
-// branches. branch is the column the parent assigned (-1 at the root). fn
-// is invoked on each complete solution; returning errStop (or any error)
-// unwinds the search and leaves st mid-search. hint is the LP basis of
-// the parent node's relaxation (nil at the root), threaded down so each
-// node's simplex warm-starts from its parent.
-func (sr *searcher) dfs(st *state, branch int, hint lp.Basis, fn func(x []int64) error) error {
-	var n int64
-	if ps := sr.pool; ps != nil {
-		if ps.stop.Load() {
-			return errStop
-		}
-		n = ps.nodes.Add(1)
-	} else {
-		sr.nodes++
-		n = sr.nodes
-	}
-	if n > sr.maxNodes {
+// node runs one search node on the walk's state, whose last assignment
+// was column branch (-1 at the root): it counts the node against the
+// budget, propagates, and either reports a solution to fn, prunes, or
+// pushes an open node for its branch column. hint is the LP basis of the
+// parent node's relaxation (nil at the root), so each node's simplex
+// warm-starts from its parent's.
+func (w *walker) node(branch int, hint lp.Basis, fn func(x []int64) error) error {
+	if w.nodes == w.maxNodes {
 		return ErrNodeLimit
 	}
-	if n&ctxCheckMask == 0 {
-		if err := sr.ctx.Err(); err != nil {
+	w.nodes++
+	if w.nodes&ctxCheckMask == 0 {
+		if err := w.ctx.Err(); err != nil {
 			return err
 		}
 	}
-	if !sr.propagate(st, branch) {
+	if !w.propagate(branch) {
 		return nil
 	}
-	if st.nonzero == 0 {
-		return fn(st.solution())
+	if w.st.nonzero == 0 {
+		return fn(w.st.solution())
 	}
-	ok, basis, err := sr.lpBound(st, hint)
+	ok, basis, err := w.lpBound(hint)
 	if err != nil || !ok {
 		return err
 	}
-	col, ub, ok := sr.branchOn(st)
+	col, ub, ok := w.branchOn()
 	if !ok {
 		return nil
 	}
-	return sr.branch(st, col, ub, basis, fn)
+	w.open = append(w.open, openNode{col: col, next: ub, mark: len(w.trail), basis: basis})
+	return nil
 }
 
-// branch tries the values ub down to 0 for column col at the node st
-// holds: each attempt assigns the column, searches the child, and undoes
-// back to the node's trail mark. Large values saturate residuals and
-// trigger propagation, so margin-style systems reach a feasible corner
-// quickly. The values left to try live on the open stack, where the
-// parallel search can hand them to another worker; the loop then ends
-// after its current value.
-func (sr *searcher) branch(st *state, col int, ub int64, basis lp.Basis, fn func(x []int64) error) error {
-	k, mark := len(sr.open), len(sr.trail)
-	sr.open = append(sr.open, openNode{col: col, next: ub, mark: mark, basis: basis})
-	for {
-		v := sr.open[k].next
-		if v < 0 {
-			break
+// run walks at most limit more nodes depth-first, from the root on its
+// first call and from where the last call stopped after that. It reports
+// done once the tree is exhausted, and returns fn's error (errStop once
+// Solve has its solution) or the error that stopped the walk. The top
+// open node tries its column's values from ub down to 0, each from the
+// node's trail mark; large values saturate residuals and trigger
+// propagation, so margin-style systems reach a feasible corner quickly. A
+// call that reaches limit right after a successful assign re-queues that
+// value, so the next call starts with that child.
+func (w *walker) run(limit int64, fn func(x []int64) error) (done bool, err error) {
+	if !w.started {
+		w.started = true
+		limit--
+		if err := w.node(-1, nil, fn); err != nil {
+			return false, err
 		}
-		sr.open[k].next = v - 1
-		// Branch attempts that die in assign never reach dfs's node-counter
-		// poll, and a single value sweep can be 2^16 iterations on
-		// large-multiplicity rows — so poll the context here as well, keyed
-		// on a separate tick counter, to keep cancellation latency bounded.
-		sr.ticks++
-		if sr.ticks&ctxCheckMask == 0 {
-			if err := sr.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if ps := sr.pool; ps != nil && ps.queued.Load() < int64(ps.workers) {
-			ps.donate(sr, st)
-		}
-		if sr.assign(st, col, v) {
-			if err := sr.dfs(st, col, basis, fn); err != nil {
-				return err
-			}
-		}
-		sr.undo(st, mark)
 	}
-	sr.open = sr.open[:k]
-	return nil
+	for {
+		k := len(w.open) - 1
+		if k < 0 {
+			return true, nil
+		}
+		o := &w.open[k]
+		v := o.next
+		if v < 0 {
+			w.open = w.open[:k]
+			continue
+		}
+		o.next = v - 1
+		w.undo(o.mark)
+		// Branch attempts that die in assign never reach node's poll, and
+		// a single value sweep can be 2^16 iterations on large-multiplicity
+		// rows — so poll the context here as well, keyed on a separate
+		// tick counter, to keep cancellation latency bounded.
+		w.ticks++
+		if w.ticks&ctxCheckMask == 0 {
+			if err := w.ctx.Err(); err != nil {
+				return false, err
+			}
+		}
+		if !w.assign(o.col, v) {
+			continue
+		}
+		if limit <= 0 {
+			o.next = v
+			return false, nil
+		}
+		limit--
+		if err := w.node(o.col, o.basis, fn); err != nil {
+			return false, err
+		}
+	}
 }

@@ -17,10 +17,11 @@ import (
 // it ran in place: the same branch-and-bound over the same tree, but every
 // branch attempt works on a fresh copy of the node's state, propagation
 // rescans every row to a fixpoint, and completion scans every residual.
-// It is kept as an independent reference: ilp.Solve must return its
-// verdict, witness and node count, fail with ErrNodeLimit at the same
-// budget, and ilp.Enumerate must emit its solutions in the same order.
-// It takes only valid problems and never polls a context.
+// It is kept as an independent reference: ilp.Solve with its randomized
+// runs held off must return its verdict, witness and node count and fail
+// with ErrNodeLimit at the same budget, and ilp.Enumerate must emit its
+// solutions in the same order. It takes only valid problems and never
+// polls a context.
 
 // oracleState is one node's residuals and column activity.
 type oracleState struct {
@@ -267,16 +268,36 @@ func enumerateUpTo(p *ilp.Problem, opts ilp.Options, limit int, enumerate func(*
 	return sols, err
 }
 
+// portfolioSolo is the node count up to which Solve's schedule runs the
+// deterministic walk alone.
+const portfolioSolo = 4096
+
 // matchOracle fails unless the in-place search agrees with the clone
-// oracle on p: Solve's verdict, witness, node count and error; an
-// ErrNodeLimit one node short of that count; and Enumerate's solutions,
-// in order, with the same stopping error. Enumeration stops after 64
-// solutions, or 4 with LP pruning, whose exact relaxation at every node
-// costs milliseconds on these programs.
+// oracle on p. The deterministic walk must match it exactly: Solve's
+// verdict, witness, node count and error; an ErrNodeLimit one node short
+// of that count; and Enumerate's solutions, in order, with the same
+// stopping error. Enumeration stops after 64 solutions, or 4 with LP
+// pruning, whose exact relaxation at every node costs milliseconds on
+// these programs. Solve's full schedule must return the oracle's verdict
+// with a witness that verifies, within twice the oracle's budget, and the
+// oracle's witness and node count on trees the solo phase decides.
 func matchOracle(t *testing.T, label string, p *ilp.Problem, lpPruning bool) {
 	t.Helper()
 	opts := ilp.Options{MaxNodes: oracleBudget, LPPruning: lpPruning}
 	want, wantErr := oracleSolve(p, opts)
+	full, err := ilp.Solve(p, ilp.Options{MaxNodes: 2 * oracleBudget, LPPruning: lpPruning})
+	switch {
+	case err != nil && (wantErr == nil || !errors.Is(err, ilp.ErrNodeLimit)):
+		t.Fatalf("%s lp=%v: portfolio Solve error %v, oracle %v", label, lpPruning, err, wantErr)
+	case err == nil && full.Feasible && !p.Verify(full.X):
+		t.Fatalf("%s lp=%v: portfolio witness %v does not verify", label, lpPruning, full.X)
+	case wantErr == nil && full.Feasible != want.Feasible:
+		t.Fatalf("%s lp=%v: portfolio verdict %v, oracle %v", label, lpPruning, full.Feasible, want.Feasible)
+	case wantErr == nil && want.Nodes <= portfolioSolo && (full.Nodes != want.Nodes || !slices.Equal(full.X, want.X)):
+		t.Fatalf("%s lp=%v: portfolio Solve = (%d nodes, %v), oracle (%d nodes, %v)",
+			label, lpPruning, full.Nodes, full.X, want.Nodes, want.X)
+	}
+	opts = ilp.Deterministic(opts)
 	got, err := ilp.Solve(p, opts)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("%s lp=%v: Solve error %v, oracle %v", label, lpPruning, err, wantErr)

@@ -2,6 +2,6 @@
 
 package ilp_test
 
-// raceEnabled scales the concurrency-hammer tests up when the race
-// detector is on (mirrors internal/core's pattern).
+// raceEnabled reports whether the race detector is on, under which
+// allocation counts are not meaningful (mirrors internal/core's pattern).
 const raceEnabled = false

@@ -480,8 +480,14 @@ func (s *Service) run(t *task) {
 		}
 	}
 	s.flight.Observe((wait + elapsed).Seconds())
-	if rep != nil && !rep.CacheHit && rep.Nodes > 0 {
+	// A search that stops at its node budget or its deadline returns no
+	// Report; its error carries the nodes it explored.
+	var stopped interface{ Nodes() int64 }
+	switch {
+	case rep != nil && !rep.CacheHit && rep.Nodes > 0:
 		s.ilpNodes.Add(uint64(rep.Nodes))
+	case errors.As(err, &stopped) && stopped.Nodes() > 0:
+		s.ilpNodes.Add(uint64(stopped.Nodes()))
 	}
 	outcome := "ok"
 	switch {

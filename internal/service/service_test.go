@@ -170,6 +170,45 @@ func TestMaxTimeoutCaps(t *testing.T) {
 	}
 }
 
+// TestNodeCounterCountsStoppedSearches holds bagcd_ilp_nodes_total to the
+// searches that return no Report: one stopped by its node budget adds
+// exactly that budget, one stopped by its deadline adds the nodes it
+// explored. The budgeted instance is a pairwise-consistent, infeasible
+// triangle whose search needs about 29,000 nodes at microseconds each;
+// slowTriangle's nodes each sweep up to 2^16 values, so 5,000 of them
+// would take seconds, and minutes under the race detector.
+func TestNodeCounterCountsStoppedSearches(t *testing.T) {
+	rng := rand.New(rand.NewSource(367))
+	inst, err := gen.RandomThreeDCT(rng, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst, err = gen.PerturbTriangleMargins(rng, inst, 12); err != nil {
+		t.Fatal(err)
+	}
+	refuted, err := inst.ToCollection()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newService(t, Config{Checker: bagconsist.New(bagconsist.WithMaxNodes(5000))})
+	_, err = svc.Do(context.Background(), Request{Kind: Global, Collection: refuted})
+	if !errors.Is(err, bagconsist.ErrNodeLimit) {
+		t.Fatalf("err = %v, want ErrNodeLimit", err)
+	}
+	if got := svc.ilpNodes.Value(); got != 5000 {
+		t.Fatalf("bagcd_ilp_nodes_total = %d after a 5,000-node budget ran out, want 5000", got)
+	}
+
+	svc = newService(t, Config{Checker: slowChecker(1)})
+	_, err = svc.Do(context.Background(), Request{Kind: Global, Collection: slowTriangle(t), Timeout: 50 * time.Millisecond})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if svc.ilpNodes.Value() == 0 {
+		t.Fatal("bagcd_ilp_nodes_total did not count the nodes of a search stopped by its deadline")
+	}
+}
+
 // TestCallerAbandonSkipsQueuedWork cancels a caller while its request is
 // queued and checks the worker discards the stale task without computing.
 func TestCallerAbandonSkipsQueuedWork(t *testing.T) {

@@ -55,11 +55,7 @@ type config struct {
 	lpPruning       bool
 	minimizeWitness bool
 	parallelism     int
-	// solverParallelism is the worker count of the integer search itself;
-	// 0 means "follow parallelism". It never changes verdicts, only how
-	// the search tree is walked.
-	solverParallelism int
-	cache             *Cache
+	cache           *Cache
 	// observer, when set, is notified after every cache-backed check
 	// (see WithCheckObserver). Pure telemetry: never part of optionsKey.
 	observer CheckObserver
@@ -78,25 +74,19 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		method:            Auto,
-		minimizeWitness:   true,
-		parallelism:       runtime.GOMAXPROCS(0),
-		solverParallelism: 1,
+		method:          Auto,
+		minimizeWitness: true,
+		parallelism:     runtime.GOMAXPROCS(0),
 	}
 }
 
 // global projects the config onto the internal options type.
 func (c config) global() core.GlobalOptions {
-	workers := c.solverParallelism
-	if workers == 0 {
-		workers = c.parallelism
-	}
 	return core.GlobalOptions{
 		ForceILP:                c.method == ILP,
 		SkipWitnessMinimization: !c.minimizeWitness,
 		MaxNodes:                c.maxNodes,
 		LPPruning:               c.lpPruning,
-		SolverWorkers:           workers,
 	}
 }
 
@@ -136,24 +126,6 @@ func WithParallelism(n int) Option {
 			n = 1
 		}
 		c.parallelism = n
-	}
-}
-
-// WithSolverParallelism sets the worker count of the integer search that
-// decides cyclic instances: n > 1 runs the work-stealing parallel
-// branch-and-bound inside each query, n == 1 (the default) keeps the
-// search sequential, and n == 0 sizes the search from the Checker's
-// Parallelism(). The feasibility verdict and the validity of any witness
-// are identical for every worker count — only wall time and node counts
-// change — so cache keys deliberately ignore this knob. The default stays
-// sequential because CheckBatch already runs Parallelism() queries
-// concurrently; turn this up for single expensive cyclic instances.
-func WithSolverParallelism(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 1
-		}
-		c.solverParallelism = n
 	}
 }
 

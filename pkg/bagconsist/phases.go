@@ -8,9 +8,9 @@ import (
 
 // PhaseSpan is one node of a Report's phase-timing tree: where a request
 // spent its time, from fingerprinting through cache tiers down to the
-// ILP search frontier. Times are nanoseconds relative to the trace start;
-// Counters carry engine statistics (ILP nodes/steals, flow augmentations)
-// and Attrs qualitative outcomes (cache hit/miss, method, fingerprint).
+// ILP search. Times are nanoseconds relative to the trace start;
+// Counters carry engine statistics (ILP nodes, flow augmentations) and
+// Attrs qualitative outcomes (cache hit/miss, method, fingerprint).
 //
 // The tree is populated only on traced requests — plain contexts keep
 // Report byte-identical to previous releases (phases is omitempty).
