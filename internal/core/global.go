@@ -51,17 +51,11 @@ type GlobalOptions struct {
 	// MaxNodes bounds the integer search on the cyclic path (0 means
 	// ilp.DefaultMaxNodes).
 	MaxNodes int64
-	// LPPruning enables the exact rational relaxation bound at every
-	// integer-search node.
-	LPPruning bool
 }
 
 // ILP projects the options onto the integer-search tuning knobs.
 func (o GlobalOptions) ILP() ilp.Options {
-	return ilp.Options{
-		MaxNodes:  o.MaxNodes,
-		LPPruning: o.LPPruning,
-	}
+	return ilp.Options{MaxNodes: o.MaxNodes}
 }
 
 // Decision is the outcome of a global consistency query.

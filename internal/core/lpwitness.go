@@ -38,7 +38,7 @@ func MinCostPairWitness(r, s *bag.Bag, cost TupleCost) (*bag.Bag, bool, error) {
 		}
 		c[j] = v
 	}
-	res, err := lp.Solve(p.M, p.Cols, ratRHS(p.B), c, nil, nil)
+	res, err := lp.Solve(p.M, p.Cols, ratRHS(p.B), c)
 	if err != nil {
 		return nil, false, err
 	}

@@ -286,7 +286,7 @@ func PairConsistentViaLP(r, s *bag.Bag) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	res, err := lp.Solve(p.M, p.Cols, ratRHS(p.B), nil, nil, nil)
+	res, err := lp.Solve(p.M, p.Cols, ratRHS(p.B), nil)
 	if err != nil {
 		return false, err
 	}

@@ -128,7 +128,7 @@ func (c *Collection) RelaxedGloballyConsistent() (bool, error) {
 			row++
 		}
 	}
-	res, err := lp.Solve(p.M, p.Cols, b, nil, nil, nil)
+	res, err := lp.Solve(p.M, p.Cols, b, nil)
 	if err != nil {
 		return false, err
 	}

@@ -291,28 +291,21 @@ func acyclicCases() []Case {
 }
 
 // cyclicCases sweep the NP side: 3DCT triangle instances through the
-// exact integer search, with and without LP pruning, cached and not. E6
-// also times the uncached plain search at n=5, which no sweep holds.
+// exact integer search, cached and not. E6 also times the uncached search
+// at n=5, which no sweep holds.
 func cyclicCases() []Case {
 	var cs []Case
 	for _, n := range []int{2, 3, 4, 5} {
-		for _, lp := range []bool{false, true} {
-			method := map[bool]string{false: "integer-program", true: "integer-program+lp"}[lp]
-			for _, mode := range []string{"off", "warm"} {
-				if n == 5 && (lp || mode != "off") {
-					continue
-				}
-				opts := []bagconsist.Option{bagconsist.WithMaxNodes(50_000_000)}
-				if lp {
-					opts = append(opts, bagconsist.WithLPPruning(true))
-				}
-				cs = append(cs, Case{
-					Name:   fmt.Sprintf("cyclic/3dct/%s/cache=%s/n=%d", method, mode, n),
-					Family: "cyclic", Method: method, Cache: mode, Params: fmt.Sprintf("n=%d", n),
-					Quick: n <= 3, Full: n <= 4,
-					Setup: onColl(cube(n), checkGlobal(mode, opts...)),
-				})
+		for _, mode := range []string{"off", "warm"} {
+			if n == 5 && mode != "off" {
+				continue
 			}
+			cs = append(cs, Case{
+				Name:   fmt.Sprintf("cyclic/3dct/integer-program/cache=%s/n=%d", mode, n),
+				Family: "cyclic", Method: "integer-program", Cache: mode, Params: fmt.Sprintf("n=%d", n),
+				Quick: n <= 3, Full: n <= 4,
+				Setup: onColl(cube(n), checkGlobal(mode, bagconsist.WithMaxNodes(50_000_000))),
+			})
 		}
 	}
 	return cs
@@ -894,33 +887,13 @@ func coreCases() []Case {
 }
 
 // ablationCases measure the cost and benefit of minimal pairwise
-// witnesses inside the Theorem 6 composition, and the exact LP relaxation
-// bound inside the integer search at both ends of its trade-off: on a
-// light feasible triangle (n=3) plain search wins by two orders of
-// magnitude; on the heavy tail, an infeasible 3DCT instance (n=4) whose
-// plain search exhausts ~43k nodes, the root relaxation refutes it in one
-// node.
+// witnesses inside the Theorem 6 composition.
 func ablationCases() []Case {
 	var cs []Case
 	star := seededColl(11, hypergraph.Star(12), 48, 1<<10, 4)
 	for _, arm := range []string{"minimal", "raw-flow"} {
 		opts := core.GlobalOptions{SkipWitnessMinimization: arm == "raw-flow"}
 		cs = append(cs, newCase("ablation", "witness-minimization", "off", "arm="+arm, true, onColl(star, witnessAcyclic(opts))))
-	}
-	light := func() (*core.Collection, error) { return threeDCT(rand.New(rand.NewSource(12)), 3) }
-	heavy := func() (*core.Collection, error) {
-		inst, err := gen.InfeasibleThreeDCT(rand.New(rand.NewSource(1315)), 4, 2, 50, 3_000_000)
-		if err != nil {
-			return nil, err
-		}
-		return inst.ToCollection()
-	}
-	for _, arm := range []struct {
-		name  string
-		build func() (*core.Collection, error)
-		lp    bool
-	}{{"plain", light, false}, {"lp-pruned", light, true}, {"plain-infeasible-n4", heavy, false}, {"lp-pruned-infeasible-n4", heavy, true}} {
-		cs = append(cs, newCase("ablation", "lp-pruning", "off", "arm="+arm.name, true, onColl(arm.build, search(core.GlobalOptions{MaxNodes: 50_000_000, LPPruning: arm.lp}))))
 	}
 	return cs
 }

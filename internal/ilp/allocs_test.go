@@ -58,7 +58,7 @@ func TestSolveAllocsFlat(t *testing.T) {
 	}
 	// Past the solo phase the schedule adds one walker for all of its
 	// randomized runs.
-	restarts, restartNodes := measureSolveAllocs(t, noProgram(t, 796))
+	restarts, restartNodes := measureSolveAllocs(t, engineProgram(t, noTriangle(t, 796)))
 	if restartNodes <= portfolioSolo {
 		t.Fatalf("the refuted triangle needs %d nodes; want more than the solo phase's %d", restartNodes, portfolioSolo)
 	}

@@ -1,7 +1,7 @@
-// Differential harness for the search: Solve, with the LP bound off and
-// on, must reproduce the deterministic walk's feasibility verdict, on
-// random sparse systems and on the real programs the engine builds from
-// generated instances, and every witness must verify.
+// Differential harness for the search: Solve must reproduce the
+// deterministic walk's feasibility verdict, on random sparse systems and
+// on the real programs the engine builds from generated instances, and
+// every witness must verify.
 package ilp_test
 
 import (
@@ -36,24 +36,22 @@ func randomProblem(rng *rand.Rand) *ilp.Problem {
 	return &ilp.Problem{M: m, Cols: cols, B: b}
 }
 
-// checkSweep solves p with LP pruning off and on and fails unless both
-// verdicts match want and every SAT witness verifies.
+// checkSweep solves p and fails unless the verdict matches want and a SAT
+// witness verifies.
 func checkSweep(t *testing.T, p *ilp.Problem, want bool, label string) {
 	t.Helper()
-	for _, lp := range []bool{false, true} {
-		sol, err := ilp.Solve(p, ilp.Options{LPPruning: lp})
-		if err != nil {
-			t.Fatalf("%s: lp=%v: %v", label, lp, err)
-		}
-		if sol.Feasible != want {
-			t.Fatalf("%s: lp=%v: verdict %v, oracle %v", label, lp, sol.Feasible, want)
-		}
-		if sol.Feasible && !p.Verify(sol.X) {
-			t.Fatalf("%s: lp=%v: witness %v does not verify", label, lp, sol.X)
-		}
-		if sol.Nodes <= 0 {
-			t.Fatalf("%s: lp=%v: nonpositive node count %d", label, lp, sol.Nodes)
-		}
+	sol, err := ilp.Solve(p, ilp.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if sol.Feasible != want {
+		t.Fatalf("%s: verdict %v, oracle %v", label, sol.Feasible, want)
+	}
+	if sol.Feasible && !p.Verify(sol.X) {
+		t.Fatalf("%s: witness %v does not verify", label, sol.X)
+	}
+	if sol.Nodes <= 0 {
+		t.Fatalf("%s: nonpositive node count %d", label, sol.Nodes)
 	}
 }
 

@@ -62,6 +62,6 @@ func FuzzSolve(f *testing.F) {
 		if p == nil {
 			return
 		}
-		matchOracle(t, "fuzz", p, false)
+		matchOracle(t, "fuzz", p)
 	})
 }

@@ -7,11 +7,10 @@
 // formulation of package maxflow is preferred; for m ≥ 3 deciding
 // feasibility is NP-complete (Theorem 4 of the paper), so this package
 // implements an exact branch-and-bound search with constraint propagation,
-// an optional exact-LP relaxation bound, an explicit node budget (worst
-// cases fail loudly instead of hanging), a seeded restart portfolio that
-// keeps one bad early branch choice from deciding Solve's running time,
-// and complete enumeration of all solutions for the witness-counting
-// experiments.
+// an explicit node budget (worst cases fail loudly instead of hanging), a
+// seeded restart portfolio that keeps one bad early branch choice from
+// deciding Solve's running time, and complete enumeration of all solutions
+// for the witness-counting experiments.
 package ilp
 
 import (
@@ -19,12 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"math/bits"
 	"math/rand/v2"
 	"strconv"
 
-	"bagconsistency/internal/lp"
 	"bagconsistency/internal/trace"
 )
 
@@ -47,10 +44,6 @@ type Problem struct {
 type Options struct {
 	// MaxNodes bounds the number of search nodes (0 means DefaultMaxNodes).
 	MaxNodes int64
-	// LPPruning enables the exact rational relaxation bound at every search
-	// node. It can shrink the tree dramatically but each node becomes much
-	// more expensive; the dichotomy benchmarks run with it off.
-	LPPruning bool
 	// deterministic holds Solve to the deterministic walk alone, the one
 	// Enumerate runs. Only tests set it.
 	deterministic bool
@@ -71,10 +64,9 @@ type Solution struct {
 }
 
 // stopError is the error of a search that stopped without a verdict: at
-// its node budget, when its context ended, or on an LP failure. It reads
-// as, and unwraps to, the error that stopped it, and carries the nodes
-// the search explored, which callers that account search work read
-// through its Nodes method.
+// its node budget or when its context ended. It reads as, and unwraps to,
+// the error that stopped it, and carries the nodes the search explored,
+// which callers that account search work read through its Nodes method.
 type stopError struct {
 	err   error
 	nodes int64
@@ -168,14 +160,12 @@ type walker struct {
 }
 
 // openNode is a node on the current path: its branch column, the next
-// value to try (counting down; negative once none is left), the trail
-// length before the column was assigned, and the LP basis its children
-// warm-start from.
+// value to try (counting down; negative once none is left), and the trail
+// length before the column was assigned.
 type openNode struct {
-	col   int
-	next  int64
-	mark  int
-	basis lp.Basis
+	col  int
+	next int64
+	mark int
 }
 
 // ctxCheckMask controls how often the search polls its context: every
@@ -507,34 +497,6 @@ func (st *state) solution() []int64 {
 	return sol
 }
 
-// lpBound applies the LP relaxation bound when LPPruning is on: it reports
-// whether the node survives, and the basis its children warm-start from.
-// hint is the basis of a related relaxation (the parent node's, in stable
-// original-column ids); with pruning off it passes straight through.
-func (w *walker) lpBound(hint lp.Basis) (bool, lp.Basis, error) {
-	if !w.opts.LPPruning {
-		return true, hint, nil
-	}
-	var cols [][]int
-	var ids []int
-	for j, rows := range w.p.Cols {
-		if w.st.x[j] < 0 {
-			cols = append(cols, rows)
-			ids = append(ids, j)
-		}
-	}
-	vals := make([]big.Rat, w.p.M)
-	b := make([]*big.Rat, w.p.M)
-	for i, r := range w.st.residual {
-		b[i] = vals[i].SetInt64(r)
-	}
-	res, err := lp.Solve(w.p.M, cols, b, nil, ids, hint)
-	if err != nil {
-		return false, nil, err
-	}
-	return res.Feasible, res.Basis, nil
-}
-
 // branchOn picks the node's branch: an unsatisfied row with the fewest
 // active columns, an active column of that row, and ub, the column's
 // largest admissible value (the least residual over its rows). The
@@ -598,10 +560,8 @@ func (w *walker) branchOn() (branch int, ub int64, ok bool) {
 // node runs one search node on the walk's state, whose last assignment
 // was column branch (-1 at the root): it counts the node against the
 // budget, propagates, and either reports a solution to fn, prunes, or
-// pushes an open node for its branch column. hint is the LP basis of the
-// parent node's relaxation (nil at the root), so each node's simplex
-// warm-starts from its parent's.
-func (w *walker) node(branch int, hint lp.Basis, fn func(x []int64) error) error {
+// pushes an open node for its branch column.
+func (w *walker) node(branch int, fn func(x []int64) error) error {
 	if w.nodes == w.maxNodes {
 		return ErrNodeLimit
 	}
@@ -617,15 +577,11 @@ func (w *walker) node(branch int, hint lp.Basis, fn func(x []int64) error) error
 	if w.st.nonzero == 0 {
 		return fn(w.st.solution())
 	}
-	ok, basis, err := w.lpBound(hint)
-	if err != nil || !ok {
-		return err
-	}
 	col, ub, ok := w.branchOn()
 	if !ok {
 		return nil
 	}
-	w.open = append(w.open, openNode{col: col, next: ub, mark: len(w.trail), basis: basis})
+	w.open = append(w.open, openNode{col: col, next: ub, mark: len(w.trail)})
 	return nil
 }
 
@@ -642,7 +598,7 @@ func (w *walker) run(limit int64, fn func(x []int64) error) (done bool, err erro
 	if !w.started {
 		w.started = true
 		limit--
-		if err := w.node(-1, nil, fn); err != nil {
+		if err := w.node(-1, fn); err != nil {
 			return false, err
 		}
 	}
@@ -677,7 +633,7 @@ func (w *walker) run(limit int64, fn func(x []int64) error) (done bool, err erro
 			return false, nil
 		}
 		limit--
-		if err := w.node(o.col, o.basis, fn); err != nil {
+		if err := w.node(o.col, fn); err != nil {
 			return false, err
 		}
 	}

@@ -168,44 +168,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
-func TestLPPruningAgreesWithPlainSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		m := 2 + rng.Intn(3)
-		ncols := 2 + rng.Intn(5)
-		cols := make([][]int, ncols)
-		for j := range cols {
-			seen := map[int]bool{}
-			k := 1 + rng.Intn(m)
-			for len(seen) < k {
-				seen[rng.Intn(m)] = true
-			}
-			for r := range seen {
-				cols[j] = append(cols[j], r)
-			}
-		}
-		b := make([]int64, m)
-		for i := range b {
-			b[i] = int64(rng.Intn(5))
-		}
-		p := &Problem{M: m, Cols: cols, B: b}
-		plain, err := Solve(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned, err := Solve(p, Options{LPPruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.Feasible != pruned.Feasible {
-			t.Fatalf("trial %d: plain=%v pruned=%v", trial, plain.Feasible, pruned.Feasible)
-		}
-		if pruned.Feasible && !p.Verify(pruned.X) {
-			t.Fatalf("trial %d: pruned solution invalid", trial)
-		}
-	}
-}
-
 func TestAgainstBruteForceProperty(t *testing.T) {
 	// Exhaustive cross-check on tiny systems: enumerate all assignments with
 	// entries ≤ max(B) and compare the solution count.

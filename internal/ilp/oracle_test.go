@@ -3,14 +3,12 @@ package ilp_test
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/ilp"
-	"bagconsistency/internal/lp"
 )
 
 // The clone oracle is the sequential search this package shipped before
@@ -43,7 +41,6 @@ func (s *oracleState) clone() *oracleState {
 type oracleSearcher struct {
 	p        *ilp.Problem
 	rowCols  [][]int
-	opts     ilp.Options
 	nodes    int64
 	maxNodes int64
 }
@@ -72,7 +69,7 @@ func newOracle(p *ilp.Problem, opts ilp.Options) (*oracleSearcher, *oracleState)
 	for i, cols := range rowCols {
 		st.nActive[i] = len(cols)
 	}
-	return &oracleSearcher{p: p, rowCols: rowCols, opts: opts, maxNodes: maxNodes}, st
+	return &oracleSearcher{p: p, rowCols: rowCols, maxNodes: maxNodes}, st
 }
 
 var errOracleStop = errors.New("oracle: stop")
@@ -82,7 +79,7 @@ func oracleSolve(p *ilp.Problem, opts ilp.Options) (*ilp.Solution, error) {
 	sr, st := newOracle(p, opts)
 	var found []int64
 	solved := false
-	err := sr.dfs(st, nil, func(x []int64) error {
+	err := sr.dfs(st, func(x []int64) error {
 		found = append([]int64(nil), x...)
 		solved = true
 		return errOracleStop
@@ -99,7 +96,7 @@ func oracleSolve(p *ilp.Problem, opts ilp.Options) (*ilp.Solution, error) {
 // oracleEnumerate is ilp.Enumerate on the clone oracle.
 func oracleEnumerate(p *ilp.Problem, opts ilp.Options, fn func(x []int64) error) error {
 	sr, st := newOracle(p, opts)
-	return sr.dfs(st, nil, fn)
+	return sr.dfs(st, fn)
 }
 
 func (sr *oracleSearcher) assign(st *oracleState, j int, v int64) bool {
@@ -160,30 +157,6 @@ func (st *oracleState) solution() []int64 {
 	return sol
 }
 
-func (sr *oracleSearcher) lpBound(st *oracleState, hint lp.Basis) (bool, lp.Basis, error) {
-	if !sr.opts.LPPruning {
-		return true, hint, nil
-	}
-	var cols [][]int
-	var ids []int
-	for j, rows := range sr.p.Cols {
-		if st.active[j] {
-			cols = append(cols, rows)
-			ids = append(ids, j)
-		}
-	}
-	vals := make([]big.Rat, sr.p.M)
-	b := make([]*big.Rat, sr.p.M)
-	for i, r := range st.residual {
-		b[i] = vals[i].SetInt64(r)
-	}
-	res, err := lp.Solve(sr.p.M, cols, b, nil, ids, hint)
-	if err != nil {
-		return false, nil, err
-	}
-	return res.Feasible, res.Basis, nil
-}
-
 func (sr *oracleSearcher) branchOn(st *oracleState) (branch int, ub int64, ok bool) {
 	row := -1
 	for i := 0; i < sr.p.M; i++ {
@@ -213,7 +186,7 @@ func (sr *oracleSearcher) branchOn(st *oracleState) (branch int, ub int64, ok bo
 	return branch, ub, true
 }
 
-func (sr *oracleSearcher) dfs(st *oracleState, hint lp.Basis, fn func(x []int64) error) error {
+func (sr *oracleSearcher) dfs(st *oracleState, fn func(x []int64) error) error {
 	sr.nodes++
 	if sr.nodes > sr.maxNodes {
 		return ilp.ErrNodeLimit
@@ -224,10 +197,6 @@ func (sr *oracleSearcher) dfs(st *oracleState, hint lp.Basis, fn func(x []int64)
 	if st.done() {
 		return fn(st.solution())
 	}
-	ok, basis, err := sr.lpBound(st, hint)
-	if err != nil || !ok {
-		return err
-	}
 	branch, ub, ok := sr.branchOn(st)
 	if !ok {
 		return nil
@@ -237,7 +206,7 @@ func (sr *oracleSearcher) dfs(st *oracleState, hint lp.Basis, fn func(x []int64)
 		if !sr.assign(child, branch, v) {
 			continue
 		}
-		if err := sr.dfs(child, basis, fn); err != nil {
+		if err := sr.dfs(child, fn); err != nil {
 			return err
 		}
 	}
@@ -276,57 +245,52 @@ const portfolioSolo = 4096
 // oracle on p. The deterministic walk must match it exactly: Solve's
 // verdict, witness, node count and error; an ErrNodeLimit one node short
 // of that count; and Enumerate's solutions, in order, with the same
-// stopping error. Enumeration stops after 64 solutions, or 4 with LP
-// pruning, whose exact relaxation at every node costs milliseconds on
-// these programs. Solve's full schedule must return the oracle's verdict
-// with a witness that verifies, within twice the oracle's budget, and the
-// oracle's witness and node count on trees the solo phase decides.
-func matchOracle(t *testing.T, label string, p *ilp.Problem, lpPruning bool) {
+// stopping error. Enumeration stops after 64 solutions. Solve's full
+// schedule must return the oracle's verdict with a witness that verifies,
+// within twice the oracle's budget, and the oracle's witness and node
+// count on trees the solo phase decides.
+func matchOracle(t *testing.T, label string, p *ilp.Problem) {
 	t.Helper()
-	opts := ilp.Options{MaxNodes: oracleBudget, LPPruning: lpPruning}
+	opts := ilp.Options{MaxNodes: oracleBudget}
 	want, wantErr := oracleSolve(p, opts)
-	full, err := ilp.Solve(p, ilp.Options{MaxNodes: 2 * oracleBudget, LPPruning: lpPruning})
+	full, err := ilp.Solve(p, ilp.Options{MaxNodes: 2 * oracleBudget})
 	switch {
 	case err != nil && (wantErr == nil || !errors.Is(err, ilp.ErrNodeLimit)):
-		t.Fatalf("%s lp=%v: portfolio Solve error %v, oracle %v", label, lpPruning, err, wantErr)
+		t.Fatalf("%s: portfolio Solve error %v, oracle %v", label, err, wantErr)
 	case err == nil && full.Feasible && !p.Verify(full.X):
-		t.Fatalf("%s lp=%v: portfolio witness %v does not verify", label, lpPruning, full.X)
+		t.Fatalf("%s: portfolio witness %v does not verify", label, full.X)
 	case wantErr == nil && full.Feasible != want.Feasible:
-		t.Fatalf("%s lp=%v: portfolio verdict %v, oracle %v", label, lpPruning, full.Feasible, want.Feasible)
+		t.Fatalf("%s: portfolio verdict %v, oracle %v", label, full.Feasible, want.Feasible)
 	case wantErr == nil && want.Nodes <= portfolioSolo && (full.Nodes != want.Nodes || !slices.Equal(full.X, want.X)):
-		t.Fatalf("%s lp=%v: portfolio Solve = (%d nodes, %v), oracle (%d nodes, %v)",
-			label, lpPruning, full.Nodes, full.X, want.Nodes, want.X)
+		t.Fatalf("%s: portfolio Solve = (%d nodes, %v), oracle (%d nodes, %v)",
+			label, full.Nodes, full.X, want.Nodes, want.X)
 	}
 	opts = ilp.Deterministic(opts)
 	got, err := ilp.Solve(p, opts)
 	if !errors.Is(err, wantErr) {
-		t.Fatalf("%s lp=%v: Solve error %v, oracle %v", label, lpPruning, err, wantErr)
+		t.Fatalf("%s: Solve error %v, oracle %v", label, err, wantErr)
 	}
 	if wantErr == nil {
 		if got.Feasible != want.Feasible || got.Nodes != want.Nodes || !slices.Equal(got.X, want.X) {
-			t.Fatalf("%s lp=%v: Solve = (%v, %d nodes, %v), oracle (%v, %d nodes, %v)",
-				label, lpPruning, got.Feasible, got.Nodes, got.X, want.Feasible, want.Nodes, want.X)
+			t.Fatalf("%s: Solve = (%v, %d nodes, %v), oracle (%v, %d nodes, %v)",
+				label, got.Feasible, got.Nodes, got.X, want.Feasible, want.Nodes, want.X)
 		}
 		if want.Nodes > 1 {
 			short := opts
 			short.MaxNodes = want.Nodes - 1
 			if _, err := ilp.Solve(p, short); !errors.Is(err, ilp.ErrNodeLimit) {
-				t.Fatalf("%s lp=%v: Solve at %d nodes: error %v, want ErrNodeLimit", label, lpPruning, short.MaxNodes, err)
+				t.Fatalf("%s: Solve at %d nodes: error %v, want ErrNodeLimit", label, short.MaxNodes, err)
 			}
 		}
 	}
-	limit := 64
-	if lpPruning {
-		limit = 4
-	}
-	gotSols, err := enumerateUpTo(p, opts, limit, ilp.Enumerate)
-	wantSols, wantErr := enumerateUpTo(p, opts, limit, oracleEnumerate)
+	gotSols, err := enumerateUpTo(p, opts, 64, ilp.Enumerate)
+	wantSols, wantErr := enumerateUpTo(p, opts, 64, oracleEnumerate)
 	if !errors.Is(err, wantErr) {
-		t.Fatalf("%s lp=%v: Enumerate error %v, oracle %v", label, lpPruning, err, wantErr)
+		t.Fatalf("%s: Enumerate error %v, oracle %v", label, err, wantErr)
 	}
 	if !slices.EqualFunc(gotSols, wantSols, slices.Equal) {
-		t.Fatalf("%s lp=%v: Enumerate emitted %d solutions, oracle %d, or in another order",
-			label, lpPruning, len(gotSols), len(wantSols))
+		t.Fatalf("%s: Enumerate emitted %d solutions, oracle %d, or in another order",
+			label, len(gotSols), len(wantSols))
 	}
 }
 
@@ -369,18 +333,13 @@ func TestSolveMatchesCloneOracle(t *testing.T) {
 	}
 	corpora := engineCorpora(t)
 	fresh := cyclicFreshPrograms(t, rng, 40)
-	for _, lpPruning := range []bool{false, true} {
-		for i, p := range random {
-			matchOracle(t, fmt.Sprintf("random %d", i), p, lpPruning)
-		}
-		for _, c := range corpora {
-			matchOracle(t, c.label, c.p, lpPruning)
-		}
-		for i, p := range fresh {
-			if lpPruning && i >= 2 {
-				break // one of each family: the relaxation is the cost
-			}
-			matchOracle(t, fmt.Sprintf("cyclic-fresh %d", i), p, lpPruning)
-		}
+	for i, p := range random {
+		matchOracle(t, fmt.Sprintf("random %d", i), p)
+	}
+	for _, c := range corpora {
+		matchOracle(t, c.label, c.p)
+	}
+	for i, p := range fresh {
+		matchOracle(t, fmt.Sprintf("cyclic-fresh %d", i), p)
 	}
 }

@@ -8,19 +8,20 @@ import (
 	"testing"
 	"time"
 
+	"bagconsistency/internal/core"
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/ilp"
 	"bagconsistency/internal/reductions"
 )
 
-// triangleProgram builds the program P(R1,R2,R3) of a 3DCT instance.
-func triangleProgram(t *testing.T, inst *reductions.ThreeDCT) *ilp.Problem {
+// triangle builds the collection of a 3DCT instance.
+func triangle(t *testing.T, inst *reductions.ThreeDCT) *core.Collection {
 	t.Helper()
 	coll, err := inst.ToCollection()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engineProgram(t, coll)
+	return coll
 }
 
 // tailMasters are every 96th entry, from the first, of the triangle list
@@ -43,11 +44,11 @@ func tailProgram(t *testing.T, m int64) *ilp.Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return triangleProgram(t, inst)
+	return engineProgram(t, triangle(t, inst))
 }
 
 // refutedSeeds are the first 20 seeds s from 0 whose triangle (see
-// noProgram) the deterministic walk refutes. Past the solo phase, a
+// noTriangle) the deterministic walk refutes. Past the solo phase, a
 // randomized run refutes seed 796 after 41,059 nodes in all, against
 // the deterministic walk's 1,049,973.
 var refutedSeeds = []int64{
@@ -55,10 +56,10 @@ var refutedSeeds = []int64{
 	1513, 1730, 1892, 2157, 2790, 3064, 3695, 3712, 3921, 4229,
 }
 
-// noProgram builds a pairwise-consistent triangle from seed s: the
+// noTriangle builds a pairwise-consistent triangle from seed s: the
 // margins of a random 4×4×4 table with cells ≤ 2, after 12 rectangle
 // swaps of its flat margin.
-func noProgram(t *testing.T, s int64) *ilp.Problem {
+func noTriangle(t *testing.T, s int64) *core.Collection {
 	t.Helper()
 	rng := rand.New(rand.NewSource(s))
 	inst, err := gen.RandomThreeDCT(rng, 4, 2)
@@ -68,7 +69,7 @@ func noProgram(t *testing.T, s int64) *ilp.Problem {
 	if inst, err = gen.PerturbTriangleMargins(rng, inst, 12); err != nil {
 		t.Fatal(err)
 	}
-	return triangleProgram(t, inst)
+	return triangle(t, inst)
 }
 
 // TestPortfolioDecidesTailTriangles holds Solve to the heavy tail of the
@@ -102,10 +103,17 @@ func TestPortfolioDecidesTailTriangles(t *testing.T) {
 // TestPortfolioRefutesWithinTwiceTheTree holds the cost of a NO answer:
 // the deterministic slice of every round runs before its randomized one,
 // so Solve refutes in fewer than twice the deterministic walk's nodes.
+// Each triangle is also refuted by one rational solve,
+// RelaxedGloballyConsistent: that is where a caller gets the LP
+// refutation, since the search never consults the relaxation.
 func TestPortfolioRefutesWithinTwiceTheTree(t *testing.T) {
 	var det, port int64
 	for _, seed := range refutedSeeds {
-		p := noProgram(t, seed)
+		coll := noTriangle(t, seed)
+		if relaxed, err := coll.RelaxedGloballyConsistent(); err != nil || relaxed {
+			t.Fatalf("seed %d: relaxed consistent %v (err %v), want false", seed, relaxed, err)
+		}
+		p := engineProgram(t, coll)
 		want, err := ilp.Solve(p, ilp.Deterministic(ilp.Options{}))
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +139,7 @@ func TestPortfolioRefutesWithinTwiceTheTree(t *testing.T) {
 // solve reports gives the same answer, one node fewer ErrNodeLimit. The
 // programs are a tail master and the triangle a randomized run refutes.
 func TestPortfolioNodeBudget(t *testing.T) {
-	for _, p := range []*ilp.Problem{tailProgram(t, 2731), noProgram(t, 796)} {
+	for _, p := range []*ilp.Problem{tailProgram(t, 2731), engineProgram(t, noTriangle(t, 796))} {
 		sol, err := ilp.Solve(p, ilp.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +167,7 @@ func slowProgram(t *testing.T) *ilp.Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return triangleProgram(t, inst)
+	return engineProgram(t, triangle(t, inst))
 }
 
 // TestSolveCancellation cancels a hopeless search mid-flight and asserts

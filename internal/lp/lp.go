@@ -14,16 +14,12 @@
 // rational feasibility of the same program with each bag's right-hand
 // side divided by that bag's total, hence the rational right-hand side.
 // Exact rational pivoting with Bland's anti-cycling rule makes every
-// answer certain rather than floating-point approximate. The solver is
-// also the relaxation bound inside the integer search of package ilp,
-// where each node warm-starts from its parent's basis.
+// answer certain rather than floating-point approximate.
 package lp
 
 import (
 	"fmt"
 	"math/big"
-	"slices"
-	"sort"
 )
 
 // Result reports the outcome of a Solve call.
@@ -39,17 +35,7 @@ type Result struct {
 	// Value is c·X (zero without an objective), nil when infeasible or
 	// unbounded.
 	Value *big.Rat
-	// Basis is the final basis as sorted stable ids of its real columns,
-	// for warm-starting related solves; nil when infeasible.
-	Basis Basis
 }
-
-// Basis names the basic columns of a feasible tableau by caller-stable
-// column identifiers, so a basis can be carried between related solves
-// whose active column sets differ (the branch-and-bound of package ilp
-// deactivates columns as it assigns them, but the surviving columns keep
-// their original indices).
-type Basis []int
 
 // Solve minimizes c·x over Σ_{j : i ∈ cols[j]} x_j = b[i] for i in
 // [0,m), x ≥ 0, with exact arithmetic. b may hold rationals of any sign.
@@ -57,25 +43,10 @@ type Basis []int
 // is how an objective becomes unbounded. c may be nil for a pure
 // feasibility check. The inputs are not modified.
 //
-// ids[j] is a caller-stable identifier for column j (nil means the local
-// index is the identifier). hint, when non-nil, names by stable id the
-// columns that were basic in a related solve — typically the parent
-// node's relaxation in a branch-and-bound tree. Hinted columns are
-// crash-pivoted into the phase-1 basis with an exact ratio test before
-// simplex runs: each successful crash pivot replaces one artificial
-// variable while keeping the tableau primal-feasible, so phase 1 usually
-// starts at (or one pivot from) optimality instead of rediscovering the
-// parent's basis pivot by pivot. Hints that no longer apply — ids absent
-// from this solve, columns whose ratio-test row holds a real variable —
-// are skipped, never trusted; the answer is exact for any hint, including
-// an adversarial one.
-//
-// Phase 1 then runs Bland's rule from the crashed basis (Bland's rule
-// terminates from any starting basis, so the crash cannot introduce
-// cycling). With an objective, the artificial variables left basic at
-// zero are driven out and phase 2 runs Bland's rule over the real
-// columns.
-func Solve(m int, cols [][]int, b []*big.Rat, c []int64, ids []int, hint Basis) (*Result, error) {
+// Phase 1 runs Bland's rule from the artificial basis. With an objective,
+// the artificial variables left basic at zero are driven out and phase 2
+// runs Bland's rule over the real columns.
+func Solve(m int, cols [][]int, b []*big.Rat, c []int64) (*Result, error) {
 	n := len(cols)
 	if m <= 0 {
 		return nil, fmt.Errorf("lp: need at least one row")
@@ -91,14 +62,10 @@ func Solve(m int, cols [][]int, b []*big.Rat, c []int64, ids []int, hint Basis) 
 	if c != nil && len(c) != n {
 		return nil, fmt.Errorf("lp: c has %d entries, want %d", len(c), n)
 	}
-	if ids != nil && len(ids) != n {
-		return nil, fmt.Errorf("lp: ids has %d entries, want %d", len(ids), n)
-	}
 	tb, err := newTableau(m, cols, b)
 	if err != nil {
 		return nil, err
 	}
-	tb.crash(ids, hint)
 	if !tb.simplex(n + m) {
 		return nil, fmt.Errorf("lp: phase-1 objective unbounded (internal error)")
 	}
@@ -110,13 +77,13 @@ func Solve(m int, cols [][]int, b []*big.Rat, c []int64, ids []int, hint Basis) 
 		tb.driveOutArtificials()
 		tb.phase2Objective(c)
 		if !tb.simplex(n) {
-			return &Result{Feasible: true, Unbounded: true, X: tb.solution(), Basis: tb.stableBasis(ids)}, nil
+			return &Result{Feasible: true, Unbounded: true, X: tb.solution()}, nil
 		}
 	}
 	// The objective row's right-hand side is minus the objective value:
 	// zero at a feasible phase-1 optimum, -c·x after phase 2.
 	value := new(big.Rat).Neg(&tb.t[m][tb.rhs])
-	return &Result{Feasible: true, X: tb.solution(), Value: value, Basis: tb.stableBasis(ids)}, nil
+	return &Result{Feasible: true, X: tb.solution(), Value: value}, nil
 }
 
 // tableau is the dense simplex tableau: m constraint rows and then the
@@ -205,27 +172,17 @@ func (tb *tableau) pivot(row, col int) {
 	tb.basis[row] = col
 }
 
-// setRatio stores rhs/entry of row i in column col into tb.ratio and
-// reports whether the entry is positive (otherwise the row does not
-// bound the column and tb.ratio is untouched).
-func (tb *tableau) setRatio(i, col int) bool {
-	ti := tb.t[i]
-	if ti[col].Sign() <= 0 {
-		return false
-	}
-	tb.ratio.Quo(&ti[tb.rhs], &ti[col])
-	return true
-}
-
 // leaving runs Bland's ratio test for entering column col: the row with
 // the least ratio, ties broken by the smallest basic column. It returns
 // -1 when no entry of col is positive.
 func (tb *tableau) leaving(col int) int {
 	row := -1
 	for i := 0; i < tb.m; i++ {
-		if !tb.setRatio(i, col) {
+		ti := tb.t[i]
+		if ti[col].Sign() <= 0 {
 			continue
 		}
+		tb.ratio.Quo(&ti[tb.rhs], &ti[col])
 		if row >= 0 {
 			cmp := tb.ratio.Cmp(&tb.best)
 			if cmp > 0 || (cmp == 0 && tb.basis[i] > tb.basis[row]) {
@@ -259,49 +216,6 @@ func (tb *tableau) simplex(ncols int) bool {
 			return false
 		}
 		tb.pivot(row, col)
-	}
-}
-
-// crash replays a hinted basis. Each hint pivots its column in at an
-// exact min-ratio row — which preserves rhs ≥ 0 — but only when that
-// row's basic variable is artificial, so crash pivots strictly drive
-// artificials out and never evict a previously crashed column.
-func (tb *tableau) crash(ids []int, hint Basis) {
-	if len(hint) == 0 {
-		return
-	}
-	var pos map[int]int
-	if ids != nil {
-		pos = make(map[int]int, len(ids))
-		for j, id := range ids {
-			pos[id] = j
-		}
-	}
-	for _, hid := range hint {
-		col, ok := hid, hid >= 0 && hid < tb.n
-		if pos != nil {
-			col, ok = pos[hid]
-		}
-		if !ok || slices.Contains(tb.basis, col) {
-			continue
-		}
-		bounded := false
-		for i := 0; i < tb.m; i++ {
-			if tb.setRatio(i, col) && (!bounded || tb.ratio.Cmp(&tb.best) < 0) {
-				tb.best.Set(&tb.ratio)
-				bounded = true
-			}
-		}
-		if !bounded {
-			continue
-		}
-		for i := 0; i < tb.m; i++ {
-			if tb.basis[i] >= tb.n && tb.setRatio(i, col) && tb.ratio.Cmp(&tb.best) == 0 {
-				tb.pivot(i, col)
-				break
-			}
-		}
-		// No pivot: the min ratio sits only at rows holding real variables.
 	}
 }
 
@@ -361,19 +275,4 @@ func (tb *tableau) solution() []*big.Rat {
 		}
 	}
 	return x
-}
-
-// stableBasis returns the basic real columns as sorted stable ids.
-func (tb *tableau) stableBasis(ids []int) Basis {
-	var out Basis
-	for _, bj := range tb.basis {
-		if bj < tb.n {
-			if ids != nil {
-				bj = ids[bj]
-			}
-			out = append(out, bj)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -25,7 +25,7 @@ func ints(v ...int64) []*big.Rat {
 
 func TestFeasibleSimpleSystem(t *testing.T) {
 	// x0 + x1 = 3 (row 0), x1 = 1 (row 1) → x0 = 2, x1 = 1.
-	res, err := Solve(2, [][]int{{0}, {0, 1}}, ints(3, 1), nil, nil, nil)
+	res, err := Solve(2, [][]int{{0}, {0, 1}}, ints(3, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFeasibleSimpleSystem(t *testing.T) {
 
 func TestInfeasibleSystem(t *testing.T) {
 	// x + y = 1, x + y = 2 is inconsistent.
-	res, err := Solve(2, [][]int{{0, 1}, {0, 1}}, ints(1, 2), nil, nil, nil)
+	res, err := Solve(2, [][]int{{0, 1}, {0, 1}}, ints(1, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestInfeasibleSystem(t *testing.T) {
 
 func TestInfeasibleByNonNegativity(t *testing.T) {
 	// x = -1 with x ≥ 0.
-	res, err := Solve(1, [][]int{{0}}, ints(-1), nil, nil, nil)
+	res, err := Solve(1, [][]int{{0}}, ints(-1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestNegativeRHSHandled(t *testing.T) {
 	// unbounded under an objective that rewards x0.
 	b := []*big.Rat{big.NewRat(2, 1), big.NewRat(-5, 2)}
 	for _, c := range [][]int64{nil, {-1, 0}} {
-		res, err := Solve(2, [][]int{{0}, {0, 1}}, b, c, nil, nil)
+		res, err := Solve(2, [][]int{{0}, {0, 1}}, b, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestNegativeRHSHandled(t *testing.T) {
 
 func TestMinimization(t *testing.T) {
 	// min x + 2y s.t. x + y = 4 → x = 4, y = 0, value 4.
-	res, err := Solve(1, [][]int{{0}, {0}}, ints(4), []int64{1, 2}, nil, nil)
+	res, err := Solve(1, [][]int{{0}, {0}}, ints(4), []int64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMinimization(t *testing.T) {
 
 func TestMinimizationPrefersCheaperColumn(t *testing.T) {
 	// min 3x + y s.t. x + y = 4 → y = 4, value 4.
-	res, err := Solve(1, [][]int{{0}, {0}}, ints(4), []int64{3, 1}, nil, nil)
+	res, err := Solve(1, [][]int{{0}, {0}}, ints(4), []int64{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMinimizationPrefersCheaperColumn(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	// min -y s.t. x = 1, where y's column lists no rows: y grows freely.
-	res, err := Solve(1, [][]int{{0}, {}}, ints(1), []int64{0, -1}, nil, nil)
+	res, err := Solve(1, [][]int{{0}, {}}, ints(1), []int64{0, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestUnbounded(t *testing.T) {
 func TestRationalSolution(t *testing.T) {
 	// The triangle x0 + x1 = x1 + x2 = x0 + x2 = 1 has the unique
 	// solution x = 1/2: integral data, a fractional vertex.
-	res, err := Solve(3, [][]int{{0, 2}, {0, 1}, {1, 2}}, ints(1, 1, 1), nil, nil, nil)
+	res, err := Solve(3, [][]int{{0, 2}, {0, 1}, {1, 2}}, ints(1, 1, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +132,14 @@ func TestRedundantConstraints(t *testing.T) {
 	// Three copies of x + y = 2 stay feasible (degenerate basis
 	// handling), and phase 2 still optimizes over the redundant rows.
 	cols := [][]int{{0, 1, 2}, {0, 1, 2}}
-	res, err := Solve(3, cols, ints(2, 2, 2), nil, nil, nil)
+	res, err := Solve(3, cols, ints(2, 2, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Feasible {
 		t.Error("redundant system should be feasible")
 	}
-	res, err = Solve(3, cols, ints(2, 2, 2), []int64{2, 1}, nil, nil)
+	res, err = Solve(3, cols, ints(2, 2, 2), []int64{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRedundantConstraints(t *testing.T) {
 }
 
 func TestZeroRHS(t *testing.T) {
-	res, err := Solve(1, [][]int{{0}, {0}}, ints(0), nil, nil, nil)
+	res, err := Solve(1, [][]int{{0}, {0}}, ints(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,26 +165,23 @@ func TestZeroRHS(t *testing.T) {
 
 func TestInputValidation(t *testing.T) {
 	cols := [][]int{{0}}
-	if _, err := Solve(0, nil, nil, nil, nil, nil); err == nil {
+	if _, err := Solve(0, nil, nil, nil); err == nil {
 		t.Error("expected error for empty system")
 	}
-	if _, err := Solve(1, cols, ints(1, 2), nil, nil, nil); err == nil {
+	if _, err := Solve(1, cols, ints(1, 2), nil); err == nil {
 		t.Error("expected b-length error")
 	}
-	if _, err := Solve(1, cols, []*big.Rat{nil}, nil, nil, nil); err == nil {
+	if _, err := Solve(1, cols, []*big.Rat{nil}, nil); err == nil {
 		t.Error("expected nil-entry error")
 	}
-	if _, err := Solve(1, cols, ints(1), []int64{1, 2}, nil, nil); err == nil {
+	if _, err := Solve(1, cols, ints(1), []int64{1, 2}); err == nil {
 		t.Error("expected c-length error")
-	}
-	if _, err := Solve(1, cols, ints(1), nil, []int{4, 5}, nil); err == nil {
-		t.Error("expected ids-length error")
 	}
 }
 
 func TestSolveSparse(t *testing.T) {
 	// Two rows; columns {0}, {1}, {0,1}: x1 + x3 = 2, x2 + x3 = 2.
-	res, err := Solve(2, [][]int{{0}, {1}, {0, 1}}, ints(2, 2), nil, nil, nil)
+	res, err := Solve(2, [][]int{{0}, {1}, {0, 1}}, ints(2, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +197,10 @@ func TestSolveSparse(t *testing.T) {
 }
 
 func TestSolveSparseValidation(t *testing.T) {
-	if _, err := Solve(2, [][]int{{5}}, ints(1, 1), nil, nil, nil); err == nil {
+	if _, err := Solve(2, [][]int{{5}}, ints(1, 1), nil); err == nil {
 		t.Error("expected row-range error")
 	}
-	if _, err := Solve(2, [][]int{{-1}}, ints(1, 1), nil, nil, nil); err == nil {
+	if _, err := Solve(2, [][]int{{-1}}, ints(1, 1), nil); err == nil {
 		t.Error("expected negative-row error")
 	}
 }
@@ -229,7 +226,7 @@ func TestSolutionsAreAlwaysNonNegativeAndExact(t *testing.T) {
 				}
 			}
 		}
-		res, err := Solve(m, cols, b, nil, nil, nil)
+		res, err := Solve(m, cols, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +258,7 @@ func TestOptimalValueMatchesBruteForceOnAssignment(t *testing.T) {
 	// supplies 3 and 2 to demands 4 and 1 with costs 1,5,2,1.
 	// Variables x11,x12,x21,x22. Rows: supply1, supply2, demand1, demand2.
 	cols := [][]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}}
-	res, err := Solve(4, cols, ints(3, 2, 4, 1), []int64{1, 5, 2, 1}, nil, nil)
+	res, err := Solve(4, cols, ints(3, 2, 4, 1), []int64{1, 5, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,50 +269,20 @@ func TestOptimalValueMatchesBruteForceOnAssignment(t *testing.T) {
 	ratEq(t, res.Value, 6, 1)
 }
 
-func TestWarmBasisIsStableIDs(t *testing.T) {
-	// x0 + x1 = 2 (row 0), x1 = 1 (row 1): feasible, and any basis must
-	// name columns through the ids mapping — with or without an
-	// objective, and when replayed as a hint.
-	ids := []int{42, 17}
-	cols := [][]int{{0}, {0, 1}}
-	for _, c := range [][]int64{nil, {1, 1}} {
-		res, err := Solve(2, cols, ints(2, 1), c, ids, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Feasible {
-			t.Fatal("system should be feasible")
-		}
-		if len(res.Basis) != 2 || res.Basis[0] != 17 || res.Basis[1] != 42 {
-			t.Fatalf("c=%v: basis %v, want the sorted stable ids [17 42]", c, res.Basis)
-		}
-		again, err := Solve(2, cols, ints(2, 1), c, ids, res.Basis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !again.Feasible || len(again.Basis) != 2 {
-			t.Fatalf("c=%v: replayed basis gave %+v", c, again)
-		}
-	}
-}
-
-func TestWarmEmptyAndDegenerate(t *testing.T) {
-	if res, err := Solve(2, nil, ints(0, 0), nil, nil, nil); err != nil || !res.Feasible || len(res.X) != 0 {
+func TestEmptyAndDegenerate(t *testing.T) {
+	if res, err := Solve(2, nil, ints(0, 0), nil); err != nil || !res.Feasible || len(res.X) != 0 {
 		t.Fatalf("no columns, zero rhs: %+v err=%v, want feasible with empty X", res, err)
 	}
-	if res, err := Solve(2, nil, ints(0, 1), nil, nil, nil); err != nil || res.Feasible {
+	if res, err := Solve(2, nil, ints(0, 1), nil); err != nil || res.Feasible {
 		t.Fatalf("no columns, nonzero rhs: %+v err=%v, want infeasible", res, err)
 	}
-	if res, err := Solve(1, nil, ints(0), []int64{}, nil, nil); err != nil || !res.Feasible || res.Value.Sign() != 0 {
+	if res, err := Solve(1, nil, ints(0), []int64{}); err != nil || !res.Feasible || res.Value.Sign() != 0 {
 		t.Fatalf("no columns, empty objective: %+v err=%v, want value 0", res, err)
 	}
-	if _, err := Solve(0, nil, nil, nil, nil, nil); err == nil {
+	if _, err := Solve(0, nil, nil, nil); err == nil {
 		t.Fatal("m=0 should error")
 	}
-	if _, err := Solve(2, [][]int{{0}}, ints(1, 0), nil, []int{1, 2}, nil); err == nil {
-		t.Fatal("ids length mismatch should error")
-	}
-	if _, err := Solve(2, [][]int{{7}}, ints(1, 0), nil, nil, nil); err == nil {
+	if _, err := Solve(2, [][]int{{7}}, ints(1, 0), nil); err == nil {
 		t.Fatal("out-of-range row should error")
 	}
 }

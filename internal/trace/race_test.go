@@ -30,9 +30,9 @@ func TestConcurrentRecorder(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				cctx, sp := Start(ctx, SpanCheck)
 				sp.SetAttr("kind", "pair")
-				sp.AddCounter("nodes", int64(i))
+				sp.SetCounter("nodes", int64(i))
 				_, child := Start(cctx, SpanMaxflow)
-				child.AddCounter("augmentations", 1)
+				child.SetCounter("augmentations", 1)
 				child.End()
 				Record(cctx, SpanQueueWait, time.Now().Add(-time.Microsecond))
 				sp.End()

@@ -224,22 +224,6 @@ func (s *Span) SetCounter(key string, value int64) {
 	s.counters = append(s.counters, Counter{Key: key, Value: value})
 }
 
-// AddCounter adds delta to a counter, creating it at delta if absent.
-func (s *Span) AddCounter(key string, delta int64) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	for i := range s.counters {
-		if s.counters[i].Key == key {
-			s.counters[i].Value += delta
-			return
-		}
-	}
-	s.counters = append(s.counters, Counter{Key: key, Value: delta})
-}
-
 // Node is one span in a snapshot tree. Times are nanoseconds relative to
 // the trace start so trees are stable under serialization.
 type Node struct {

@@ -228,14 +228,14 @@ func (cr *cachedResult) witness(can *canon.Canonical) (*bag.Bag, error) {
 
 // optionsKey is the per-Checker component of every cache key: two
 // Checkers share results only when every knob that can change a Report
-// agrees. Parallelism and solver parallelism are excluded — they shape
-// scheduling and wall time, never a verdict or witness validity. The key
-// is byte-for-byte what earlier releases wrote, so persisted stores keep
-// hitting: the retired branch-order knob stays in it as the literal
-// "blfalse". See docs/STORAGE.md for the answers that carry an older
+// agrees. Parallelism is excluded — it shapes scheduling and wall time,
+// never a verdict or witness validity. The key is byte-for-byte what
+// earlier releases wrote, so persisted stores keep hitting: the retired
+// LP-bound and branch-order knobs stay in it as the literals "lpfalse"
+// and "blfalse". See docs/STORAGE.md for the answers that carry an older
 // Report.Method.
 func (c config) optionsKey() string {
-	return fmt.Sprintf("m%d|n%d|lp%t|blfalse|wm%t", c.method, c.maxNodes, c.lpPruning, c.minimizeWitness)
+	return fmt.Sprintf("m%d|n%d|lpfalse|blfalse|wm%t", c.method, c.maxNodes, c.minimizeWitness)
 }
 
 // cachedCheck is the shared lookup/compute/coalesce path behind CheckPair

@@ -52,7 +52,6 @@ func (m Method) String() string {
 type config struct {
 	method          Method
 	maxNodes        int64
-	lpPruning       bool
 	minimizeWitness bool
 	parallelism     int
 	cache           *Cache
@@ -86,7 +85,6 @@ func (c config) global() core.GlobalOptions {
 		ForceILP:                c.method == ILP,
 		SkipWitnessMinimization: !c.minimizeWitness,
 		MaxNodes:                c.maxNodes,
-		LPPruning:               c.lpPruning,
 	}
 }
 
@@ -103,12 +101,6 @@ func WithMethod(m Method) Option {
 // fails with an error wrapping ErrNodeLimit instead of hanging.
 func WithMaxNodes(n int64) Option {
 	return func(c *config) { c.maxNodes = n }
-}
-
-// WithLPPruning toggles the exact rational relaxation bound at every
-// integer-search node: far fewer nodes, far more work per node.
-func WithLPPruning(on bool) Option {
-	return func(c *config) { c.lpPruning = on }
 }
 
 // WithWitnessMinimization toggles minimal pairwise witnesses inside the
