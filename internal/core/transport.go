@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"bagconsistency/internal/bag"
 	"bagconsistency/internal/table"
@@ -23,9 +24,9 @@ type pairBlocks struct {
 	// and where its columns end in spos. All three are pooled and sized
 	// so they never regrow: a row lies in at most one block.
 	rpos, spos, ends []int32
-	// maxP, maxQ and maxCells size the kernel's scratch; witnessRows
-	// bounds the witness support by Σ (p + q − 1), Theorem 5 per block.
-	maxP, maxQ, maxCells, witnessRows int
+	// maxP and maxQ size the kernel's scratch; witnessRows bounds the
+	// witness support by Σ (p + q − 1), Theorem 5 per block.
+	maxP, maxQ, witnessRows int
 }
 
 // buildPairBlocks reads the blocks of N(R,S) off the sort-merge join's
@@ -54,7 +55,7 @@ func buildPairBlocks(r, s *bag.Bag) (*pairBlocks, error) {
 		pb.rpos = append(pb.rpos, rrun...)
 		pb.spos = append(pb.spos, srun...)
 		pb.ends = append(pb.ends, int32(len(pb.rpos)), int32(len(pb.spos)))
-		pb.maxP, pb.maxQ, pb.maxCells = max(pb.maxP, p), max(pb.maxQ, q), max(pb.maxCells, p*q)
+		pb.maxP, pb.maxQ = max(pb.maxP, p), max(pb.maxQ, q)
 		pb.witnessRows += p + q - 1
 		return nil
 	})
@@ -77,15 +78,14 @@ func (pb *pairBlocks) release() {
 const ctxPollProbes = 256
 
 // minimalWitness runs the deletion kernel block by block and assembles
-// the witness from the surviving cells. The counters feed the
-// engine.maxflow span: probes counts the middle arcs examined (every arc
-// is examined once), augmentations the augmenting paths the reroute
-// searches pushed.
+// the witness from the kept cells. The counters feed the engine.maxflow
+// span: probes counts the middle arcs examined (every arc is examined
+// once), augmentations the augmenting paths the reroute searches pushed.
 func (pb *pairBlocks) minimalWitness(ctx context.Context, r, s *bag.Bag) (w *bag.Bag, probes, augmentations int64, err error) {
 	if pb.totalR != pb.totalS {
 		return nil, 0, 0, fmt.Errorf("core: marginals agree but network is unsaturated")
 	}
-	k := newTransport(pb.maxP, pb.maxQ, pb.maxCells)
+	k := newTransport(pb.maxP, pb.maxQ)
 	defer k.release()
 	wb := newWitnessBuilder(r, s, pb.rv, pb.sv, pb.witnessRows)
 	defer wb.release()
@@ -101,15 +101,14 @@ func (pb *pairBlocks) minimalWitness(ctx context.Context, r, s *bag.Bag) (w *bag
 		if err := k.fill(rows, cols, rCounts, sCounts); err != nil {
 			return nil, probes, k.augmentations, err
 		}
-		n, err := k.minimize(ctx, len(rows), len(cols))
+		n, err := k.minimize(ctx, rows, rCounts, len(cols))
 		probes += n
 		if err != nil {
 			return nil, probes, k.augmentations, err
 		}
-		q := len(cols)
-		for c, f := range k.flow[:len(rows)*q] {
+		for c, f := range k.flow[:k.rowStart[len(rows)]] {
 			if f > 0 {
-				wb.add(int(rows[c/q]), int(cols[c%q]), f)
+				wb.add(int(rows[k.cellRow[c]]), int(cols[k.cellCol[c]]), f)
 			}
 		}
 	}
@@ -119,64 +118,79 @@ func (pb *pairBlocks) minimalWitness(ctx context.Context, r, s *bag.Bag) (w *bag
 
 // transport is the deletion kernel for one p×q transportation block at
 // a time: row i supplies R(r_i), column j demands S(s_j), and cell (i,j)
-// is the middle arc r_i → s_j. Its scratch is sized once for the largest
-// block and reused.
+// is the middle arc r_i → s_j. The loop visits the cells row by row, so
+// while it is on row i the rows above are final and the rows below are
+// untouched. The kernel stores only the kept cells of the final rows,
+// holds the current row's flow densely, and holds the rows below as one
+// aggregate row joined to every column. Its scratch comes from the table
+// pools, sized once for the largest block.
 type transport struct {
-	// flow is the dense p×q flow, row-major; a deleted cell holds -1.
-	flow []int64
-	// Search scratch, backed by scratch: rowFrom[i] is 1 + the column
-	// row i was reached from and colFrom[j] is 1 + the row column j was
-	// reached from, 0 while unreached. The row queue holds each row at
-	// most once, so appending to it never regrows it.
-	rowFrom, colFrom, queue []int32
-	scratch                 []int32
-	augmentations           int64
+	// row is the current row's flow to its unvisited columns; spare[j]
+	// is what the aggregate of the rows below ships to column j.
+	row, spare []int64
+	// The kept cells in visit order: cell c is (cellRow[c], cellCol[c])
+	// and carries flow[c]. Row i's cells are rowStart[i]:rowStart[i+1];
+	// colHead and cellNext thread each column's cells, -1 ending a list.
+	// Kept cells stay inside the final support, a forest of at most
+	// p + q − 1 cells (Theorem 5), so the arrays never overflow.
+	flow                       []int64
+	cellRow, cellCol, cellNext []int32
+	rowStart, colHead          []int32
+	// Search scratch: a row or column is reached in the current search
+	// iff its mark equals gen, so no mark is ever cleared. rowFrom[i] is
+	// the cell row i was reached back through; colFrom[j] is the cell
+	// column j was reached through, or -1 for the current row's
+	// unvisited cell. The queue holds each row at most once.
+	rowMark, colMark, rowFrom, colFrom, queue []int32
+	gen                                       int32
+	i64                                       []int64
+	i32                                       []int32
+	augmentations                             int64
 }
 
-func newTransport(maxP, maxQ, maxCells int) *transport {
-	k := &transport{flow: table.GetInt64s(maxCells), scratch: table.GetInt32s(2*maxP + maxQ)}
-	k.rowFrom = k.scratch[:maxP:maxP]
-	k.queue = k.scratch[maxP : maxP : 2*maxP]
-	k.colFrom = k.scratch[2*maxP:]
+func newTransport(maxP, maxQ int) *transport {
+	cells := maxP + maxQ
+	k := &transport{i64: table.GetInt64s(2*maxQ + cells), i32: table.GetInt32s(3*cells + 4*maxP + 3*maxQ + 1)}
+	i64, i32 := k.i64, k.i32
+	k.row, k.spare, k.flow = carve(&i64, maxQ), carve(&i64, maxQ), carve(&i64, cells)
+	k.cellRow, k.cellCol, k.cellNext = carve(&i32, cells), carve(&i32, cells), carve(&i32, cells)
+	k.rowStart, k.colHead = carve(&i32, maxP+1), carve(&i32, maxQ)
+	k.rowMark, k.rowFrom, k.queue = carve(&i32, maxP), carve(&i32, maxP), carve(&i32, maxP)
+	k.colMark, k.colFrom = carve(&i32, maxQ), carve(&i32, maxQ)
+	clear(k.rowMark) // pooled buffers come back dirty
+	clear(k.colMark)
 	return k
 }
 
-func (k *transport) release() {
-	table.PutInt64s(k.flow)
-	table.PutInt32s(k.scratch)
+// carve cuts the next n elements off *buf.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
-// fill sets the block's starting flow by the staircase (northwest-corner)
-// rule: walk from cell (0,0), each time shipping as much as the current
-// row still supplies and the current column still demands, then moving
-// down past an exhausted row and right past a satisfied column. The
-// result saturates every row and column exactly when the block's supply
-// equals its demand, which equal shared marginals guarantee.
+func (k *transport) release() {
+	table.PutInt64s(k.i64)
+	table.PutInt32s(k.i32)
+}
+
+// fill starts a block with every row in the aggregate, which ships each
+// column its whole demand, and no cell kept. Equal shared marginals give
+// the block equal supply and demand; anything else is an unsaturated
+// network.
 func (k *transport) fill(rows, cols []int32, rCounts, sCounts []int64) error {
-	p, q := len(rows), len(cols)
-	flow := k.flow[:p*q]
-	clear(flow)
-	i, j := 0, 0
-	supply, demand := rCounts[rows[0]], sCounts[cols[0]]
-	for i < p && j < q {
-		x := min(supply, demand)
-		flow[i*q+j] = x
-		supply -= x
-		demand -= x
-		if supply == 0 {
-			if i++; i < p {
-				supply = rCounts[rows[i]]
-			}
-		}
-		if demand == 0 {
-			if j++; j < q {
-				demand = sCounts[cols[j]]
-			}
-		}
+	var supply, demand int64
+	for _, i := range rows {
+		supply += rCounts[i]
 	}
-	if i < p || j < q {
+	for j, c := range cols {
+		k.spare[j], k.colHead[j] = sCounts[c], -1
+		demand += sCounts[c]
+	}
+	if supply != demand {
 		return fmt.Errorf("core: marginals agree but network is unsaturated")
 	}
+	k.rowStart[0] = 0
 	return nil
 }
 
@@ -186,55 +200,98 @@ func (k *transport) fill(rows, cols []int32, rCounts, sCounts []int64) error {
 // flow goes outright — the current flow already avoids it. A cell
 // carrying f units goes iff reroute moves all f units from its row to
 // its column over the remaining cells; otherwise the unmoved remainder
-// returns to it and it stays. Which cells stay depends only on the visit
-// order and on feasibility, never on the flow at hand, and the flow on
-// the inclusion-minimal support left at the end is unique. It returns
-// the number of cells probed.
-func (k *transport) minimize(ctx context.Context, p, q int) (int64, error) {
-	flow := k.flow[:p*q]
-	for c := range flow {
-		if c%ctxPollProbes == ctxPollProbes-1 {
-			if err := ctx.Err(); err != nil {
-				return int64(c), err
+// returns to it and it is kept. Which cells are kept depends only on the
+// visit order and on feasibility, never on the flow at hand, and the flow
+// on the inclusion-minimal support left at the end is unique.
+//
+// Holding the unvisited rows as one aggregate row changes no answer:
+// they are complete rows whose supplies total what the aggregate ships,
+// so any split it ships can be shared back out among them, and
+// takeShare does so row by row. It returns the number of cells probed.
+func (k *transport) minimize(ctx context.Context, rows []int32, rCounts []int64, q int) (int64, error) {
+	var probes int64
+	for i, r := range rows {
+		k.takeShare(rCounts[r], q)
+		k.rowStart[i+1] = k.rowStart[i]
+		for j := 0; j < q; j++ {
+			if probes++; probes%ctxPollProbes == 0 {
+				if err := ctx.Err(); err != nil {
+					return probes, err
+				}
+			}
+			if f := k.row[j]; f > 0 {
+				if rest := k.reroute(i, j, q, f); rest > 0 {
+					k.keep(i, j, rest)
+				}
 			}
 		}
-		f := flow[c]
-		flow[c] = -1
-		if f == 0 {
-			continue
-		}
-		if rest := k.reroute(p, q, c/q, c%q, f); rest > 0 {
-			flow[c] = rest
-		}
 	}
-	return int64(len(flow)), nil
+	return probes, nil
+}
+
+// takeShare moves the next row out of the aggregate by the staircase
+// (northwest-corner) rule, taking its supply from the columns left to
+// right. The aggregate ships exactly its rows' supplies, so the walk
+// ends inside the block.
+func (k *transport) takeShare(supply int64, q int) {
+	clear(k.row[:q])
+	for j := 0; supply > 0; j++ {
+		x := min(supply, k.spare[j])
+		k.row[j], k.spare[j], supply = x, k.spare[j]-x, supply-x
+	}
+}
+
+// keep records cell (i,j) of the current row as kept with flow f.
+func (k *transport) keep(i, j int, f int64) {
+	c := k.rowStart[i+1]
+	k.rowStart[i+1]++
+	k.cellRow[c], k.cellCol[c], k.flow[c] = int32(i), int32(j), f
+	k.cellNext[c], k.colHead[j] = k.colHead[j], c
 }
 
 // reroute pushes up to f units from row src to column dst along
-// augmenting paths and returns how many it could not move. On a path,
-// rows step to columns through live cells (uncapacitated: any flow a
-// saturated flow puts there is within the arc's min(R(r), S(s))) and
-// columns step back to rows through cells with positive flow, so the
-// bottleneck is the least of those backward flows and f.
-func (k *transport) reroute(p, q, src, dst int, f int64) int64 {
-	flow := k.flow[:p*q]
+// augmenting paths and returns how many it could not move. A path
+// alternates forward steps, from a row to a column through a live cell
+// (uncapacitated: any flow a saturated flow puts there is within the
+// arc's min(R(r), S(s))), and backward steps, from a column to a row
+// shipping to it. It closes at dst through a kept cell, or at a column
+// the aggregate ships to, which ships the units on into dst instead; the
+// bottleneck is the least of f and every amount a step takes back.
+func (k *transport) reroute(src, dst, q int, f int64) int64 {
 	for f > 0 {
-		x := k.search(p, q, src, dst)
-		if x < 0 {
+		end := k.search(src, dst, q)
+		if end < 0 {
 			return f
 		}
 		d := f
-		for r := x; r != src; {
-			y := int(k.rowFrom[r]) - 1
-			d = min(d, flow[r*q+y])
-			r = int(k.colFrom[y]) - 1
+		if end != dst {
+			d = min(d, k.spare[end])
 		}
-		flow[x*q+dst] += d
-		for r := x; r != src; {
-			y := int(k.rowFrom[r]) - 1
-			flow[r*q+y] -= d
-			r = int(k.colFrom[y]) - 1
-			flow[r*q+y] += d
+		for y := end; k.colFrom[y] >= 0; {
+			b := k.rowFrom[k.cellRow[k.colFrom[y]]]
+			if b < 0 {
+				break
+			}
+			d = min(d, k.flow[b])
+			y = int(k.cellCol[b])
+		}
+		if end != dst {
+			k.spare[end] -= d
+			k.spare[dst] += d
+		}
+		for y := end; ; {
+			c := k.colFrom[y]
+			if c < 0 {
+				k.row[y] += d
+				break
+			}
+			k.flow[c] += d
+			b := k.rowFrom[k.cellRow[c]]
+			if b < 0 {
+				break
+			}
+			k.flow[b] -= d
+			y = int(k.cellCol[b])
 		}
 		f -= d
 		k.augmentations++
@@ -243,35 +300,50 @@ func (k *transport) reroute(p, q, src, dst int, f int64) int64 {
 }
 
 // search runs a breadth-first search for an augmenting path from row src
-// to column dst and returns the path's last row (one with a live cell in
-// column dst), or -1. It stops at the first such row it reaches: the
-// closing step to dst needs no capacity. Clearing the marks costs
-// O(p+q), no more than scanning the start row.
-func (k *transport) search(p, q, src, dst int) int {
-	rowFrom, colFrom := k.rowFrom[:p], k.colFrom[:q]
-	clear(rowFrom)
-	clear(colFrom)
-	flow := k.flow[:p*q]
-	rowFrom[src] = 1 // reached: the search starts here
-	queue := append(k.queue[:0], int32(src))
-	for qi := 0; qi < len(queue); qi++ {
-		x := int(queue[qi])
-		for y, v := range flow[x*q : x*q+q] {
-			if v < 0 || colFrom[y] != 0 {
-				continue
+// to column dst over the kept cells and src's unvisited cells, and
+// returns the column the path closes at, or -1. The marks carry the
+// search's generation, so starting a search clears nothing.
+func (k *transport) search(src, dst, q int) int {
+	if k.gen == math.MaxInt32 {
+		clear(k.rowMark)
+		clear(k.colMark)
+		k.gen = 0
+	}
+	k.gen++
+	k.rowMark[src], k.rowFrom[src] = k.gen, -1
+	k.queue = append(k.queue[:0], int32(src))
+	for qi := 0; qi < len(k.queue); qi++ {
+		x := k.queue[qi]
+		for c := k.rowStart[x]; c < k.rowStart[x+1]; c++ {
+			if y := int(k.cellCol[c]); k.reach(y, c, dst) {
+				return y
 			}
-			colFrom[y] = int32(x) + 1
-			for r := 0; r < p; r++ {
-				if rowFrom[r] != 0 || flow[r*q+y] <= 0 {
-					continue
-				}
-				rowFrom[r] = int32(y) + 1
-				if flow[r*q+dst] >= 0 {
-					return r
-				}
-				queue = append(queue, int32(r))
+		}
+		for y := dst + 1; qi == 0 && y < q; y++ { // src's unvisited cells
+			if k.reach(y, -1, dst) {
+				return y
 			}
 		}
 	}
 	return -1
+}
+
+// reach marks column y reached through cell c and reports whether the
+// path closes there: y is dst, or the aggregate ships to y. Otherwise it
+// queues the unreached rows that ship to y.
+func (k *transport) reach(y int, c int32, dst int) bool {
+	if k.colMark[y] == k.gen {
+		return false
+	}
+	k.colMark[y], k.colFrom[y] = k.gen, c
+	if y == dst || k.spare[y] > 0 {
+		return true
+	}
+	for b := k.colHead[y]; b >= 0; b = k.cellNext[b] {
+		if x := k.cellRow[b]; k.flow[b] > 0 && k.rowMark[x] != k.gen {
+			k.rowMark[x], k.rowFrom[x] = k.gen, b
+			k.queue = append(k.queue, x)
+		}
+	}
+	return false
 }

@@ -158,6 +158,68 @@ func TestMinimalPairWitnessMatchesNetworkLoopEdgeShapes(t *testing.T) {
 		_, s := randomMarginalPair(t, rng, sh, 5, 3, 4)
 		checkAgainstOracle(t, sh.name+"/empty-vs-nonempty", empty, s)
 	}
+	// One p×q block each. The kernel holds the rows below the current
+	// one as an aggregate row: tall blocks keep it long, wide blocks make
+	// every row a long search, and q = 1 leaves no column to reroute to.
+	small := func(int) int64 { return 1 + rng.Int63n(1000) }
+	for trial := 0; trial < 20; trial++ {
+		label := "/" + strconv.Itoa(trial)
+		r, s := blockPair(t, rng, 40+rng.Intn(30), 1+rng.Intn(3), rng.Intn(60), small)
+		checkAgainstOracle(t, "tall"+label, r, s)
+		r, s = blockPair(t, rng, 1+rng.Intn(3), 40+rng.Intn(30), rng.Intn(60), small)
+		checkAgainstOracle(t, "wide"+label, r, s)
+		r, s = blockPair(t, rng, 1+rng.Intn(40), 1, 0, small)
+		checkAgainstOracle(t, "one-column"+label, r, s)
+		// The last row carries most of the demand, so the aggregate
+		// empties only when that row takes its share.
+		p := 5 + rng.Intn(25)
+		r, s = blockPair(t, rng, p, 5+rng.Intn(25), p+rng.Intn(40), func(a int) int64 {
+			if a == p-1 {
+				return 1<<30 + rng.Int63n(1<<20)
+			}
+			return 1 + rng.Int63n(8)
+		})
+		checkAgainstOracle(t, "heavy-last-row"+label, r, s)
+		// Six rows near 2^60 put about 2^61 on every column: spare and
+		// flows stay within the block's total, which fits in int64.
+		r, s = blockPair(t, rng, 40+rng.Intn(20), 3, 0, func(a int) int64 {
+			if a < 6 {
+				return 1<<60 - rng.Int63n(1<<20)
+			}
+			return 1 + rng.Int63n(1<<40)
+		})
+		checkAgainstOracle(t, "tall-2^60"+label, r, s)
+	}
+}
+
+// blockPair returns the marginals on {A} and {B} of a bag over {A,B}
+// holding cell (c mod p, c mod q) for every c < max(p,q), so that every
+// row and column occurs, and extra random cells: a consistent pair that
+// is one p×q block. A cell in row a has multiplicity mult(a); colliding
+// cells merge.
+func blockPair(t *testing.T, rng *rand.Rand, p, q, extra int, mult func(a int) int64) (*bag.Bag, *bag.Bag) {
+	t.Helper()
+	g := bag.New(bag.MustSchema("A", "B"))
+	add := func(a, b int) {
+		if err := g.Add([]string{strconv.Itoa(a), strconv.Itoa(b)}, mult(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := 0; c < max(p, q); c++ {
+		add(c%p, c%q)
+	}
+	for e := 0; e < extra; e++ {
+		add(rng.Intn(p), rng.Intn(q))
+	}
+	r, err := g.Marginal(bag.MustSchema("A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := g.Marginal(bag.MustSchema("B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, s
 }
 
 // TestMinimalPairWitnessMatchesNetworkLoopOnCompositions replays the
@@ -216,6 +278,19 @@ func FuzzMinimalPairWitness(f *testing.F) {
 	f.Add([]byte{2, 0xff, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70})
 	f.Add([]byte{3, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 1})
 	f.Add([]byte{5, 0x81, 0x42, 0x23, 0x14, 0x95, 0x36, 0x77, 0x18, 0x29})
+	// Tall: the disjoint shape with all 16 (A,B) rows on one C value, a
+	// 16×1 block. Wide: the one-attribute shape with one A value per B
+	// value and all four C values, 1×4 blocks.
+	tall := []byte{0}
+	for ab := byte(0); ab < 16; ab++ {
+		tall = append(tall, ab/4, ab%4, 0, ab)
+	}
+	f.Add(tall)
+	wide := []byte{1}
+	for bc := byte(0); bc < 16; bc++ {
+		wide = append(wide, bc/4, bc/4, bc%4, bc+1)
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 256 {
 			return
@@ -307,12 +382,13 @@ func TestPairWitnessOverflowErrorIsTyped(t *testing.T) {
 }
 
 // TestMinimalPairWitnessCancelsPromptly cancels a composition whose one
-// step is a large disjoint-schema pair — a single 1000×1000 block, which
-// takes seconds to minimize — and requires the context error back soon
-// after the cancel.
+// step is a large disjoint-schema pair — a single 4000×4000 block, which
+// takes about 0.8 s to minimize on a 2-vCPU x86-64 container (a
+// 1000×1000 block takes 30–45 ms, too close to the cancel point) —
+// and requires the context error back soon after the cancel.
 func TestMinimalPairWitnessCancelsPromptly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1304))
-	const n = 1000
+	const n = 4000
 	r, s := bag.New(bag.MustSchema("A")), bag.New(bag.MustSchema("B"))
 	var total int64
 	for i := 0; i < n; i++ {
