@@ -19,8 +19,12 @@ import (
 func populateStore(t *testing.T, n int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "bagstore")
-	ck := bagconsist.New(bagconsist.WithPersistence(dir))
-	defer ck.Close()
+	st, err := bagconsist.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ck := bagconsist.New(bagconsist.WithStore(st))
 	for i := 0; i < n; i++ {
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		coll, _, err := gen.RandomConsistent(rng, hypergraph.Star(3), 8, 16, 3)
@@ -119,8 +123,12 @@ func TestStoreTornTailRoundTrip(t *testing.T) {
 	}
 
 	// And the healed store still serves every result to a fresh checker.
-	ck := bagconsist.New(bagconsist.WithPersistence(dir))
-	defer ck.Close()
+	st, err := bagconsist.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ck := bagconsist.New(bagconsist.WithStore(st))
 	for i := 0; i < 4; i++ {
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		coll, _, err := gen.RandomConsistent(rng, hypergraph.Star(3), 8, 16, 3)

@@ -246,12 +246,10 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 	if opt.parallelism > 0 {
 		checkerOpts = append(checkerOpts, bagconsist.WithParallelism(opt.parallelism))
 	}
-	cache := bagconsist.NewCache(opt.cacheSize)
-	checkerOpts = append(checkerOpts, bagconsist.WithSharedCache(cache))
+	checkerOpts = append(checkerOpts, bagconsist.WithCache(opt.cacheSize))
 	var st *bagconsist.Store
 	if opt.dataDir != "" {
-		// Opened here, not via WithPersistence, so an unusable directory
-		// is a clear startup error, not a per-request one.
+		// An unusable directory is a clear startup error.
 		popts := []bagconsist.PersistOption{
 			bagconsist.WithSegmentBytes(opt.storeSegBytes),
 			bagconsist.WithSyncOnPut(opt.storeSync),
@@ -323,17 +321,11 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 	ring := trace.NewRing(opt.traceRing)
 	handler, err := service.NewHandler(service.ServerConfig{
 		Service:       svc,
-		Metrics:       reg,
-		Cache:         cache,
 		MaxBatchLines: opt.maxBatchLines,
 		MaxBodyBytes:  opt.maxBodyBytes,
-		TraceRingSize: opt.traceRing,
-		TraceAll:      opt.traceSlowMs >= 0,
 		Slow:          opt.slow,
 		AccessLog:     opt.accessLog,
 		Ring:          ring,
-		Workload:      opt.workload,
-		Flight:        opt.flight,
 	})
 	if err != nil {
 		return fail(err)

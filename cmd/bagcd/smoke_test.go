@@ -207,7 +207,7 @@ func TestSmokeShedsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := service.NewHandler(service.ServerConfig{Service: svc, Metrics: reg})
+	handler, err := service.NewHandler(service.ServerConfig{Service: svc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,10 +26,9 @@ type selfhost struct {
 }
 
 func bootSelfhost(cfg SelfhostConfig) (*selfhost, error) {
-	shared := bagconsist.NewCache(cfg.CacheSize)
 	checkerOpts := []bagconsist.Option{
 		bagconsist.WithParallelism(cfg.Parallelism),
-		bagconsist.WithSharedCache(shared),
+		bagconsist.WithCache(cfg.CacheSize),
 	}
 	if cfg.MaxNodes > 0 {
 		checkerOpts = append(checkerOpts, bagconsist.WithMaxNodes(cfg.MaxNodes))
@@ -56,12 +55,7 @@ func bootSelfhost(cfg SelfhostConfig) (*selfhost, error) {
 	if err != nil {
 		return nil, err
 	}
-	handler, err := service.NewHandler(service.ServerConfig{
-		Service:  svc,
-		Metrics:  reg,
-		Cache:    shared,
-		Workload: workload,
-	})
+	handler, err := service.NewHandler(service.ServerConfig{Service: svc})
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@
 //	internal/store       persistent content-addressed result store: append-only
 //	                     checksummed segment log with crash recovery and
 //	                     compaction (docs/STORAGE.md) — the disk tier under
-//	                     the cache, attached via WithPersistence / -data-dir
+//	                     the cache, attached via OpenStore + WithStore / -data-dir
 //	internal/service     the serving core: admission queue, load shedding,
 //	                     deadline propagation, graceful drain, HTTP handlers
 //	internal/metrics     dependency-free counters/gauges/histograms with

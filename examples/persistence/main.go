@@ -1,9 +1,9 @@
-// Command persistence walks the two-tier cache end to end: compute
-// NP-hard results into a persistent store, "restart" (a brand-new
-// Checker with an empty RAM tier on the same directory), and watch the
-// same instances — including a value-renamed variant — come back from
-// disk with zero engine recomputation. Finally it inspects and compacts
-// the store the way an operator would.
+// Command persistence walks the two-tier cache end to end: open a
+// persistent store, compute NP-hard results into it, close it, then
+// "restart" (the store reopened under a brand-new Checker with an empty
+// RAM tier) and watch the same instances — including a value-renamed
+// variant — come back from disk with zero engine recomputation, as the
+// disk tier's counters show.
 //
 // Run with:
 //
@@ -44,7 +44,11 @@ func main() {
 	}
 
 	fmt.Printf("== process 1: compute and persist (data dir %s)\n", dir)
-	first := bagconsist.New(bagconsist.WithPersistence(dir), bagconsist.WithMaxNodes(50_000_000))
+	st, err := bagconsist.OpenStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	first := bagconsist.New(bagconsist.WithStore(st), bagconsist.WithMaxNodes(50_000_000))
 	t0 := time.Now()
 	rep, err := first.CheckGlobal(ctx, coll)
 	if err != nil {
@@ -53,18 +57,23 @@ func main() {
 	coldElapsed := time.Since(t0)
 	fmt.Printf("   cold: consistent=%v method=%s nodes=%d in %v\n",
 		rep.Consistent, rep.Method, rep.Nodes, coldElapsed.Round(time.Microsecond))
-	if st, ok := first.StoreStats(); ok {
+	if ss, ok := first.StoreStats(); ok {
 		fmt.Printf("   store after write-through: %d record(s), %d bytes on disk\n",
-			st.Records, st.DiskBytes)
+			ss.Records, ss.DiskBytes)
 	}
-	// Shutdown: Close releases the store (and its directory lock).
-	if err := first.Close(); err != nil {
+	// Shutdown: whoever opened the store closes it, which syncs the log
+	// and releases the directory lock.
+	if err := st.Close(); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("== process 2: warm start on the same directory")
-	second := bagconsist.New(bagconsist.WithPersistence(dir), bagconsist.WithMaxNodes(50_000_000))
-	defer second.Close()
+	st, err = bagconsist.OpenStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st.Close()
+	second := bagconsist.New(bagconsist.WithStore(st), bagconsist.WithMaxNodes(50_000_000))
 	t1 := time.Now()
 	rep2, err := second.CheckGlobal(ctx, coll)
 	if err != nil {
@@ -88,9 +97,9 @@ func main() {
 	}
 	fmt.Printf("   renamed variant: cache_hit=%v witness_support=%d (re-expressed in new values)\n",
 		rep3.CacheHit, rep3.WitnessSupport)
-	if st, ok := second.StoreStats(); ok {
+	if ss, ok := second.StoreStats(); ok {
 		fmt.Printf("   disk tier: %d hit(s), %d miss(es), 0 recomputations (puts=%d)\n",
-			st.Hits, st.Misses, st.Puts)
+			ss.Hits, ss.Misses, ss.Puts)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"bagconsistency/internal/metrics"
 	"bagconsistency/internal/service"
 	"bagconsistency/pkg/bagclient"
 	"bagconsistency/pkg/bagconsist"
@@ -32,22 +31,19 @@ func main() {
 
 func run() error {
 	// --- Server side: the bagcd stack, assembled by hand. ---
-	reg := metrics.NewRegistry()
-	cache := bagconsist.NewCache(1024)
 	checker := bagconsist.New(
-		bagconsist.WithSharedCache(cache),
+		bagconsist.WithCache(1024),
 		bagconsist.WithMaxNodes(1_000_000),
 	)
 	svc, err := service.New(service.Config{
 		Checker:    checker,
 		QueueDepth: 128,
 		MaxTimeout: 30 * time.Second,
-		Metrics:    reg,
 	})
 	if err != nil {
 		return err
 	}
-	handler, err := service.NewHandler(service.ServerConfig{Service: svc, Metrics: reg, Cache: cache})
+	handler, err := service.NewHandler(service.ServerConfig{Service: svc})
 	if err != nil {
 		return err
 	}

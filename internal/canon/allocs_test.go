@@ -50,7 +50,7 @@ func checkCanonAllocsFlat(tb testing.TB) {
 // BenchmarkCanonAllocs reports fingerprinting allocations at support 256
 // and fails if they vary with support.
 func BenchmarkCanonAllocs(b *testing.B) {
-	b.ReportMetric(measureCanonAllocs(b, 256), "allocs/op")
+	b.ReportMetric(measureCanonAllocs(b, 256), "allocs/call")
 	if !raceEnabled {
 		checkCanonAllocsFlat(b)
 	}

@@ -59,7 +59,7 @@ func measurePairWitnessAllocs(tb testing.TB) float64 {
 // fails if it regresses above the committed budget.
 func BenchmarkPairCheckAllocs(b *testing.B) {
 	allocs := measurePairCheckAllocs(b)
-	b.ReportMetric(allocs, "allocs/op")
+	b.ReportMetric(allocs, "allocs/call")
 	if !raceEnabled && allocs > pairCheckAllocBudget {
 		b.Fatalf("PairConsistent allocates %.0f/op, budget %d", allocs, pairCheckAllocBudget)
 	}
@@ -69,7 +69,7 @@ func BenchmarkPairCheckAllocs(b *testing.B) {
 // (transportation blocks + deletion kernel + witness extraction).
 func BenchmarkPairWitnessAllocs(b *testing.B) {
 	allocs := measurePairWitnessAllocs(b)
-	b.ReportMetric(allocs, "allocs/op")
+	b.ReportMetric(allocs, "allocs/call")
 	if !raceEnabled && allocs > pairWitnessBudget {
 		b.Fatalf("MinimalPairWitness allocates %.0f/op, budget %d", allocs, pairWitnessBudget)
 	}

@@ -45,7 +45,8 @@ type GlobalOptions struct {
 	ForceILP bool
 	// SkipWitnessMinimization keeps the raw flow witnesses during the
 	// pairwise composition (acyclic schemas and the hybrid's fringe)
-	// rather than minimal ones. The Theorem 6 support bound is only
+	// rather than minimal ones. It is a measurement arm only; the public
+	// Checker cannot set it. The Theorem 6 support bound is only
 	// guaranteed with minimization on, and skipping it saves no time:
 	// on acyclic checks of path and star schemas at support 128 the raw
 	// Dinic witnesses take 2.4–3.3x as long as the minimal ones (2-vCPU
@@ -173,15 +174,19 @@ func (c *Collection) solveProgram(ctx context.Context, opts GlobalOptions) (*Dec
 }
 
 // WitnessAcyclic runs the polynomial witness construction of Theorem 6 on
-// an acyclic schema: test pairwise consistency, compute a running
-// intersection order from a join tree, and compose minimal pairwise
-// witnesses T_i = witness(T_{i-1}, R_{σ(i)}) along the order. When the
-// collection is consistent the returned witness has support size at most
-// the sum of the input support sizes (Corollary 4 bound applied
-// inductively).
+// an acyclic schema: compute a running intersection order from a join
+// tree, test each bag's consistency with its join-tree parent, and
+// compose minimal pairwise witnesses T_i = witness(T_{i-1}, R_{σ(i)})
+// along the order. When the collection is consistent the returned witness
+// has support size at most the sum of the input support sizes (Corollary
+// 4 bound applied inductively).
 //
-// It returns ok = false (with nil witness) when the collection is not
-// pairwise consistent, and an error if the schema is cyclic.
+// The m-1 (parent, child) tests decide pairwise consistency of the whole
+// collection: they are exactly what each composition step needs (Step 1
+// of the Theorem 2 proof), and the composed witness then witnesses every
+// other pair. It returns ok = false (with nil witness) when the
+// collection is not pairwise consistent, and an error if the schema is
+// cyclic.
 func (c *Collection) WitnessAcyclic(opts GlobalOptions) (*bag.Bag, bool, error) {
 	return c.WitnessAcyclicContext(context.Background(), opts)
 }
@@ -191,16 +196,19 @@ func (c *Collection) WitnessAcyclic(opts GlobalOptions) (*bag.Bag, bool, error) 
 // pair witness kernel once per transportation block and every few
 // hundred arcs within one.
 func (c *Collection) WitnessAcyclicContext(ctx context.Context, opts GlobalOptions) (*bag.Bag, bool, error) {
-	order, err := c.hg.RunningIntersectionOrder()
+	t, err := hypergraph.BuildJoinTree(c.hg)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: WitnessAcyclic on cyclic schema: %w", err)
 	}
-	pw, err := c.PairwiseConsistent()
+	order, parent, err := t.RootedOrder(0)
 	if err != nil {
 		return nil, false, err
 	}
-	if !pw {
-		return nil, false, nil
+	for k := 1; k < len(order); k++ {
+		ok, err := PairConsistent(c.bags[parent[k]], c.bags[order[k]])
+		if err != nil || !ok {
+			return nil, false, err
+		}
 	}
 	w, err := c.compose(ctx, c.bags[order[0]].Clone(), order[1:], opts)
 	if err != nil {

@@ -341,10 +341,7 @@ func cyclicCoreCases() []Case {
 					Quick: sweep.quick, Full: !sweep.quick,
 					Setup: onColl(build, checkGlobal("off",
 						bagconsist.WithMethod(cfg.method),
-						bagconsist.WithMaxNodes(2_000_000_000),
-						// The measurement targets the search, not witness
-						// post-processing.
-						bagconsist.WithWitnessMinimization(false))),
+						bagconsist.WithMaxNodes(2_000_000_000))),
 				}
 				if cfg.method == bagconsist.Auto {
 					c.Versus = &Versus{fmt.Sprintf("cycliccore/seq/cache=off/m=%d,k=%d", m, k), "cycliccore", fmt.Sprintf("m=%d,k=%d", m, k), cfg.name}
@@ -604,14 +601,16 @@ func warmRestart(cyclicN []int) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	writer := bagconsist.New(bagconsist.WithPersistence(dir), bagconsist.WithMaxNodes(50_000_000))
-	for _, c := range sweep {
-		if _, err = writer.CheckGlobal(ctx, c); err != nil {
-			break
+	st, err := bagconsist.OpenStore(dir)
+	if err == nil {
+		writer := bagconsist.New(bagconsist.WithStore(st), bagconsist.WithMaxNodes(50_000_000))
+		for _, c := range sweep {
+			if _, err = writer.CheckGlobal(ctx, c); err != nil {
+				break
+			}
 		}
+		err = errors.Join(err, st.Close())
 	}
-	err = errors.Join(err, writer.Close())
-	var st *bagconsist.Store
 	if err == nil {
 		st, err = bagconsist.OpenStore(dir)
 	}
@@ -977,8 +976,7 @@ func apiCases() []Case {
 }
 
 // experimentCases are the Checker calls cmd/experiments times that no
-// bench family measures: E1's scaling rows (witness minimization off, so
-// the witness is the raw flow) and E7's witness rows.
+// bench family measures: E1's scaling rows and E7's witness rows.
 func experimentCases() []Case {
 	var cs []Case
 	add := func(method, params string, setup func() (*Run, error)) {
@@ -986,13 +984,12 @@ func experimentCases() []Case {
 	}
 	for _, n := range []int{64, 256, 1024, 4096} {
 		e1 := seededPair(1, n, 1<<20, int(math.Sqrt(float64(n)))+2)
-		raw := func() *bagconsist.Checker { return bagconsist.New(bagconsist.WithWitnessMinimization(false)) }
 		add("e1-check-pair", fmt.Sprintf("support=%d", n), onPair(e1, func(r, s *bag.Bag) op {
-			ch := raw()
+			ch := bagconsist.New()
 			return func() (*bagconsist.Report, error) { return ch.CheckPair(ctx, r, s) }
 		}))
 		add("e1-pair-witness", fmt.Sprintf("support=%d", n), onPair(e1, func(r, s *bag.Bag) op {
-			ch := raw()
+			ch := bagconsist.New()
 			return func() (*bagconsist.Report, error) { return ch.PairWitness(ctx, r, s) }
 		}))
 	}

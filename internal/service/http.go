@@ -21,50 +21,31 @@ import (
 	"bagconsistency/pkg/bagconsist"
 )
 
-// ServerConfig parameterizes NewHandler.
+// ServerConfig parameterizes NewHandler. Everything else the handler
+// serves comes from the Service: its metrics registry, hot-key sketch
+// and flight recorder, and the cache and store stats of its Checker.
 type ServerConfig struct {
 	// Service runs the queries. Required.
 	Service *Service
-	// Metrics backs GET /metrics and the HTTP-layer counters; it should
-	// be the same registry the Service was built with. Required.
-	Metrics *metrics.Registry
-	// Cache, when non-nil, surfaces shared-cache statistics in /healthz.
-	// It should be the cache behind the Service's Checker.
-	Cache *bagconsist.Cache
 	// MaxBodyBytes bounds request bodies; 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// RetryAfter is the hint attached to 503 shed responses; 0 means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 	// MaxBatchLines bounds the number of NDJSON lines per /v1/batch
 	// request; 0 means DefaultMaxBatchLines.
 	MaxBatchLines int
-	// TraceRingSize bounds the in-memory ring behind GET /debug/traces;
-	// 0 means DefaultTraceRingSize. Requests carrying a W3C traceparent
-	// header are always traced into the ring; TraceAll traces the rest.
-	TraceRingSize int
-	// TraceAll records a span tree for every check/pair/batch request,
-	// not just traceparent-carrying ones (bagcd sets it when
-	// -trace-slow-ms is enabled, so slow-query capture sees everything).
-	TraceAll bool
 	// Slow, when non-nil, receives every completed trace and keeps those
-	// crossing its latency threshold (bagcd -trace-slow-ms).
+	// crossing its latency threshold (bagcd -trace-slow-ms). Setting it
+	// traces every check/pair/batch request, so slow-query capture sees
+	// everything; without it only requests carrying a W3C traceparent
+	// header are traced.
 	Slow *trace.SlowCapture
 	// AccessLog, when non-nil, receives one structured entry per HTTP
 	// request (request id = trace id).
 	AccessLog *slog.Logger
-	// Ring, when non-nil, replaces the handler's internal trace ring so
-	// the caller can share it (bagcd hands the same ring to the flight
-	// recorder's Traces probe). Nil keeps the PR 8 behavior: a private
-	// ring of TraceRingSize entries.
+	// Ring, when non-nil, is the ring behind GET /debug/traces, so the
+	// caller can share it (bagcd hands the same ring to the flight
+	// recorder's Traces probe). Nil gives the handler a private ring of
+	// DefaultTraceRingSize entries.
 	Ring *trace.Ring
-	// Workload, when non-nil, backs GET /debug/workload with the hot-key
-	// sketch snapshot. It should be the same Workload the Service was
-	// built with.
-	Workload *telemetry.Workload
-	// Flight, when non-nil, embeds the overload flight recorder's status
-	// in GET /debug/workload.
-	Flight *telemetry.Recorder
 }
 
 const (
@@ -75,7 +56,7 @@ const (
 	DefaultRetryAfter = 1 * time.Second
 	// DefaultMaxBatchLines bounds NDJSON batch size per request.
 	DefaultMaxBatchLines = 10_000
-	// DefaultTraceRingSize bounds /debug/traces when unconfigured.
+	// DefaultTraceRingSize bounds /debug/traces when no Ring is given.
 	DefaultTraceRingSize = 128
 )
 
@@ -112,18 +93,12 @@ type HealthStatus struct {
 
 type server struct {
 	svc           *Service
-	reg           *metrics.Registry
-	cache         *bagconsist.Cache
 	maxBody       int64
-	retryAfter    time.Duration
 	maxBatchLines int
 	started       time.Time
 	ring          *trace.Ring
-	traceAll      bool
 	slow          *trace.SlowCapture
 	access        *slog.Logger
-	workload      *telemetry.Workload
-	flight        *telemetry.Recorder
 
 	httpRequests func(path, code string) *metrics.Counter
 }
@@ -141,99 +116,80 @@ type server struct {
 // object, or the line-oriented text format); batch lines are the JSON
 // forms only. A full admission queue sheds with 503 + Retry-After.
 func NewHandler(cfg ServerConfig) (http.Handler, error) {
-	if cfg.Service == nil || cfg.Metrics == nil {
-		return nil, errors.New("service: ServerConfig.Service and Metrics are required")
-	}
-	ringSize := cfg.TraceRingSize
-	if ringSize <= 0 {
-		ringSize = DefaultTraceRingSize
-	}
-	ring := cfg.Ring
-	if ring == nil {
-		ring = trace.NewRing(ringSize)
+	if cfg.Service == nil {
+		return nil, errors.New("service: ServerConfig.Service is required")
 	}
 	s := &server{
 		svc:           cfg.Service,
-		reg:           cfg.Metrics,
-		cache:         cfg.Cache,
 		maxBody:       cfg.MaxBodyBytes,
-		retryAfter:    cfg.RetryAfter,
 		maxBatchLines: cfg.MaxBatchLines,
 		started:       time.Now(),
-		ring:          ring,
-		traceAll:      cfg.TraceAll,
+		ring:          cfg.Ring,
 		slow:          cfg.Slow,
 		access:        cfg.AccessLog,
-		workload:      cfg.Workload,
-		flight:        cfg.Flight,
+	}
+	if s.ring == nil {
+		s.ring = trace.NewRing(DefaultTraceRingSize)
 	}
 	if s.maxBody <= 0 {
 		s.maxBody = DefaultMaxBodyBytes
 	}
-	if s.retryAfter <= 0 {
-		s.retryAfter = DefaultRetryAfter
-	}
 	if s.maxBatchLines <= 0 {
 		s.maxBatchLines = DefaultMaxBatchLines
 	}
+	reg := s.svc.reg
 	s.httpRequests = func(path, code string) *metrics.Counter {
-		return s.reg.Counter("bagcd_http_requests_total",
+		return reg.Counter("bagcd_http_requests_total",
 			fmt.Sprintf(`path=%q,code=%s`, path, strconv.Quote(code)),
 			"HTTP requests by path and status code.")
 	}
 	version, commit := buildinfo.VersionCommit()
-	s.reg.Gauge("bagcd_build_info", fmt.Sprintf(`version=%q,commit=%q`, version, commit),
+	reg.Gauge("bagcd_build_info", fmt.Sprintf(`version=%q,commit=%q`, version, commit),
 		"Build metadata of the running binary; the value is always 1.").Set(1)
-	if s.cache != nil {
-		s.reg.CounterFunc("bagcd_cache_hits_total", "", "Shared result cache hits.",
-			func() float64 { return float64(s.cache.Stats().Hits) })
-		s.reg.CounterFunc("bagcd_cache_misses_total", "", "Shared result cache misses.",
-			func() float64 { return float64(s.cache.Stats().Misses) })
-		s.reg.CounterFunc("bagcd_cache_coalesced_total", "", "Queries coalesced onto an in-flight identical computation.",
-			func() float64 { return float64(s.cache.Stats().Coalesced) })
-		s.reg.CounterFunc("bagcd_cache_evictions_total", "", "Shared result cache evictions.",
-			func() float64 { return float64(s.cache.Stats().Evictions) })
-		s.reg.GaugeFunc("bagcd_cache_entries", "", "Shared result cache occupancy (entries).",
-			func() float64 { return float64(s.cache.Stats().Entries) })
-		s.reg.GaugeFunc("bagcd_cache_capacity", "", "Shared result cache capacity (entries).",
-			func() float64 { return float64(s.cache.Stats().Capacity) })
-		s.reg.GaugeFunc("bagcd_cache_bytes", "", "Approximate RAM footprint of the cached results.",
-			func() float64 { return float64(s.cache.Stats().Bytes) })
+	ck := s.svc.Checker()
+	if _, ok := ck.CacheStats(); ok {
+		cacheStat := func() bagconsist.CacheStats { st, _ := ck.CacheStats(); return st }
+		reg.CounterFunc("bagcd_cache_hits_total", "", "Shared result cache hits.",
+			func() float64 { return float64(cacheStat().Hits) })
+		reg.CounterFunc("bagcd_cache_misses_total", "", "Shared result cache misses.",
+			func() float64 { return float64(cacheStat().Misses) })
+		reg.CounterFunc("bagcd_cache_coalesced_total", "", "Queries coalesced onto an in-flight identical computation.",
+			func() float64 { return float64(cacheStat().Coalesced) })
+		reg.CounterFunc("bagcd_cache_evictions_total", "", "Shared result cache evictions.",
+			func() float64 { return float64(cacheStat().Evictions) })
+		reg.GaugeFunc("bagcd_cache_entries", "", "Shared result cache occupancy (entries).",
+			func() float64 { return float64(cacheStat().Entries) })
+		reg.GaugeFunc("bagcd_cache_capacity", "", "Shared result cache capacity (entries).",
+			func() float64 { return float64(cacheStat().Capacity) })
+		reg.GaugeFunc("bagcd_cache_bytes", "", "Approximate RAM footprint of the cached results.",
+			func() float64 { return float64(cacheStat().Bytes) })
 	}
-	if s.cache != nil && s.cache.Persistent() {
-		storeStat := func(pick func(bagconsist.StoreStats) float64) func() float64 {
-			return func() float64 {
-				st, ok := s.cache.StoreStats()
-				if !ok {
-					return 0
-				}
-				return pick(st)
-			}
-		}
-		s.reg.GaugeFunc("bagcd_store_records", "", "Live records in the persistent result store.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.Records) }))
-		s.reg.GaugeFunc("bagcd_store_segments", "", "Segment files in the persistent result store.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.Segments) }))
-		s.reg.GaugeFunc("bagcd_store_disk_bytes", "", "Total on-disk size of the store's segment log.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.DiskBytes) }))
-		s.reg.GaugeFunc("bagcd_store_live_bytes", "", "On-disk bytes occupied by live records.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.LiveBytes) }))
-		s.reg.CounterFunc("bagcd_store_hits_total", "", "Disk-tier hits (results served without recomputation after a RAM miss).",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.Hits) }))
-		s.reg.CounterFunc("bagcd_store_misses_total", "", "Disk-tier misses (results that had to be computed).",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.Misses) }))
-		s.reg.CounterFunc("bagcd_store_puts_total", "", "Results written through to the persistent store.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.Puts) }))
-		s.reg.CounterFunc("bagcd_store_put_errors_total", "", "Write-through failures (durability lost for one result, query unaffected).",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.PutErrors) }))
-		s.reg.CounterFunc("bagcd_store_corrupt_skipped_total", "", "Corrupt records skipped at open or dropped at read.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.CorruptSkipped) }))
-		s.reg.CounterFunc("bagcd_store_torn_truncations_total", "", "Torn tails repaired by truncation at open.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.TornTruncations) }))
-		s.reg.CounterFunc("bagcd_store_rotations_total", "", "Segment rotations.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.Rotations) }))
-		s.reg.CounterFunc("bagcd_store_compactions_total", "", "Log compactions.",
-			storeStat(func(st bagconsist.StoreStats) float64 { return float64(st.Compactions) }))
+	if _, ok := ck.StoreStats(); ok {
+		storeStat := func() bagconsist.StoreStats { st, _ := ck.StoreStats(); return st }
+		reg.GaugeFunc("bagcd_store_records", "", "Live records in the persistent result store.",
+			func() float64 { return float64(storeStat().Records) })
+		reg.GaugeFunc("bagcd_store_segments", "", "Segment files in the persistent result store.",
+			func() float64 { return float64(storeStat().Segments) })
+		reg.GaugeFunc("bagcd_store_disk_bytes", "", "Total on-disk size of the store's segment log.",
+			func() float64 { return float64(storeStat().DiskBytes) })
+		reg.GaugeFunc("bagcd_store_live_bytes", "", "On-disk bytes occupied by live records.",
+			func() float64 { return float64(storeStat().LiveBytes) })
+		reg.CounterFunc("bagcd_store_hits_total", "", "Disk-tier hits (results served without recomputation after a RAM miss).",
+			func() float64 { return float64(storeStat().Hits) })
+		reg.CounterFunc("bagcd_store_misses_total", "", "Disk-tier misses (results that had to be computed).",
+			func() float64 { return float64(storeStat().Misses) })
+		reg.CounterFunc("bagcd_store_puts_total", "", "Results written through to the persistent store.",
+			func() float64 { return float64(storeStat().Puts) })
+		reg.CounterFunc("bagcd_store_put_errors_total", "", "Write-through failures (durability lost for one result, query unaffected).",
+			func() float64 { return float64(storeStat().PutErrors) })
+		reg.CounterFunc("bagcd_store_corrupt_skipped_total", "", "Corrupt records skipped at open or dropped at read.",
+			func() float64 { return float64(storeStat().CorruptSkipped) })
+		reg.CounterFunc("bagcd_store_torn_truncations_total", "", "Torn tails repaired by truncation at open.",
+			func() float64 { return float64(storeStat().TornTruncations) })
+		reg.CounterFunc("bagcd_store_rotations_total", "", "Segment rotations.",
+			func() float64 { return float64(storeStat().Rotations) })
+		reg.CounterFunc("bagcd_store_compactions_total", "", "Log compactions.",
+			func() float64 { return float64(storeStat().Compactions) })
 	}
 
 	mux := http.NewServeMux()
@@ -253,14 +209,15 @@ func NewHandler(cfg ServerConfig) (http.Handler, error) {
 
 // instrument adapts a status-returning handler, counts it, and owns the
 // request's observability envelope: the trace root span (for traceable
-// endpoints when the caller sent a traceparent or TraceAll is on) and the
-// structured access-log line, whose request id is the trace id.
+// endpoints when the caller sent a traceparent or slow-query capture is
+// on) and the structured access-log line, whose request id is the trace
+// id.
 func (s *server) instrument(path string, traceable bool, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var tr *trace.Trace
 		id, parentSpan, hasParent := trace.ParseTraceparent(r.Header.Get("traceparent"))
-		if traceable && (hasParent || s.traceAll) {
+		if traceable && (hasParent || s.slow != nil) {
 			tr = trace.New(id, trace.SpanRequest) // zero id → fresh random one
 			root := tr.Root()
 			root.SetAttr("path", path)
@@ -345,7 +302,7 @@ const DefaultWorkloadTopN = 10
 // table (?top=N bounds it) and flight-recorder status. 404 when the
 // daemon runs without workload telemetry (-hotkey-k=0).
 func (s *server) handleWorkload(w http.ResponseWriter, r *http.Request) int {
-	if s.workload == nil {
+	if s.svc.workload == nil {
 		return s.writeError(w, http.StatusNotFound, errors.New("workload telemetry disabled (-hotkey-k)"))
 	}
 	topN := DefaultWorkloadTopN
@@ -359,10 +316,10 @@ func (s *server) handleWorkload(w http.ResponseWriter, r *http.Request) int {
 	body := WorkloadStatus{
 		Schema:        WorkloadStatusSchema,
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Workload:      s.workload.Snapshot(topN),
+		Workload:      s.svc.workload.Snapshot(topN),
 	}
-	if s.flight != nil {
-		body.FlightRecorder = s.flight.Status()
+	if s.svc.flight != nil {
+		body.FlightRecorder = s.svc.flight.Status()
 	}
 	return s.writeJSON(w, http.StatusOK, body)
 }
@@ -376,7 +333,7 @@ func (s *server) writeJSON(w http.ResponseWriter, code int, v any) int {
 
 func (s *server) writeError(w http.ResponseWriter, code int, err error) int {
 	if code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.retryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int((DefaultRetryAfter+time.Second-1)/time.Second)))
 	}
 	return s.writeJSON(w, code, errorBody{Error: err.Error()})
 }
@@ -598,12 +555,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 		QueueCapacity: s.svc.QueueCapacity(),
 		Inflight:      s.svc.Inflight(),
 	}
-	if s.cache != nil {
-		st := s.cache.Stats()
+	if st, ok := s.svc.Checker().CacheStats(); ok {
 		hs.Cache = &st
-		if ss, ok := s.cache.StoreStats(); ok {
-			hs.Store = &ss
-		}
+	}
+	if ss, ok := s.svc.Checker().StoreStats(); ok {
+		hs.Store = &ss
 	}
 	code := http.StatusOK
 	if s.svc.Draining() {
@@ -617,6 +573,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.reg.WritePrometheus(w)
+	_ = s.svc.reg.WritePrometheus(w)
 	return http.StatusOK
 }

@@ -75,7 +75,7 @@ func newTestServer(t *testing.T, svcCfg Config) *testServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHandler(ServerConfig{Service: svc, Metrics: reg, Cache: cache})
+	h, err := NewHandler(ServerConfig{Service: svc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestBatchTruncationIsVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHandler(ServerConfig{Service: svc, Metrics: reg, MaxBatchLines: 2})
+	h, err := NewHandler(ServerConfig{Service: svc, MaxBatchLines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,9 @@ type Config struct {
 	// classed expensive regardless of schema structure; 0 means
 	// DefaultExpensiveSupport.
 	ExpensiveSupport int
-	// Metrics receives request/latency/queue instrumentation; nil runs
-	// unobserved.
+	// Metrics receives request/latency/queue instrumentation, and is the
+	// registry NewHandler serves on GET /metrics; nil gives the Service a
+	// private one.
 	Metrics *metrics.Registry
 	// Workload, when set, receives per-fingerprint hot-key accounting:
 	// every completed check (fingerprint + cache outcome + service time)
@@ -125,7 +126,10 @@ type Service struct {
 	workerCount      int
 	estimates        [2]ewma // service-time estimator per Cost class
 
-	// Telemetry (all optional; see Config).
+	// Telemetry (workload and flight optional; see Config). NewHandler
+	// serves all three, so an HTTP layer never sees another registry,
+	// sketch or recorder than the one the Service feeds.
+	reg      *metrics.Registry
 	workload *telemetry.Workload
 	flight   *telemetry.Recorder
 
@@ -135,8 +139,8 @@ type Service struct {
 	inflight atomic.Int64
 	workers  sync.WaitGroup
 
-	// Instrumentation (non-nil even without a registry, to keep the hot
-	// path branch-light; the no-registry case wires them to throwaways).
+	// Instrumentation (non-nil even without Config.Metrics, to keep the
+	// hot path branch-light; they then live in the private registry).
 	admitted      *metrics.Counter
 	shed          *metrics.Counter
 	rejected      *metrics.Counter // draining-time rejections
@@ -199,6 +203,7 @@ func New(cfg Config) (*Service, error) {
 		shedDepth:        shedDepth,
 		expensiveSupport: expensiveSupport,
 		workerCount:      cfg.Checker.Parallelism(),
+		reg:              reg,
 		workload:         cfg.Workload,
 		flight:           cfg.Flight,
 		admitted:         reg.Counter("bagcd_requests_admitted_total", "", "Requests admitted to the queue."),

@@ -154,16 +154,12 @@ func TestWorkloadEndpoint(t *testing.T) {
 		Checker:  telemetryChecker(2),
 		Metrics:  reg,
 		Workload: w,
+		Flight:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHandler(ServerConfig{
-		Service:  svc,
-		Metrics:  reg,
-		Workload: w,
-		Flight:   rec,
-	})
+	h, err := NewHandler(ServerConfig{Service: svc})
 	if err != nil {
 		t.Fatal(err)
 	}

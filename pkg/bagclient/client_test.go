@@ -44,7 +44,7 @@ func bootServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := service.NewHandler(service.ServerConfig{Service: svc, Metrics: reg, Cache: cache})
+	h, err := service.NewHandler(service.ServerConfig{Service: svc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestCheckBatchStreamErrorNotMisattributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := service.NewHandler(service.ServerConfig{Service: svc, Metrics: reg, MaxBatchLines: 2})
+	h, err := service.NewHandler(service.ServerConfig{Service: svc, MaxBatchLines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

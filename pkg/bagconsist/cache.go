@@ -25,13 +25,12 @@ import (
 // embed each Checker's options, so differently configured Checkers never
 // cross-contaminate.
 //
-// A Cache may additionally be backed by a persistent Store (WithStore /
-// WithPersistence), making it a two-tier cache: a RAM miss consults the
-// disk tier, a disk hit is promoted into RAM, and freshly computed
-// results are written through to disk — so the memo table survives
-// restarts. Attach the store before the Cache starts serving; the
-// attachment itself is atomic, but queries racing the attachment may
-// miss the disk tier.
+// A Cache may additionally be backed by a persistent Store (WithStore),
+// making it a two-tier cache: a RAM miss consults the disk tier, a disk
+// hit is promoted into RAM, and freshly computed results are written
+// through to disk — so the memo table survives restarts. Attach the
+// store before the Cache starts serving; the attachment itself is
+// atomic, but queries racing the attachment may miss the disk tier.
 type Cache struct {
 	lru    *cache.Cache
 	flight cache.Group
@@ -73,15 +72,6 @@ func (c *Cache) StoreStats() (StoreStats, bool) {
 		return StoreStats{}, false
 	}
 	return s.Stats(), true
-}
-
-// Close closes the attached persistent store, if any. The RAM tier needs
-// no teardown.
-func (c *Cache) Close() error {
-	if s := c.disk.Swap(nil); s != nil {
-		return s.Close()
-	}
-	return nil
 }
 
 // diskGet consults the disk tier for (kind, options, fingerprint) and
@@ -231,11 +221,11 @@ func (cr *cachedResult) witness(can *canon.Canonical) (*bag.Bag, error) {
 // agrees. Parallelism is excluded — it shapes scheduling and wall time,
 // never a verdict or witness validity. The key is byte-for-byte what
 // earlier releases wrote, so persisted stores keep hitting: the retired
-// LP-bound and branch-order knobs stay in it as the literals "lpfalse"
-// and "blfalse". See docs/STORAGE.md for the answers that carry an older
-// Report.Method.
+// LP-bound, branch-order and witness-minimization knobs stay in it as the
+// literals "lpfalse", "blfalse" and "wmtrue". See docs/STORAGE.md for the
+// answers that carry an older Report.Method.
 func (c config) optionsKey() string {
-	return fmt.Sprintf("m%d|n%d|lpfalse|blfalse|wm%t", c.method, c.maxNodes, c.minimizeWitness)
+	return fmt.Sprintf("m%d|n%d|lpfalse|blfalse|wmtrue", c.method, c.maxNodes)
 }
 
 // cachedCheck is the shared lookup/compute/coalesce path behind CheckPair

@@ -21,25 +21,13 @@ type Checker struct {
 	cfg config
 }
 
-// New builds a Checker from functional options.
-//
-// When WithPersistence was given, the store is opened here (after all
-// options, so option order never matters); a failed open is not fatal to
-// construction but is returned by every query — servers that need the
-// error at startup open the store themselves (OpenStore + WithStore).
+// New builds a Checker from functional options. A store given with
+// WithStore is attached under the cache here, after all options, so
+// option order never matters.
 func New(opts ...Option) *Checker {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.store == nil && cfg.persistDir != "" {
-		st, err := OpenStore(cfg.persistDir, cfg.persistOpts...)
-		if err != nil {
-			cfg.initErr = fmt.Errorf("bagconsist: opening persistent store: %w", err)
-		} else {
-			cfg.store = st
-			cfg.ownsStore = true
-		}
 	}
 	if cfg.store != nil {
 		if cfg.cache == nil {
@@ -50,10 +38,6 @@ func New(opts ...Option) *Checker {
 	return &Checker{cfg: cfg}
 }
 
-// ready is the per-query guard for construction-time failures (today:
-// WithPersistence pointing at an unusable directory).
-func (c *Checker) ready() error { return c.cfg.initErr }
-
 // StoreStats returns the persistent store's statistics, and false when
 // the Checker has no disk tier.
 func (c *Checker) StoreStats() (StoreStats, bool) {
@@ -61,19 +45,6 @@ func (c *Checker) StoreStats() (StoreStats, bool) {
 		return StoreStats{}, false
 	}
 	return c.cfg.cache.StoreStats()
-}
-
-// Close releases resources the Checker itself acquired: the persistent
-// store opened by WithPersistence. It closes that store directly — not
-// whatever store the (possibly shared) cache currently has attached, so
-// a WithStore store stays with its owner. Checkers built only from
-// WithStore or without persistence close nothing. Safe to call multiple
-// times.
-func (c *Checker) Close() error {
-	if c.cfg.ownsStore && c.cfg.store != nil {
-		return c.cfg.store.Close()
-	}
-	return nil
 }
 
 // Parallelism returns the configured worker-pool width (WithParallelism).
@@ -101,9 +72,6 @@ func (c *Checker) CacheStats() (CacheStats, bool) {
 // instances (up to tuple order and consistent value renaming) are served
 // from it with Report.CacheHit set.
 func (c *Checker) CheckPair(ctx context.Context, r, s *Bag) (*Report, error) {
-	if err := c.ready(); err != nil {
-		return nil, err
-	}
 	ctx, span := trace.Start(ctx, trace.SpanCheck)
 	span.SetAttr("kind", "pair")
 	var rep *Report
@@ -162,28 +130,17 @@ func (c *Checker) checkPairUncached(ctx context.Context, r, s *Bag) (*Report, er
 }
 
 // PairWitness decides consistency of two bags and, when consistent,
-// constructs a witnessing bag T with T[X] = R and T[Y] = S via integral
-// max flow — minimal-support (Theorem 5) unless witness minimization is
-// disabled. It returns ErrInconsistent (with the refuting Report) when no
-// witness exists.
+// constructs a minimal-support witnessing bag T with T[X] = R and
+// T[Y] = S (Theorem 5). It returns ErrInconsistent (with the refuting
+// Report) when no witness exists.
 func (c *Checker) PairWitness(ctx context.Context, r, s *Bag) (*Report, error) {
-	if err := c.ready(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ctx, span := trace.Start(ctx, trace.SpanCheck)
 	span.SetAttr("kind", "pair-witness")
-	var w *Bag
-	var ok bool
-	var err error
-	if c.cfg.minimizeWitness {
-		w, ok, err = core.MinimalPairWitnessContext(ctx, r, s)
-	} else {
-		w, ok, err = core.PairWitness(r, s)
-	}
+	w, ok, err := core.MinimalPairWitnessContext(ctx, r, s)
 	span.End()
 	if err != nil {
 		return nil, err
@@ -212,9 +169,6 @@ func (c *Checker) PairWitness(ctx context.Context, r, s *Bag) (*Report, error) {
 // instance's values, skipping even the NP-hard search. Concurrent
 // identical misses coalesce onto one computation.
 func (c *Checker) CheckGlobal(ctx context.Context, coll *Collection) (*Report, error) {
-	if err := c.ready(); err != nil {
-		return nil, err
-	}
 	ctx, span := trace.Start(ctx, trace.SpanCheck)
 	span.SetAttr("kind", "global")
 	var rep *Report
@@ -295,9 +249,6 @@ func (c *Checker) VerifyWitness(coll *Collection, w *Bag) (bool, error) {
 // minimal support (Theorem 3(3) bound) by per-tuple integer feasibility
 // probes.
 func (c *Checker) MinimizeWitness(ctx context.Context, coll *Collection, w *Bag) (*Bag, error) {
-	if err := c.ready(); err != nil {
-		return nil, err
-	}
 	return coll.MinimizeWitnessSupportContext(ctx, w, c.cfg.global().ILP())
 }
 
@@ -324,18 +275,12 @@ func (c *Checker) EnumeratePairWitnesses(ctx context.Context, r, s *Bag, fn func
 // CountWitnesses counts the witnesses of the collection's global
 // consistency; 0 iff globally inconsistent.
 func (c *Checker) CountWitnesses(ctx context.Context, coll *Collection) (int64, error) {
-	if err := c.ready(); err != nil {
-		return 0, err
-	}
 	return coll.CountWitnessesContext(ctx, c.cfg.global().ILP())
 }
 
 // EnumerateWitnesses calls fn with every witness of the collection's
 // global consistency, in a deterministic order.
 func (c *Checker) EnumerateWitnesses(ctx context.Context, coll *Collection, fn func(*Bag) error) error {
-	if err := c.ready(); err != nil {
-		return err
-	}
 	return coll.EnumerateWitnessesContext(ctx, c.cfg.global().ILP(), fn)
 }
 
@@ -343,8 +288,5 @@ func (c *Checker) EnumerateWitnesses(ctx context.Context, coll *Collection, fn f
 // is globally consistent (Section 4's k-wise hierarchy). Exponential in
 // k; intended for verification on small collections.
 func (c *Checker) KWiseConsistent(ctx context.Context, coll *Collection, k int) (bool, error) {
-	if err := c.ready(); err != nil {
-		return false, err
-	}
 	return coll.KWiseConsistentContext(ctx, k, c.cfg.global())
 }

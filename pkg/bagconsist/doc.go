@@ -36,14 +36,14 @@
 // values, and concurrent identical queries coalesce onto a single
 // computation. See Example (WithCache) and DESIGN.md for the economics.
 //
-// WithPersistence(dir) backs the cache with a durable content-addressed
-// store, making it two-tier: results survive process restarts, a fresh
-// Checker on the same directory serves previously computed fingerprints
-// from disk with zero engine recomputation (promoting them into RAM),
-// and crash-torn log tails are repaired automatically on open. Servers
-// that want store-open errors at startup use OpenStore + WithStore and
-// keep ownership; StoreStats exposes the disk tier to observability.
-// See docs/STORAGE.md for the format, recovery, and compaction story.
+// OpenStore(dir) + WithStore back the cache with a durable
+// content-addressed store, making it two-tier: results survive process
+// restarts, a fresh Checker on the same directory serves previously
+// computed fingerprints from disk with zero engine recomputation
+// (promoting them into RAM), and crash-torn log tails are repaired
+// automatically on open. Whoever opened the store closes it;
+// StoreStats exposes the disk tier to observability. See
+// docs/STORAGE.md for the format, recovery, and compaction story.
 //
 // The data types (Bag, Schema, Collection, Hypergraph) are aliases of the
 // internal implementation types, so values produced by the internal

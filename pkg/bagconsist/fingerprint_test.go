@@ -92,7 +92,6 @@ func TestFingerprintMatchesCachePath(t *testing.T) {
 			mu.Unlock()
 		}),
 	)
-	defer chk.Close()
 
 	ctx := context.Background()
 	if _, err := chk.CheckPair(ctx, r, s); err != nil {
@@ -143,7 +142,6 @@ func TestObserverNotCalledWithoutCache(t *testing.T) {
 	chk := bagconsist.New(
 		bagconsist.WithCheckObserver(func(context.Context, string, string, bool) { calls++ }),
 	)
-	defer chk.Close()
 	if _, err := chk.CheckPair(context.Background(), r, s); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +168,6 @@ func TestObserverSeesRenamedInstanceAsSameKey(t *testing.T) {
 			hits = append(hits, hit)
 		}),
 	)
-	defer chk.Close()
 	ctx := context.Background()
 	if _, err := chk.CheckGlobal(ctx, coll); err != nil {
 		t.Fatal(err)

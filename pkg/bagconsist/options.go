@@ -50,41 +50,29 @@ func (m Method) String() string {
 // config is the collapsed configuration surface: one flat struct behind
 // the functional options, projected onto core.GlobalOptions at call time.
 type config struct {
-	method          Method
-	maxNodes        int64
-	minimizeWitness bool
-	parallelism     int
-	cache           *Cache
+	method      Method
+	maxNodes    int64
+	parallelism int
+	cache       *Cache
+	// store is attached under the cache by New (see WithStore).
+	store *Store
 	// observer, when set, is notified after every cache-backed check
 	// (see WithCheckObserver). Pure telemetry: never part of optionsKey.
 	observer CheckObserver
-
-	// Persistence wiring, resolved by New after all options applied (so
-	// option order cannot matter): persistDir is opened into store when
-	// WithPersistence was used; ownsStore marks a store the Checker
-	// opened itself and must close in Close; initErr records a failed
-	// open, surfaced by every query.
-	persistDir  string
-	persistOpts []PersistOption
-	store       *Store
-	ownsStore   bool
-	initErr     error
 }
 
 func defaultConfig() config {
 	return config{
-		method:          Auto,
-		minimizeWitness: true,
-		parallelism:     runtime.GOMAXPROCS(0),
+		method:      Auto,
+		parallelism: runtime.GOMAXPROCS(0),
 	}
 }
 
 // global projects the config onto the internal options type.
 func (c config) global() core.GlobalOptions {
 	return core.GlobalOptions{
-		ForceILP:                c.method == ILP,
-		SkipWitnessMinimization: !c.minimizeWitness,
-		MaxNodes:                c.maxNodes,
+		ForceILP: c.method == ILP,
+		MaxNodes: c.maxNodes,
 	}
 }
 
@@ -101,15 +89,6 @@ func WithMethod(m Method) Option {
 // fails with an error wrapping ErrNodeLimit instead of hanging.
 func WithMaxNodes(n int64) Option {
 	return func(c *config) { c.maxNodes = n }
-}
-
-// WithWitnessMinimization toggles minimal pairwise witnesses inside the
-// acyclic composition (default on; the Theorem 6 support bound is only
-// guaranteed with minimization). Turning it off saves no time: the raw
-// Dinic witnesses are the slower arm, 2.4–3.3x the minimal one on
-// acyclic checks of path and star schemas at support 128.
-func WithWitnessMinimization(on bool) Option {
-	return func(c *config) { c.minimizeWitness = on }
 }
 
 // WithParallelism sets the CheckBatch worker-pool size (default
@@ -140,37 +119,18 @@ func WithSharedCache(sc *Cache) Option {
 	return func(c *config) { c.cache = sc }
 }
 
-// DefaultCacheSize is the RAM-tier capacity WithPersistence and
-// WithStore provision when no cache was configured explicitly.
+// DefaultCacheSize is the RAM-tier capacity WithStore provisions when no
+// cache was configured explicitly.
 const DefaultCacheSize = 4096
 
-// WithPersistence backs the Checker's cache with a persistent result
-// store in dir, making it a two-tier cache: RAM hits stay RAM-fast, RAM
-// misses consult the disk tier (promoting hits), and computed results
-// are written through — so the memo table survives restarts, and a warm
-// start serves previously computed fingerprints with zero engine
-// recomputation. A cache is created (DefaultCacheSize) if none was
-// configured.
-//
-// The store is opened inside New; an open failure (unwritable dir,
-// directory locked by another process) is reported by every subsequent
-// query. Servers that want the error at startup should OpenStore
-// themselves and use WithStore. The Checker owns the store and releases
-// it in Close.
-func WithPersistence(dir string, opts ...PersistOption) Option {
-	return func(c *config) {
-		c.persistDir = dir
-		c.persistOpts = opts
-	}
-}
-
 // WithStore backs the Checker's cache with an already opened persistent
-// store (see OpenStore); the caller keeps ownership and closes it after
-// the Checker is done. A cache is created (DefaultCacheSize) if none was
-// configured. A nil store disables persistence.
+// store (see OpenStore), making it a two-tier cache: RAM hits stay
+// RAM-fast, RAM misses consult the disk tier (promoting hits), and
+// computed results are written through, so the memo table survives
+// restarts and a warm start serves previously computed fingerprints with
+// zero engine recomputation. The caller keeps ownership and closes the
+// store after the Checker is done. A cache is created (DefaultCacheSize)
+// if none was configured. A nil store disables persistence.
 func WithStore(s *Store) Option {
-	return func(c *config) {
-		c.store = s
-		c.persistDir = ""
-	}
+	return func(c *config) { c.store = s }
 }

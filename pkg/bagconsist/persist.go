@@ -15,10 +15,9 @@ import (
 // stored witness is re-expressed in each hitting instance's own values.
 //
 // Open one Store per data directory per process (the directory carries
-// an advisory lock) and attach it to a Checker with WithStore, or let
-// WithPersistence do both. The same Store may back several Checkers:
-// keys embed each Checker's options, so configurations never
-// cross-contaminate.
+// an advisory lock) and attach it to a Checker with WithStore. The same
+// Store may back several Checkers: keys embed each Checker's options, so
+// configurations never cross-contaminate.
 type Store struct {
 	st *store.Store
 }
@@ -37,7 +36,7 @@ type persistConfig struct {
 	logf         func(format string, args ...any)
 }
 
-// PersistOption configures OpenStore / WithPersistence.
+// PersistOption configures OpenStore.
 type PersistOption func(*persistConfig)
 
 // WithSegmentBytes sets the segment rotation threshold (default 64 MiB).
@@ -61,7 +60,7 @@ func WithStoreLog(logf func(format string, args ...any)) PersistOption {
 // dir, scanning its segment log to rebuild the index. A torn tail left
 // by a crash is repaired by truncation; corrupt records are skipped and
 // counted. The caller owns the handle: close it after every Checker
-// using it is done, or hand ownership to a Checker via WithPersistence.
+// using it is done.
 func OpenStore(dir string, opts ...PersistOption) (*Store, error) {
 	var pc persistConfig
 	for _, o := range opts {

@@ -28,6 +28,18 @@ func cyclicInstance(t testing.TB, seed int64, n int) *bagconsist.Collection {
 	return coll
 }
 
+// openStore opens the store in dir and closes it when the test ends;
+// closing it earlier, to restart on the same directory, is allowed.
+func openStore(t testing.TB, dir string) *bagconsist.Store {
+	t.Helper()
+	st, err := bagconsist.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // TestWarmStartServesFromDisk is the restart contract: results computed
 // by one Checker are served by a brand-new Checker (fresh RAM tier) on
 // the same data dir with CacheHit set and zero engine recomputation.
@@ -36,7 +48,8 @@ func TestWarmStartServesFromDisk(t *testing.T) {
 	ctx := context.Background()
 	coll := cyclicInstance(t, 11, 3)
 
-	first := bagconsist.New(bagconsist.WithPersistence(dir))
+	st1 := openStore(t, dir)
+	first := bagconsist.New(bagconsist.WithStore(st1))
 	rep, err := first.CheckGlobal(ctx, coll)
 	if err != nil {
 		t.Fatal(err)
@@ -48,13 +61,12 @@ func TestWarmStartServesFromDisk(t *testing.T) {
 	if st, ok := first.StoreStats(); !ok || st.Puts != 1 {
 		t.Fatalf("write-through missing: %+v ok=%v", st, ok)
 	}
-	if err := first.Close(); err != nil {
+	if err := st1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Restart": a new Checker, new empty RAM cache, same directory.
-	second := bagconsist.New(bagconsist.WithPersistence(dir))
-	defer second.Close()
+	second := bagconsist.New(bagconsist.WithStore(openStore(t, dir)))
 	rep2, err := second.CheckGlobal(ctx, coll)
 	if err != nil {
 		t.Fatal(err)
@@ -93,15 +105,17 @@ func TestWarmStartTranslatesRenamedWitness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first := bagconsist.New(bagconsist.WithPersistence(dir))
+	st1 := openStore(t, dir)
+	first := bagconsist.New(bagconsist.WithStore(st1))
 	if _, err := first.CheckGlobal(ctx, coll); err != nil {
 		t.Fatal(err)
 	}
-	first.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	variant := renamedCopy(t, coll)
-	second := bagconsist.New(bagconsist.WithPersistence(dir))
-	defer second.Close()
+	second := bagconsist.New(bagconsist.WithStore(openStore(t, dir)))
 	rep, err := second.CheckGlobal(ctx, variant)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +143,7 @@ func TestPersistenceKeysSeparateKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck := bagconsist.New(bagconsist.WithPersistence(dir))
-	defer ck.Close()
+	ck := bagconsist.New(bagconsist.WithStore(openStore(t, dir)))
 	if _, err := ck.CheckPair(ctx, r, s); err != nil {
 		t.Fatal(err)
 	}
@@ -154,24 +167,18 @@ func TestPersistenceKeysSeparateKinds(t *testing.T) {
 	}
 }
 
-// TestWithPersistenceBadDirSurfacesError: New cannot fail, so the open
-// error must come back from queries.
-func TestWithPersistenceBadDirSurfacesError(t *testing.T) {
+// TestOpenStoreBadDirFails: a store that cannot be opened is an error
+// from OpenStore itself, before any Checker exists to serve queries.
+func TestOpenStoreBadDirFails(t *testing.T) {
 	// A file where the directory should be.
-	dir := t.TempDir()
-	fpath := filepath.Join(dir, "not-a-dir")
+	fpath := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(fpath, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck := bagconsist.New(bagconsist.WithPersistence(filepath.Join(fpath, "sub")))
-	defer ck.Close()
-	coll := cyclicInstance(t, 3, 2)
-	if _, err := ck.CheckGlobal(context.Background(), coll); err == nil {
-		t.Fatal("query on a checker with an unopenable store succeeded")
-	}
-	r, s, _ := gen.Section3Family(2)
-	if _, err := ck.CheckPair(context.Background(), r, s); err == nil {
-		t.Fatal("CheckPair on a broken checker succeeded")
+	st, err := bagconsist.OpenStore(filepath.Join(fpath, "sub"))
+	if err == nil {
+		st.Close()
+		t.Fatal("OpenStore under a regular file succeeded")
 	}
 }
 
@@ -180,11 +187,7 @@ func TestWithPersistenceBadDirSurfacesError(t *testing.T) {
 func TestSharedStoreAcrossCheckers(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	st, err := bagconsist.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := openStore(t, dir)
 	coll := cyclicInstance(t, 7, 2)
 
 	a := bagconsist.New(bagconsist.WithStore(st))

@@ -54,7 +54,7 @@ func measureFacadePairAllocs(tb testing.TB, traced bool) float64 {
 // nothing but context-value nil checks.
 func BenchmarkUntracedPairCheckAllocs(b *testing.B) {
 	allocs := measureFacadePairAllocs(b, false)
-	b.ReportMetric(allocs, "allocs/op")
+	b.ReportMetric(allocs, "allocs/call")
 	if !raceEnabled && allocs > untracedPairCheckBudget {
 		b.Fatalf("untraced CheckPair allocates %.0f/op, budget %d", allocs, untracedPairCheckBudget)
 	}
@@ -65,7 +65,7 @@ func BenchmarkUntracedPairCheckAllocs(b *testing.B) {
 // tree returned in the Report.
 func BenchmarkTracedPairCheckAllocs(b *testing.B) {
 	allocs := measureFacadePairAllocs(b, true)
-	b.ReportMetric(allocs, "allocs/op")
+	b.ReportMetric(allocs, "allocs/call")
 	if !raceEnabled && allocs > tracedPairCheckBudget {
 		b.Fatalf("traced CheckPair allocates %.0f/op, budget %d", allocs, tracedPairCheckBudget)
 	}
