@@ -10,8 +10,9 @@ import (
 	"bagconsistency/internal/store"
 )
 
-// storeKindName renders the on-disk kind byte for operators; it mirrors
-// the mapping in pkg/bagconsist.
+// storeKindName renders the on-disk kind byte for operators. pkg/bagconsist
+// writes kind 2 (global) only; kind 1 (pair) records come from earlier
+// releases, which also cached pair checks, and are no longer read.
 func storeKindName(k uint8) string {
 	switch k {
 	case 1:

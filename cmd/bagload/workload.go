@@ -44,9 +44,10 @@ func buildWorkloadReport(ws *bagclient.WorkloadStatus, corpus []load.Item, event
 
 // clientKeyCounts replays the schedule against the corpus fingerprints:
 // results[i] is the outcome of events[i], and every event maps to the
-// same canonical fingerprints the server's cache observer records —
-// FingerprintPair for pair checks, FingerprintCollection for global
-// checks and each batch line. The returned table is exact and sorted
+// same canonical fingerprints the server's hot-key sketch records —
+// FingerprintPair for pair checks (which the server fingerprints
+// outside the cache), FingerprintCollection for global checks and each
+// batch line. The returned table is exact and sorted
 // hottest first (ties broken by key for determinism).
 func clientKeyCounts(corpus []load.Item, events []load.Event, results []fireResult) []ClientKeyCount {
 	globalFP := make([]string, len(corpus))

@@ -10,15 +10,16 @@
 //	      [-compare BASELINE.json [-normalize]]
 //
 // -family takes a comma-separated subset of the table's families (empty =
-// all): pair, acyclic and cyclic sweep the Flow/LP/ILP/Auto methods with
-// and without the result cache; cycliccore sets the monolithic search
-// against the decomposition (BENCH_pr7.json); cache, batch and restart
-// measure the serving tiers (restart is BENCH_pr4.json); ingest is the
-// bulk-load decode sweep (BENCH_pr10.json); core times the paper's
-// experiments E1–E9 one engine call each, ablation the
-// witness-minimization ablation, ext the Section 6 extensions, and api
-// the fingerprint, Report encoding and batch layers. A case that names
-// another case as its baseline adds a Speedup record.
+// all): pair sweeps the four Lemma 2 tests uncached, acyclic and cyclic
+// sweep the global check with and without the result cache; cycliccore
+// sets the monolithic search against the decomposition (BENCH_pr7.json);
+// cache, batch and restart measure the serving tiers (restart is
+// BENCH_pr4.json); ingest is the bulk-load decode sweep
+// (BENCH_pr10.json); core times the paper's experiments E1–E9 one engine
+// call each, ablation the witness-minimization ablation, ext the Section
+// 6 extensions, and api the fingerprint, Report encoding and batch
+// layers. A case that names another case as its baseline adds a Speedup
+// record.
 //
 // -compare is the CI regression gate: after the sweep it compares the
 // run's uncached pair, acyclic, cyclic, cycliccore and ingest entries

@@ -22,9 +22,11 @@ import (
 
 	"bagconsistency/internal/bag"
 	"bagconsistency/internal/buildinfo"
+	"bagconsistency/internal/core"
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/harness"
 	"bagconsistency/internal/hypergraph"
+	"bagconsistency/internal/ilp"
 	"bagconsistency/internal/reductions"
 	"bagconsistency/internal/relational"
 	"bagconsistency/pkg/bagconsist"
@@ -128,6 +130,18 @@ func e1(out io.Writer, quick bool) error {
 	rng := rand.New(rand.NewSource(1))
 	fmt.Fprintln(out, "paper: R,S consistent ⇔ equal shared marginals ⇔ P(R,S) feasible (Q) ⇔ feasible (Z) ⇔ N(R,S) has a saturated flow;")
 	fmt.Fprintln(out, "       consistency testable and witness constructible in strongly polynomial time.")
+	// One vote per Lemma 2 characterization: CheckPair's marginal test,
+	// then core's flow, LP and integer arms.
+	checker := bagconsist.New()
+	tests := []func(r, s *bag.Bag) (bool, error){
+		func(r, s *bag.Bag) (bool, error) {
+			rep, err := checker.CheckPair(ctx, r, s)
+			return err == nil && rep.Consistent, err
+		},
+		core.PairConsistentViaFlow,
+		core.PairConsistentViaLP,
+		func(r, s *bag.Bag) (bool, error) { return core.PairConsistentViaILPContext(ctx, r, s, ilp.Options{}) },
+	}
 	agree := 0
 	trials := 40
 	if quick {
@@ -144,13 +158,13 @@ func e1(out io.Writer, quick bool) error {
 				return err
 			}
 		}
-		votes := make([]bool, 0, 4)
-		for _, m := range []bagconsist.Method{bagconsist.Auto, bagconsist.Flow, bagconsist.LP, bagconsist.ILP} {
-			rep, err := bagconsist.New(bagconsist.WithMethod(m)).CheckPair(ctx, r, s)
+		votes := make([]bool, 0, len(tests))
+		for _, test := range tests {
+			ok, err := test(r, s)
 			if err != nil {
 				return err
 			}
-			votes = append(votes, rep.Consistent)
+			votes = append(votes, ok)
 		}
 		if votes[0] == votes[1] && votes[1] == votes[2] && votes[2] == votes[3] {
 			agree++

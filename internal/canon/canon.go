@@ -445,7 +445,7 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 }
 
 // Pair canonicalizes a two-bag instance (r, s). Bag order is significant,
-// matching CheckPair(r, s).
+// matching a global check of the collection (r, s).
 func Pair(r, s *bag.Bag) (*Canonical, error) {
 	return Bags([]*bag.Bag{r, s})
 }

@@ -303,13 +303,8 @@ func ratRHS(b []int64) []*big.Rat {
 	return out
 }
 
-// PairConsistentViaILP decides consistency by integer feasibility of
-// P(R,S) (statement 4 of Lemma 2).
-func PairConsistentViaILP(r, s *bag.Bag, opts ilp.Options) (bool, error) {
-	return PairConsistentViaILPContext(context.Background(), r, s, opts)
-}
-
-// PairConsistentViaILPContext is PairConsistentViaILP with cooperative
+// PairConsistentViaILPContext decides consistency by integer
+// feasibility of P(R,S) (statement 4 of Lemma 2), with cooperative
 // cancellation of the integer search.
 func PairConsistentViaILPContext(ctx context.Context, r, s *bag.Bag, opts ilp.Options) (bool, error) {
 	p, _, err := buildPairProgram(r, s)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -209,7 +210,7 @@ func TestLemma2EquivalencesProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ii, err := PairConsistentViaILP(r, s, ilp.Options{})
+		ii, err := PairConsistentViaILPContext(context.Background(), r, s, ilp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -228,29 +228,41 @@ func cube(n int) func() (*core.Collection, error) {
 }
 
 // pairCases sweep two-bag consistency across the four Lemma 2 decision
-// methods and cache modes.
+// methods, uncached: the marginal test is CheckPair's, and the flow, LP
+// and integer tests are core's measurement arms.
 func pairCases() []Case {
 	var cs []Case
 	for _, n := range []int{64, 256, 1024} {
 		for _, m := range []struct {
 			name string
-			m    bagconsist.Method
 			max  int // largest support the method is measured at
-		}{{"auto", bagconsist.Auto, 1 << 30}, {"max-flow", bagconsist.Flow, 1 << 30}, {"lp-relaxation", bagconsist.LP, 256}, {"integer-program", bagconsist.ILP, 64}} {
-			for _, mode := range []string{"off", "warm"} {
-				if n > m.max {
-					continue
+			test func(r, s *bag.Bag) op
+		}{
+			{"auto", 1 << 30, func(r, s *bag.Bag) op {
+				ch := bagconsist.New()
+				return func() (*bagconsist.Report, error) { return consistent(ch.CheckPair(ctx, r, s)) }
+			}},
+			{"max-flow", 1 << 30, func(r, s *bag.Bag) op {
+				return func() (*bagconsist.Report, error) { return holds(core.PairConsistentViaFlow(r, s)) }
+			}},
+			{"lp-relaxation", 256, func(r, s *bag.Bag) op {
+				return func() (*bagconsist.Report, error) { return holds(core.PairConsistentViaLP(r, s)) }
+			}},
+			{"integer-program", 64, func(r, s *bag.Bag) op {
+				return func() (*bagconsist.Report, error) {
+					return holds(core.PairConsistentViaILPContext(ctx, r, s, ilp.Options{}))
 				}
-				cs = append(cs, Case{
-					Name:   fmt.Sprintf("pair/%s/cache=%s/support=%d", m.name, mode, n),
-					Family: "pair", Method: m.name, Cache: mode, Params: fmt.Sprintf("support=%d", n),
-					Quick: n <= 256, Full: true,
-					Setup: onPair(pairInstance(n), func(r, s *bag.Bag) op {
-						ch := checker(mode, bagconsist.WithMethod(m.m))
-						return func() (*bagconsist.Report, error) { return consistent(ch.CheckPair(ctx, r, s)) }
-					}),
-				})
+			}},
+		} {
+			if n > m.max {
+				continue
 			}
+			cs = append(cs, Case{
+				Name:   fmt.Sprintf("pair/%s/cache=off/support=%d", m.name, n),
+				Family: "pair", Method: m.name, Cache: "off", Params: fmt.Sprintf("support=%d", n),
+				Quick: n <= 256, Full: true,
+				Setup: onPair(pairInstance(n), m.test),
+			})
 		}
 	}
 	return cs
@@ -313,9 +325,11 @@ func cyclicCases() []Case {
 
 // cyclicCoreCases sweep distance from acyclicity: a path with k chords,
 // whose GYO core holds 2k+1 edges. Each instance is decided by the
-// monolithic search (WithMethod(ILP)) and by Auto, which searches the
-// core only; the decomp arm is a speedup over the monolith.
+// monolithic search over the whole schema (core's ForceILP arm) and by
+// the Checker, which searches the core only; the decomp arm is a speedup
+// over the monolith.
 func cyclicCoreCases() []Case {
+	const maxNodes = 2_000_000_000
 	var cs []Case
 	for _, sweep := range []struct {
 		m     int
@@ -331,23 +345,20 @@ func cyclicCoreCases() []Case {
 				}
 				return seededColl(7, h, 6, 4, 2)()
 			}
-			for _, cfg := range []struct {
-				name   string
-				method bagconsist.Method
-			}{{"seq", bagconsist.ILP}, {"decomp", bagconsist.Auto}} {
-				c := Case{
-					Name:   fmt.Sprintf("cycliccore/%s/cache=off/m=%d,k=%d", cfg.name, m, k),
-					Family: "cycliccore", Method: cfg.method.String(), Cache: "off", Params: fmt.Sprintf("m=%d,k=%d,solver=%s", m, k, cfg.name),
-					Quick: sweep.quick, Full: !sweep.quick,
-					Setup: onColl(build, checkGlobal("off",
-						bagconsist.WithMethod(cfg.method),
-						bagconsist.WithMaxNodes(2_000_000_000))),
-				}
-				if cfg.method == bagconsist.Auto {
-					c.Versus = &Versus{fmt.Sprintf("cycliccore/seq/cache=off/m=%d,k=%d", m, k), "cycliccore", fmt.Sprintf("m=%d,k=%d", m, k), cfg.name}
-				}
-				cs = append(cs, c)
+			params := fmt.Sprintf("m=%d,k=%d", m, k)
+			seq := Case{
+				Name:   "cycliccore/seq/cache=off/" + params,
+				Family: "cycliccore", Method: "integer-program", Cache: "off", Params: params + ",solver=seq",
+				Quick: sweep.quick, Full: !sweep.quick,
+				Setup: onColl(build, decide(core.GlobalOptions{ForceILP: true, MaxNodes: maxNodes})),
 			}
+			cs = append(cs, seq, Case{
+				Name:   "cycliccore/decomp/cache=off/" + params,
+				Family: "cycliccore", Method: "auto", Cache: "off", Params: params + ",solver=decomp",
+				Quick: sweep.quick, Full: !sweep.quick,
+				Versus: &Versus{seq.Name, "cycliccore", params, "decomp"},
+				Setup:  onColl(build, checkGlobal("off", bagconsist.WithMaxNodes(maxNodes))),
+			})
 		}
 	}
 	return cs

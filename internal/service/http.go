@@ -459,6 +459,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 		return s.writeError(w, http.StatusServiceUnavailable, ErrDraining)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	// Response lines stream while the body is still being read. Without
+	// full duplex, Go's HTTP/1 server answers the first flush by
+	// discarding up to 256 KiB of the unread body and closing it: the
+	// lines in that part are never checked, and the scanner fails with
+	// "invalid Read on closed Body". HTTP/2 is full duplex already, and
+	// there the call's error is harmless.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -328,6 +330,82 @@ func TestBatchTruncationIsVisible(t *testing.T) {
 	// a valid slot index a client could misattribute.
 	if !bytes.Contains(data, []byte(`{"index":-1,"error":"batch truncated`)) {
 		t.Fatalf("truncation line not marked with index -1:\n%s", data)
+	}
+}
+
+// TestBatchAnswersLinesSentAfterAnAnswer is an interactive batch client:
+// it sends its second NDJSON line only after reading the answer to its
+// first. Answers stream while the request body is still open, so the
+// handler must read and write at once. An HTTP/1 handler that does not
+// enable full duplex blocks its first flush discarding the unread body.
+func TestBatchAnswersLinesSentAfterAnAnswer(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	line := strings.TrimSpace(strings.ReplaceAll(pairJSON(t, consistentPairText), "\n", " ")) + "\n"
+	rest, feed := io.Pipe()
+	defer feed.Close()
+	body := io.MultiReader(strings.NewReader(line), rest)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+
+	type result struct {
+		lines []BatchLine
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var res result
+		defer func() { done <- res }()
+		resp, err := ts.Client().Do(req)
+		if res.err = err; err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		rd := bufio.NewReader(resp.Body)
+		for i := 0; ; i++ {
+			if i == 1 {
+				// The second line goes out only after the first answer.
+				if _, res.err = io.WriteString(feed, line); res.err != nil {
+					return
+				}
+				feed.Close()
+			}
+			text, err := rd.ReadBytes('\n')
+			if len(bytes.TrimSpace(text)) > 0 {
+				var bl BatchLine
+				if res.err = json.Unmarshal(text, &bl); res.err != nil {
+					return
+				}
+				res.lines = append(res.lines, bl)
+			}
+			if err != nil {
+				if err != io.EOF {
+					res.err = err
+				}
+				return
+			}
+		}
+	}()
+
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		feed.CloseWithError(errors.New("test timed out"))
+		t.Fatal("no answer to the first line within 10s: the first flush waits on the unread body")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if len(res.lines) != 2 {
+		t.Fatalf("%d answers, want 2: %+v", len(res.lines), res.lines)
+	}
+	for i, bl := range res.lines {
+		if bl.Index != i || bl.Error != "" || bl.Report == nil || !bl.Report.Consistent {
+			t.Fatalf("answer %d: %+v, want a consistent report at index %d", i, bl, i)
+		}
 	}
 }
 

@@ -40,8 +40,8 @@ const (
 	// Global decides global consistency of the whole collection
 	// (Checker.CheckGlobal) — witness included when consistent.
 	Global Kind = iota
-	// Pair decides consistency of a two-bag collection via the
-	// configured pair method (Checker.CheckPair).
+	// Pair decides consistency of a two-bag collection by the Lemma 2
+	// marginal test (Checker.CheckPair), which is never cached.
 	Pair
 )
 
@@ -435,7 +435,8 @@ func (s *Service) run(t *task) {
 	ctx := t.ctx
 	// The capture carrier lets the cache layer's observer hand the
 	// canonical fingerprint (computed anyway for the cache key) back to
-	// this worker — per-key accounting without re-canonicalizing.
+	// this worker — per-key accounting without re-canonicalizing. Only
+	// global checks reach the cache.
 	var capture *telemetry.Capture
 	if s.workload != nil {
 		ctx, capture = telemetry.WithCapture(ctx)
@@ -479,7 +480,10 @@ func (s *Service) run(t *task) {
 			if fp, hit, ok := capture.Get(); ok {
 				s.workload.ObserveCheck(fp, hit, elapsed)
 			} else if fp := requestFingerprint(t.req); fp != "" {
-				// Cacheless checker: no observer ran, fingerprint directly.
+				// No observer ran: a pair request, which never reaches the
+				// cache, or a cacheless checker. Fingerprint directly; for
+				// pair requests this is their only fingerprint, kept for
+				// the hot-key sketch.
 				s.workload.ObserveCheck(fp, rep != nil && rep.CacheHit, elapsed)
 			}
 		}

@@ -16,6 +16,8 @@ import (
 // Cache is a shared result cache for Checkers: a sharded LRU keyed by
 // canonical instance fingerprints plus the options that shaped the
 // result, with singleflight coalescing of concurrent identical queries.
+// It holds CheckGlobal results; CheckPair's marginal test is cheaper than
+// a fingerprint and never reaches it.
 //
 // Because keys are canonical fingerprints (internal/canon), a hit does not
 // require byte-identical input: any instance equal to a cached one up to
@@ -74,15 +76,15 @@ func (c *Cache) StoreStats() (StoreStats, bool) {
 	return s.Stats(), true
 }
 
-// diskGet consults the disk tier for (kind, options, fingerprint) and
-// decodes the stored canonical result. A payload that fails to decode
-// (a foreign or future record) is treated as a miss.
-func (c *Cache) diskGet(kind, optsKey string, fp canon.Fingerprint) (*cachedResult, bool) {
+// diskGet consults the disk tier for (options, fingerprint) and decodes
+// the stored canonical result. A payload that fails to decode (a foreign
+// or future record) is treated as a miss.
+func (c *Cache) diskGet(optsKey string, fp canon.Fingerprint) (*cachedResult, bool) {
 	s := c.disk.Load()
 	if s == nil {
 		return nil, false
 	}
-	payload, ok := s.st.Get(storeKey(kind, optsKey, fp))
+	payload, ok := s.st.Get(storeKey(optsKey, fp))
 	if !ok {
 		return nil, false
 	}
@@ -96,12 +98,12 @@ func (c *Cache) diskGet(kind, optsKey string, fp canon.Fingerprint) (*cachedResu
 // diskPut writes a freshly computed canonical result through to the disk
 // tier. Write-through is best-effort: an IO failure costs durability of
 // one result (counted in StoreStats.PutErrors), never the query.
-func (c *Cache) diskPut(kind, optsKey string, fp canon.Fingerprint, cr *cachedResult) {
+func (c *Cache) diskPut(optsKey string, fp canon.Fingerprint, cr *cachedResult) {
 	s := c.disk.Load()
 	if s == nil {
 		return
 	}
-	_ = s.st.Put(storeKey(kind, optsKey, fp), encodePayload(cr))
+	_ = s.st.Put(storeKey(optsKey, fp), encodePayload(cr))
 }
 
 // cachedRow is one witness support tuple in canonical index space.
@@ -118,7 +120,6 @@ type cachedResult struct {
 	method         string
 	bags           int
 	nodes          int64
-	flowValue      int64
 	witnessSupport int
 	witnessAttrs   []string // nil when the result carries no witness
 	witnessRows    []cachedRow
@@ -132,7 +133,6 @@ func encodeCached(rep *Report, can *canon.Canonical) (*cachedResult, error) {
 		method:         rep.Method,
 		bags:           rep.Bags,
 		nodes:          rep.Nodes,
-		flowValue:      rep.FlowValue,
 		witnessSupport: rep.WitnessSupport,
 	}
 	if rep.Witness != nil {
@@ -158,7 +158,6 @@ func (cr *cachedResult) report(can *canon.Canonical, elapsed time.Duration) (*Re
 		Method:         cr.method,
 		Bags:           cr.bags,
 		Nodes:          cr.nodes,
-		FlowValue:      cr.flowValue,
 		WitnessSupport: cr.witnessSupport,
 		CacheHit:       true,
 		Elapsed:        elapsed,
@@ -221,18 +220,17 @@ func (cr *cachedResult) witness(can *canon.Canonical) (*bag.Bag, error) {
 // agrees. Parallelism is excluded — it shapes scheduling and wall time,
 // never a verdict or witness validity. The key is byte-for-byte what
 // earlier releases wrote, so persisted stores keep hitting: the retired
-// LP-bound, branch-order and witness-minimization knobs stay in it as the
-// literals "lpfalse", "blfalse" and "wmtrue". See docs/STORAGE.md for the
-// answers that carry an older Report.Method.
+// method, LP-bound, branch-order and witness-minimization knobs stay in
+// it as the literals "m0", "lpfalse", "blfalse" and "wmtrue". See
+// docs/STORAGE.md for the answers that carry an older Report.Method.
 func (c config) optionsKey() string {
-	return fmt.Sprintf("m%d|n%d|lpfalse|blfalse|wmtrue", c.method, c.maxNodes)
+	return fmt.Sprintf("m0|n%d|lpfalse|blfalse|wmtrue", c.maxNodes)
 }
 
-// cachedCheck is the shared lookup/compute/coalesce path behind CheckPair
-// and CheckGlobal. kind namespaces the query ("pair" vs "global" over the
-// same bags answer different questions); bags is the instance;
-// compute runs the underlying uncached query.
-func (c *Checker) cachedCheck(ctx context.Context, kind string, bags []*bag.Bag, compute func(context.Context) (*Report, error)) (*Report, error) {
+// cachedCheck is the lookup/compute/coalesce path behind CheckGlobal:
+// bags is the instance, compute runs the uncached check. Keys and
+// observations carry the kind "global", the one kind cached.
+func (c *Checker) cachedCheck(ctx context.Context, bags []*bag.Bag, compute func(context.Context) (*Report, error)) (*Report, error) {
 	start := time.Now()
 	// Cached and uncached paths must agree on cancellation: a hit must
 	// not mask an already-dead context.
@@ -251,13 +249,13 @@ func (c *Checker) cachedCheck(ctx context.Context, kind string, bags []*bag.Bag,
 	fp := can.FP.String()
 	trace.SpanFromContext(ctx).SetAttr("fp", fp)
 	optsKey := c.cfg.optionsKey()
-	key := kind + "|" + optsKey + "|" + fp
+	key := "global|" + optsKey + "|" + fp
 	_, ramSpan := trace.Start(ctx, trace.SpanCacheRAM)
 	v, ok := c.cfg.cache.lru.Get(key)
 	if ok {
 		ramSpan.SetAttr("outcome", "hit")
 		ramSpan.End()
-		c.observeCheck(ctx, kind, fp, true)
+		c.observeCheck(ctx, fp, true)
 		return v.(*cachedResult).report(can, time.Since(start))
 	}
 	ramSpan.SetAttr("outcome", "miss")
@@ -286,7 +284,7 @@ func (c *Checker) cachedCheck(ctx context.Context, kind string, bags []*bag.Bag,
 		// hit.
 		if c.cfg.cache.Persistent() {
 			_, diskSpan := trace.Start(ctx, trace.SpanCacheStore)
-			cr, ok := c.cfg.cache.diskGet(kind, optsKey, can.FP)
+			cr, ok := c.cfg.cache.diskGet(optsKey, can.FP)
 			if ok {
 				diskSpan.SetAttr("outcome", "hit-promoted")
 				diskSpan.End()
@@ -307,7 +305,7 @@ func (c *Checker) cachedCheck(ctx context.Context, kind string, bags []*bag.Bag,
 			return nil, cerr
 		}
 		c.cfg.cache.lru.Add(key, cr)
-		c.cfg.cache.diskPut(kind, optsKey, can.FP, cr)
+		c.cfg.cache.diskPut(optsKey, can.FP, cr)
 		direct = rep
 		return cr, nil
 	})
@@ -321,18 +319,18 @@ func (c *Checker) cachedCheck(ctx context.Context, kind string, bags []*bag.Bag,
 	}
 	if !shared && direct != nil {
 		// This caller's own computation: the one non-hit outcome.
-		c.observeCheck(ctx, kind, fp, false)
+		c.observeCheck(ctx, fp, false)
 		return direct, nil
 	}
 	// Coalesced follower, leader LRU re-check, or disk promotion — all
 	// served without computing for this caller.
-	c.observeCheck(ctx, kind, fp, true)
+	c.observeCheck(ctx, fp, true)
 	return v.(*cachedResult).report(can, time.Since(start))
 }
 
 // observeCheck notifies the configured telemetry observer, if any.
-func (c *Checker) observeCheck(ctx context.Context, kind, fp string, cacheHit bool) {
+func (c *Checker) observeCheck(ctx context.Context, fp string, cacheHit bool) {
 	if c.cfg.observer != nil {
-		c.cfg.observer(ctx, kind, fp, cacheHit)
+		c.cfg.observer(ctx, "global", fp, cacheHit)
 	}
 }

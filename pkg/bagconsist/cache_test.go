@@ -11,6 +11,7 @@ import (
 	"bagconsistency/internal/bag"
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/hypergraph"
+	"bagconsistency/internal/store"
 	"bagconsistency/pkg/bagconsist"
 )
 
@@ -227,20 +228,16 @@ func TestCacheKeyedByOptions(t *testing.T) {
 	}
 	sc := bagconsist.NewCache(64)
 	auto := bagconsist.New(bagconsist.WithSharedCache(sc))
-	forced := bagconsist.New(bagconsist.WithSharedCache(sc), bagconsist.WithMethod(bagconsist.ILP))
-	arep, err := auto.CheckGlobal(ctx, c)
+	capped := bagconsist.New(bagconsist.WithSharedCache(sc), bagconsist.WithMaxNodes(123456))
+	if _, err := auto.CheckGlobal(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	crep, err := capped.CheckGlobal(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frep, err := forced.CheckGlobal(ctx, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frep.CacheHit {
+	if crep.CacheHit {
 		t.Fatal("differently configured Checker hit the other's entry")
-	}
-	if arep.Method == frep.Method {
-		t.Fatalf("expected different methods, both %q", arep.Method)
 	}
 	// Same options, same shared cache: hit.
 	again, err := bagconsist.New(bagconsist.WithSharedCache(sc)).CheckGlobal(ctx, c)
@@ -252,6 +249,10 @@ func TestCacheKeyedByOptions(t *testing.T) {
 	}
 }
 
+// TestCachePairCheck pins the uncached pair path: every CheckPair —
+// repeated, tuple-permuted or value-renamed — runs the Lemma 2 marginal
+// test and leaves the cache, the store and the observer untouched. A
+// CheckGlobal over the same two bags still caches, under the global kind.
 func TestCachePairCheck(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(105))
@@ -259,24 +260,71 @@ func TestCachePairCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker := bagconsist.New(bagconsist.WithCache(64))
-	if _, err := checker.CheckPair(ctx, r, s); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := checker.CheckPair(ctx, r, s)
+	coll, err := bagconsist.NewCollection2(r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.CacheHit {
-		t.Fatal("repeat pair check missed the cache")
+	heavier := s.Clone()
+	if err := heavier.AddTuple(s.Tuples()[0], 1); err != nil {
+		t.Fatal(err)
 	}
-	// The pair (S, R) is a different instance (bag order is positional).
-	swapped, err := checker.CheckPair(ctx, s, r)
+	perm := permutedCopy(t, rng, coll)
+	renamed := renamedCopy(t, coll)
+	pairs := [][2]*bagconsist.Bag{
+		{r, s}, {r, s}, {perm.Bag(0), perm.Bag(1)}, {renamed.Bag(0), renamed.Bag(1)}, {r, heavier}, {r, heavier},
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	sc := bagconsist.NewCache(64)
+	observed := 0
+	checker := bagconsist.New(
+		bagconsist.WithSharedCache(sc),
+		bagconsist.WithStore(st),
+		bagconsist.WithCheckObserver(func(context.Context, string, string, bool) { observed++ }),
+	)
+	cacheBefore, storeBefore := sc.Stats(), st.Stats()
+	for i, p := range pairs {
+		want, err := bagconsist.PairConsistent(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := checker.CheckPair(ctx, p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CacheHit || rep.Consistent != want || rep.Method != "marginal" {
+			t.Fatalf("pair %d: got %+v, want the uncached marginal verdict %v", i, rep, want)
+		}
+	}
+	if got := sc.Stats(); got != cacheBefore || sc.Len() != 0 {
+		t.Fatalf("pair checks moved the cache: %+v, then %+v (%d entries)", cacheBefore, got, sc.Len())
+	}
+	if got := st.Stats(); got != storeBefore || st.Len() != 0 {
+		t.Fatalf("pair checks moved the store: %+v, then %+v", storeBefore, got)
+	}
+	if observed != 0 {
+		t.Fatalf("observer saw %d pair checks, want none", observed)
+	}
+
+	if rep, err := checker.CheckGlobal(ctx, coll); err != nil || rep.CacheHit {
+		t.Fatalf("first global check: %+v, %v", rep, err)
+	}
+	if rep, err := checker.CheckGlobal(ctx, renamed); err != nil || !rep.CacheHit {
+		t.Fatalf("renamed global repeat: %+v, %v", rep, err)
+	}
+	if sc.Len() != 1 || st.Len() != 1 || observed != 2 {
+		t.Fatalf("global checks: %d cache entries, %d store records, %d observations; want 1, 1, 2", sc.Len(), st.Len(), observed)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := store.Verify(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swapped.CacheHit {
-		t.Fatal("swapped pair must not hit the (R, S) entry")
+	if len(v.Kinds) != 1 || v.Kinds[2] != 1 {
+		t.Fatalf("store holds kinds %v, want one global (kind 2) record", v.Kinds)
 	}
 }
 

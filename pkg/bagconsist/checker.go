@@ -3,7 +3,6 @@ package bagconsist
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"bagconsistency/internal/core"
@@ -66,66 +65,27 @@ func (c *Checker) CacheStats() (CacheStats, bool) {
 	return c.cfg.cache.Stats(), true
 }
 
-// CheckPair decides whether two bags are consistent (Lemma 2). The
-// configured Method selects among the four equivalent tests; Auto runs
-// the strongly polynomial marginal test. With a cache configured, repeat
-// instances (up to tuple order and consistent value renaming) are served
-// from it with Report.CacheHit set.
+// CheckPair decides whether two bags are consistent by the strongly
+// polynomial test of Lemma 2: equal marginals on the shared attributes.
+// It never consults the cache, the store or the observer, because the
+// test costs less than the canonical fingerprint a cache lookup needs;
+// Report.CacheHit is always false.
 func (c *Checker) CheckPair(ctx context.Context, r, s *Bag) (*Report, error) {
 	ctx, span := trace.Start(ctx, trace.SpanCheck)
 	span.SetAttr("kind", "pair")
-	var rep *Report
-	var err error
-	if c.cfg.cache != nil {
-		rep, err = c.cachedCheck(ctx, "pair", []*Bag{r, s}, func(cctx context.Context) (*Report, error) {
-			return c.checkPairUncached(cctx, r, s)
-		})
-	} else {
-		rep, err = c.checkPairUncached(ctx, r, s)
-	}
-	span.End()
-	attachPhases(ctx, rep)
-	return rep, err
-}
-
-func (c *Checker) checkPairUncached(ctx context.Context, r, s *Bag) (*Report, error) {
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep := &Report{Bags: 2}
-	var ok bool
-	var err error
-	switch c.cfg.method {
-	case Auto:
-		rep.Method = "marginal"
+	ok, err := false, ctx.Err()
+	if err == nil {
 		_, msp := trace.Start(ctx, trace.SpanMarginals)
 		ok, err = core.PairConsistent(r, s)
 		msp.End()
-	case Flow:
-		rep.Method = Flow.String()
-		_, fsp := trace.Start(ctx, trace.SpanMaxflow)
-		ok, err = core.PairConsistentViaFlow(r, s)
-		fsp.End()
-		if err == nil && ok {
-			if v, uerr := r.UnarySize(); uerr == nil {
-				rep.FlowValue = v // saturation target = routed flow
-			}
-		}
-	case LP:
-		rep.Method = LP.String()
-		ok, err = core.PairConsistentViaLP(r, s)
-	case ILP:
-		rep.Method = ILP.String()
-		ok, err = core.PairConsistentViaILPContext(ctx, r, s, c.cfg.global().ILP())
-	default:
-		return nil, fmt.Errorf("bagconsist: unknown method %v", c.cfg.method)
 	}
+	span.End()
 	if err != nil {
 		return nil, err
 	}
-	rep.Consistent = ok
-	rep.Elapsed = time.Since(start)
+	rep := &Report{Consistent: ok, Method: "marginal", Bags: 2, Elapsed: time.Since(start)}
+	attachPhases(ctx, rep)
 	return rep, nil
 }
 
@@ -145,7 +105,7 @@ func (c *Checker) PairWitness(ctx context.Context, r, s *Bag) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Consistent: ok, Method: Flow.String(), Bags: 2, Elapsed: time.Since(start)}
+	rep := &Report{Consistent: ok, Method: "max-flow", Bags: 2, Elapsed: time.Since(start)}
 	defer attachPhases(ctx, rep)
 	if !ok {
 		return rep, ErrInconsistent
@@ -156,11 +116,11 @@ func (c *Checker) PairWitness(ctx context.Context, r, s *Bag) (*Report, error) {
 }
 
 // CheckGlobal decides whether the collection is globally consistent (the
-// GCPB(H) problem) and includes the constructed witness when it is. With
-// Auto it runs the Theorem 4 dichotomy: the polynomial join-tree
-// composition on acyclic schemas, pairwise refutation then the exact
-// integer search on cyclic ones. With ILP the integer search is forced
-// even on acyclic schemas. Flow and LP apply only to two-bag collections.
+// GCPB(H) problem) and includes the constructed witness when it is. It
+// runs the Theorem 4 dichotomy: the polynomial join-tree composition on
+// acyclic schemas, pairwise refutation then the exact integer search on
+// cyclic ones — over the GYO core only, with the acyclic fringe composed
+// around the core's witness, when the schema has a fringe.
 //
 // With a cache configured (WithCache / WithSharedCache), instances are
 // keyed by their canonical fingerprint: a repeat of a cached instance —
@@ -174,7 +134,7 @@ func (c *Checker) CheckGlobal(ctx context.Context, coll *Collection) (*Report, e
 	var rep *Report
 	var err error
 	if c.cfg.cache != nil {
-		rep, err = c.cachedCheck(ctx, "global", coll.Bags(), func(cctx context.Context) (*Report, error) {
+		rep, err = c.cachedCheck(ctx, coll.Bags(), func(cctx context.Context) (*Report, error) {
 			return c.checkGlobalUncached(cctx, coll)
 		})
 	} else {
@@ -187,16 +147,6 @@ func (c *Checker) CheckGlobal(ctx context.Context, coll *Collection) (*Report, e
 
 func (c *Checker) checkGlobalUncached(ctx context.Context, coll *Collection) (*Report, error) {
 	start := time.Now()
-	if c.cfg.method == Flow || c.cfg.method == LP {
-		if coll.Len() != 2 {
-			return nil, fmt.Errorf("bagconsist: method %v decides pair consistency only, collection has %d bags", c.cfg.method, coll.Len())
-		}
-		// Straight to the uncached pair path: when a cache is configured
-		// this call is already under the "global" key, and going through
-		// the public CheckPair would fingerprint the instance a second
-		// time and store a duplicate entry under the "pair" key.
-		return c.checkPairUncached(ctx, coll.Bag(0), coll.Bag(1))
-	}
 	dec, err := coll.GloballyConsistentContext(ctx, c.cfg.global())
 	if err != nil {
 		return nil, err
@@ -216,8 +166,9 @@ func (c *Checker) checkGlobalUncached(ctx context.Context, coll *Collection) (*R
 }
 
 // Witness constructs a witness of global consistency. It is CheckGlobal
-// that insists on a witness: when the collection is inconsistent it
-// returns the refuting Report together with ErrInconsistent.
+// that insists on a witness: every consistent decision carries one, and
+// when the collection is inconsistent Witness returns the refuting
+// Report together with ErrInconsistent.
 func (c *Checker) Witness(ctx context.Context, coll *Collection) (*Report, error) {
 	rep, err := c.CheckGlobal(ctx, coll)
 	if err != nil {
@@ -225,16 +176,6 @@ func (c *Checker) Witness(ctx context.Context, coll *Collection) (*Report, error
 	}
 	if !rep.Consistent {
 		return rep, ErrInconsistent
-	}
-	if rep.Witness == nil {
-		// The Flow/LP pair-delegation path decides without constructing a
-		// witness; build one now so Witness always keeps its contract.
-		wrep, err := c.PairWitness(ctx, coll.Bag(0), coll.Bag(1))
-		if err != nil {
-			return nil, err
-		}
-		rep.Witness = wrep.Witness
-		rep.WitnessSupport = wrep.WitnessSupport
 	}
 	return rep, nil
 }

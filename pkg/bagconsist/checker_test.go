@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bagconsistency/internal/core"
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/hypergraph"
 	"bagconsistency/pkg/bagconsist"
@@ -19,41 +20,6 @@ func section3Pair(t *testing.T) (*bagconsist.Bag, *bagconsist.Bag) {
 		t.Fatal(err)
 	}
 	return r, s
-}
-
-func TestCheckPairMethodsAgree(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(1))
-	methods := []bagconsist.Method{bagconsist.Auto, bagconsist.Flow, bagconsist.LP, bagconsist.ILP}
-	for trial := 0; trial < 20; trial++ {
-		r, s, err := gen.RandomConsistentPair(rng, 8, 16, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Perturb half the instances into (likely) inconsistency.
-		if trial%2 == 1 && s.Len() > 0 {
-			tup := s.Tuples()[rng.Intn(s.Len())]
-			if err := s.AddTuple(tup, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var got []bool
-		for _, m := range methods {
-			rep, err := bagconsist.New(bagconsist.WithMethod(m)).CheckPair(ctx, r, s)
-			if err != nil {
-				t.Fatalf("method %v: %v", m, err)
-			}
-			if want := m.String(); m != bagconsist.Auto && rep.Method != want {
-				t.Fatalf("method label = %q, want %q", rep.Method, want)
-			}
-			got = append(got, rep.Consistent)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] != got[0] {
-				t.Fatalf("trial %d: Lemma 2 equivalence broken: %v", trial, got)
-			}
-		}
-	}
 }
 
 func TestPairWitnessMinimalBound(t *testing.T) {
@@ -198,59 +164,9 @@ func TestNodeLimitSurfacesAsErrNodeLimit(t *testing.T) {
 	}
 }
 
-func TestGlobalMethodFlowRequiresPair(t *testing.T) {
-	ctx := context.Background()
-	coll, err := bagconsist.TseitinCollection(hypergraph.Triangle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bagconsist.New(bagconsist.WithMethod(bagconsist.Flow)).CheckGlobal(ctx, coll); err == nil {
-		t.Fatal("Flow on a 3-bag collection must error")
-	}
-	// On a two-bag collection it degrades to the pair check.
-	r, s := section3Pair(t)
-	pair, err := bagconsist.NewCollection2(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := bagconsist.New(bagconsist.WithMethod(bagconsist.Flow)).CheckGlobal(ctx, pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Consistent || rep.Method != bagconsist.Flow.String() {
-		t.Fatalf("got consistent=%v method=%q", rep.Consistent, rep.Method)
-	}
-}
-
-// TestWitnessUnderFlowMethod guards the Witness contract: even when the
-// configured method (Flow/LP) decides without constructing a witness,
-// Witness must still return one.
-func TestWitnessUnderFlowMethod(t *testing.T) {
-	ctx := context.Background()
-	r, s := section3Pair(t)
-	pair, err := bagconsist.NewCollection2(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []bagconsist.Method{bagconsist.Flow, bagconsist.LP} {
-		rep, err := bagconsist.New(bagconsist.WithMethod(m)).Witness(ctx, pair)
-		if err != nil {
-			t.Fatalf("method %v: %v", m, err)
-		}
-		w, err := rep.WitnessBag()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w == nil {
-			t.Fatalf("method %v: Witness returned success with a nil witness", m)
-		}
-		ok, err := pair.VerifyWitness(w)
-		if err != nil || !ok {
-			t.Fatalf("method %v: witness fails verification: ok=%v err=%v", m, ok, err)
-		}
-	}
-}
-
+// TestForceILPOnAcyclicSchema: the monolithic search is a measurement arm
+// of core that the Checker cannot select. It decides an acyclic pair the
+// Checker composes, with the same verdict.
 func TestForceILPOnAcyclicSchema(t *testing.T) {
 	ctx := context.Background()
 	r, s := section3Pair(t)
@@ -258,14 +174,21 @@ func TestForceILPOnAcyclicSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := bagconsist.New(bagconsist.WithMethod(bagconsist.ILP)).CheckGlobal(ctx, pair)
+	dec, err := pair.GloballyConsistentContext(ctx, core.GlobalOptions{ForceILP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Consistent {
+	if !dec.Consistent {
 		t.Fatal("pair must be consistent under forced ILP")
 	}
-	if rep.Method != "integer-program" {
-		t.Fatalf("method = %q, want integer-program (forced)", rep.Method)
+	if dec.Method != core.MethodILP {
+		t.Fatalf("method = %q, want integer-program (forced)", dec.Method)
+	}
+	rep, err := bagconsist.New().CheckGlobal(ctx, pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Consistent || rep.Method != "acyclic-jointree" {
+		t.Fatalf("Checker: consistent=%v method=%q, want the acyclic composition", rep.Consistent, rep.Method)
 	}
 }

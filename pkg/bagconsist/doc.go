@@ -29,12 +29,14 @@
 // the behavior a serving layer wants.
 //
 // A result cache (WithCache, or WithSharedCache across Checkers) keys
-// CheckPair/CheckGlobal results by canonical instance fingerprint:
-// repeats of a checked instance — identical, tuple-permuted, or
-// consistently value-renamed — are served from the cache with
-// Report.CacheHit set and witnesses translated into the new instance's
-// values, and concurrent identical queries coalesce onto a single
-// computation. See Example (WithCache) and DESIGN.md for the economics.
+// CheckGlobal results by canonical instance fingerprint: repeats of a
+// checked instance — identical, tuple-permuted, or consistently
+// value-renamed — are served from the cache with Report.CacheHit set and
+// witnesses translated into the new instance's values, and concurrent
+// identical queries coalesce onto a single computation. CheckPair is
+// never cached: its Lemma 2 marginal test is cheaper than the
+// fingerprint a lookup needs. See Example (WithCache) and DESIGN.md for
+// the economics.
 //
 // OpenStore(dir) + WithStore back the cache with a durable
 // content-addressed store, making it two-tier: results survive process

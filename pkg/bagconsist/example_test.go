@@ -19,8 +19,8 @@ func mustBag(attrs []string, rows [][]string, counts []int64) *bagconsist.Bag {
 }
 
 // Two bags are consistent exactly when their marginals on the shared
-// attributes agree (Lemma 2 of the paper); the default Auto method runs
-// that strongly polynomial test.
+// attributes agree (Lemma 2 of the paper); CheckPair runs that strongly
+// polynomial test.
 func ExampleChecker_CheckPair() {
 	r := mustBag([]string{"A", "B"},
 		[][]string{{"a1", "b1"}, {"a2", "b2"}}, []int64{2, 1})

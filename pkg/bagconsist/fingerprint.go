@@ -24,8 +24,10 @@ func FingerprintBags(bags []*Bag) (string, error) {
 	return can.FP.String(), nil
 }
 
-// FingerprintPair returns the canonical fingerprint of a pair query
-// over (r, s) — the instance identity CheckPair uses.
+// FingerprintPair returns the canonical fingerprint of the two-bag
+// instance (r, s) — the identity CheckGlobal's cache uses for the same
+// two bags. CheckPair itself never fingerprints: its marginal test is
+// cheaper than canonicalization.
 func FingerprintPair(r, s *Bag) (string, error) {
 	return FingerprintBags([]*Bag{r, s})
 }
@@ -40,19 +42,20 @@ func FingerprintCollection(coll *Collection) (string, error) {
 }
 
 // CheckObserver receives one call per cache-backed check with the
-// query kind ("pair" or "global"), the instance's canonical
-// fingerprint, and whether the result was served from cache (RAM,
-// disk, or a coalesced in-flight computation) rather than computed for
-// this caller. It runs on the request path after the result is
-// determined — implementations must be fast and must not block.
+// query kind (always "global": only CheckGlobal is cached), the
+// instance's canonical fingerprint, and whether the result was served
+// from cache (RAM, disk, or a coalesced in-flight computation) rather
+// than computed for this caller. It runs on the request path after the
+// result is determined — implementations must be fast and must not
+// block.
 type CheckObserver func(ctx context.Context, kind, fp string, cacheHit bool)
 
 // WithCheckObserver installs a telemetry observer on the Checker's
 // cached-check path. Observation only: the observer never changes a
 // verdict, a cache key, or the Report wire format, so it is
-// deliberately excluded from optionsKey. Checks that fail, are
-// cancelled, or bypass the cache path (no cache configured,
-// canonicalization error) are not observed.
+// deliberately excluded from optionsKey. CheckPair is never observed,
+// and neither are global checks that fail, are cancelled, or bypass the
+// cache path (no cache configured, canonicalization error).
 func WithCheckObserver(fn CheckObserver) Option {
 	return func(c *config) { c.observer = fn }
 }

@@ -65,10 +65,15 @@ func TestFingerprintErrors(t *testing.T) {
 
 // TestFingerprintMatchesCachePath: the public fast path and the cache's
 // internal fingerprinting agree — FingerprintPair/Collection compute
-// exactly the fp a CheckObserver reports.
+// exactly the fp a CheckObserver reports for a global check over the same
+// bags. Pair checks never reach the cache, so they are not observed.
 func TestFingerprintMatchesCachePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r, s, err := gen.RandomConsistentPair(rng, 16, 1<<8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := bagconsist.NewCollection2(r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +102,10 @@ func TestFingerprintMatchesCachePath(t *testing.T) {
 	if _, err := chk.CheckPair(ctx, r, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chk.CheckPair(ctx, r, s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chk.CheckGlobal(ctx, coll); err != nil {
-		t.Fatal(err)
+	for _, c := range []*bagconsist.Collection{pair, pair, coll} {
+		if _, err := chk.CheckGlobal(ctx, c); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	pairFP, err := bagconsist.FingerprintPair(r, s)
@@ -119,8 +123,8 @@ func TestFingerprintMatchesCachePath(t *testing.T) {
 		t.Fatalf("observer saw %d checks, want 3: %+v", len(seen), seen)
 	}
 	want := []obs{
-		{"pair", pairFP, false}, // first pair check computes
-		{"pair", pairFP, true},  // repeat hits
+		{"global", pairFP, false}, // first check of the pair computes
+		{"global", pairFP, true},  // repeat hits
 		{"global", collFP, false},
 	}
 	for i := range want {
@@ -139,10 +143,14 @@ func TestObserverNotCalledWithoutCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
+	pair, err := bagconsist.NewCollection2(r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	chk := bagconsist.New(
 		bagconsist.WithCheckObserver(func(context.Context, string, string, bool) { calls++ }),
 	)
-	if _, err := chk.CheckPair(context.Background(), r, s); err != nil {
+	if _, err := chk.CheckGlobal(context.Background(), pair); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {

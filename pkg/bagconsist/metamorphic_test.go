@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bagconsistency/internal/core"
 	"bagconsistency/internal/gen"
 	"bagconsistency/pkg/bagconsist"
 )
@@ -15,8 +16,8 @@ import (
 // order, and permuting the order of the bags (with the schema hypergraph
 // permuted alongside), and feasibility is preserved by scaling every
 // multiplicity by a positive constant. Each relation is checked through
-// the public facade under Auto (which decomposes cyclic schemas with a
-// fringe) and the monolithic search, with the node budget bounding every
+// the public facade (which decomposes cyclic schemas with a fringe) and
+// through core's monolithic search, with the node budget bounding every
 // search.
 
 // permuteTupleOrder rebuilds every bag with its tuples inserted in a
@@ -150,17 +151,27 @@ func metamorphicInstances(t *testing.T) map[string]*bagconsist.Collection {
 }
 
 // solverConfigs is the configuration sweep every metamorphic relation
-// runs under: Auto, and the monolithic search over the whole program.
+// runs under: the Checker, and core's monolithic search over the whole
+// program, a measurement arm the Checker cannot select.
 type solverConfig struct {
-	name string
-	opts []bagconsist.Option
+	name  string
+	check func(*bagconsist.Collection) (*core.Decision, error)
 }
 
 func solverConfigs(budget int64) []solverConfig {
-	base := []bagconsist.Option{bagconsist.WithMaxNodes(budget)}
+	ctx := context.Background()
 	return []solverConfig{
-		{"auto", base},
-		{"ilp", append([]bagconsist.Option{bagconsist.WithMethod(bagconsist.ILP)}, base...)},
+		{"auto", func(c *bagconsist.Collection) (*core.Decision, error) {
+			rep, err := bagconsist.New(bagconsist.WithMaxNodes(budget)).CheckGlobal(ctx, c)
+			if err != nil {
+				return nil, err
+			}
+			w, err := rep.WitnessBag()
+			return &core.Decision{Consistent: rep.Consistent, Witness: w, Nodes: rep.Nodes}, err
+		}},
+		{"ilp", func(c *bagconsist.Collection) (*core.Decision, error) {
+			return c.GloballyConsistentContext(ctx, core.GlobalOptions{ForceILP: true, MaxNodes: budget})
+		}},
 	}
 }
 
@@ -168,8 +179,8 @@ func TestMetamorphicVariantsPreserveVerdict(t *testing.T) {
 	const budget = 1 << 21
 	rng := rand.New(rand.NewSource(68))
 	for name, coll := range metamorphicInstances(t) {
-		// Auto's verdict on the original instance is the oracle for every
-		// variant under every configuration.
+		// The Checker's verdict on the original instance is the oracle
+		// for every variant under every configuration.
 		oracle, err := bagconsist.New(bagconsist.WithMaxNodes(budget)).CheckGlobal(context.Background(), coll)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)
@@ -183,23 +194,19 @@ func TestMetamorphicVariantsPreserveVerdict(t *testing.T) {
 		}
 		for vname, variant := range variants {
 			for _, cfg := range solverConfigs(budget) {
-				rep, err := bagconsist.New(cfg.opts...).CheckGlobal(context.Background(), variant)
+				dec, err := cfg.check(variant)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", name, vname, cfg.name, err)
 				}
-				if rep.Consistent != oracle.Consistent {
-					t.Fatalf("%s/%s/%s: verdict %v, oracle %v", name, vname, cfg.name, rep.Consistent, oracle.Consistent)
+				if dec.Consistent != oracle.Consistent {
+					t.Fatalf("%s/%s/%s: verdict %v, oracle %v", name, vname, cfg.name, dec.Consistent, oracle.Consistent)
 				}
 				// The node budget bounds every variant's search.
-				if rep.Nodes > budget {
-					t.Fatalf("%s/%s/%s: nodes %d exceed budget %d", name, vname, cfg.name, rep.Nodes, budget)
+				if dec.Nodes > budget {
+					t.Fatalf("%s/%s/%s: nodes %d exceed budget %d", name, vname, cfg.name, dec.Nodes, budget)
 				}
-				if rep.Consistent && rep.Witness != nil {
-					wb, err := rep.Witness.Bag()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ok, err := variant.VerifyWitness(wb)
+				if dec.Consistent && dec.Witness != nil {
+					ok, err := variant.VerifyWitness(dec.Witness)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -231,19 +238,15 @@ func TestMetamorphicScalingPreservesFeasibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range solverConfigs(1 << 22) {
-			rep, err := bagconsist.New(cfg.opts...).CheckGlobal(context.Background(), scaled)
+			dec, err := cfg.check(scaled)
 			if err != nil {
 				t.Fatalf("f=%d %s: %v", f, cfg.name, err)
 			}
-			if !rep.Consistent {
+			if !dec.Consistent {
 				t.Fatalf("f=%d %s: scaled feasible instance judged inconsistent", f, cfg.name)
 			}
-			if rep.Witness != nil {
-				wb, err := rep.Witness.Bag()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ok, err := scaled.VerifyWitness(wb)
+			if dec.Witness != nil {
+				ok, err := scaled.VerifyWitness(dec.Witness)
 				if err != nil {
 					t.Fatal(err)
 				}

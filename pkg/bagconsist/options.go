@@ -1,56 +1,14 @@
 package bagconsist
 
 import (
-	"fmt"
 	"runtime"
 
 	"bagconsistency/internal/core"
 )
 
-// Method selects the decision procedure a Checker runs.
-type Method int
-
-const (
-	// Auto picks per instance: the marginal test for pairs, the
-	// polynomial join-tree composition on acyclic schemas, and the exact
-	// integer search on cyclic ones — over the GYO core only, with the
-	// acyclic fringe composed around the core's witness, when the schema
-	// has a fringe. This is the default and the right choice outside
-	// ablations.
-	Auto Method = iota
-	// Flow decides pair consistency by saturated max flow on N(R,S)
-	// (statement 5 of Lemma 2). Pair checks only.
-	Flow
-	// LP decides pair consistency by rational feasibility of P(R,S)
-	// (statement 3 of Lemma 2). Pair checks only.
-	LP
-	// ILP decides by integer feasibility of P(R1,...,Rm) — for global
-	// checks this forces the monolithic NP procedure over the whole
-	// program, even on acyclic schemas and on cyclic ones with a fringe
-	// (ablation against the fast path and the decomposition).
-	ILP
-)
-
-// String returns the method name as it appears in Report.Method.
-func (m Method) String() string {
-	switch m {
-	case Auto:
-		return "auto"
-	case Flow:
-		return "max-flow"
-	case LP:
-		return "lp-relaxation"
-	case ILP:
-		return "integer-program"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // config is the collapsed configuration surface: one flat struct behind
 // the functional options, projected onto core.GlobalOptions at call time.
 type config struct {
-	method      Method
 	maxNodes    int64
 	parallelism int
 	cache       *Cache
@@ -62,27 +20,16 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{
-		method:      Auto,
-		parallelism: runtime.GOMAXPROCS(0),
-	}
+	return config{parallelism: runtime.GOMAXPROCS(0)}
 }
 
 // global projects the config onto the internal options type.
 func (c config) global() core.GlobalOptions {
-	return core.GlobalOptions{
-		ForceILP: c.method == ILP,
-		MaxNodes: c.maxNodes,
-	}
+	return core.GlobalOptions{MaxNodes: c.maxNodes}
 }
 
 // Option configures a Checker.
 type Option func(*config)
-
-// WithMethod selects the decision procedure (default Auto).
-func WithMethod(m Method) Option {
-	return func(c *config) { c.method = m }
-}
 
 // WithMaxNodes bounds the integer search's node budget on cyclic schemas
 // (0 means the engine default). When the budget is exhausted the query
@@ -103,11 +50,12 @@ func WithParallelism(n int) Option {
 }
 
 // WithCache gives the Checker a private result cache holding up to size
-// results. CheckPair and CheckGlobal then serve repeat instances —
-// identical, tuple-permuted, or consistently value-renamed — from the
-// cache (Report.CacheHit reports it), and concurrent identical queries
-// coalesce so each distinct instance computes once. The default is no
-// cache.
+// results. CheckGlobal then serves repeat instances — identical,
+// tuple-permuted, or consistently value-renamed — from the cache
+// (Report.CacheHit reports it), and concurrent identical queries
+// coalesce so each distinct instance computes once. CheckPair never
+// consults it: its marginal test costs less than a fingerprint. The
+// default is no cache.
 func WithCache(size int) Option {
 	return func(c *config) { c.cache = NewCache(size) }
 }

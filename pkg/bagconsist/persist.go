@@ -93,23 +93,16 @@ func (s *Store) Sync() error { return s.st.Sync() }
 // Close syncs and closes the store and releases the directory lock.
 func (s *Store) Close() error { return s.st.Close() }
 
-// storeKindOf maps the cache key namespace to the on-disk kind byte.
-func storeKindOf(kind string) uint8 {
-	switch kind {
-	case "pair":
-		return 1
-	case "global":
-		return 2
-	default:
-		return 0
-	}
-}
+// storeKindGlobal is the on-disk kind byte of a CheckGlobal result, the
+// one kind written. Kind 1 stays unused: stores written by earlier
+// releases hold CheckPair results under it.
+const storeKindGlobal = 2
 
 // storeKey builds the disk-tier key: fingerprint + kind byte + FNV-64a
 // of the options key. (The options strings per process are few and
 // fixed, so a 64-bit hash has no meaningful collision exposure.)
-func storeKey(kind, optsKey string, fp canon.Fingerprint) store.Key {
-	k := store.Key{Kind: storeKindOf(kind), OptsHash: fnv64a(optsKey)}
+func storeKey(optsKey string, fp canon.Fingerprint) store.Key {
+	k := store.Key{Kind: storeKindGlobal, OptsHash: fnv64a(optsKey)}
 	k.FP = fp
 	return k
 }
@@ -148,7 +141,7 @@ func encodePayload(cr *cachedResult) []byte {
 	buf = append(buf, flags)
 	buf = appendUvarint(buf, uint64(cr.bags))
 	buf = appendUvarint(buf, uint64(cr.nodes))
-	buf = appendUvarint(buf, uint64(cr.flowValue))
+	buf = appendUvarint(buf, 0) // the retired max-flow value slot
 	buf = appendUvarint(buf, uint64(cr.witnessSupport))
 	buf = appendString(buf, cr.method)
 	if cr.witnessAttrs != nil {
@@ -191,10 +184,9 @@ func decodePayload(data []byte) (*cachedResult, error) {
 		return nil, err
 	}
 	cr.nodes = int64(n)
-	if n, err = d.uvarint(); err != nil {
+	if _, err = d.uvarint(); err != nil { // the retired max-flow value slot
 		return nil, err
 	}
-	cr.flowValue = int64(n)
 	if cr.witnessSupport, err = d.intVal(); err != nil {
 		return nil, err
 	}

@@ -12,17 +12,16 @@ import (
 type Report struct {
 	// Consistent is the decision.
 	Consistent bool `json:"consistent"`
-	// Method names the procedure that produced the decision: one of
-	// "marginal", "max-flow", "lp-relaxation", "integer-program",
-	// "acyclic-jointree", "hybrid-decomposition", "pairwise-refuted".
+	// Method names the procedure that produced the decision: "marginal"
+	// (CheckPair), "max-flow" (PairWitness), or one of
+	// "acyclic-jointree", "pairwise-refuted", "integer-program" and
+	// "hybrid-decomposition" (CheckGlobal). CheckBatch marks a failed
+	// slot "error".
 	Method string `json:"method"`
 	// Bags is the number of bags in the checked instance.
 	Bags int `json:"bags"`
 	// Nodes counts integer-search nodes (0 when no search ran).
 	Nodes int64 `json:"search_nodes,omitempty"`
-	// FlowValue is the saturated flow value for max-flow pair checks
-	// (the total multiplicity routed through N(R,S)).
-	FlowValue int64 `json:"flow_value,omitempty"`
 	// WitnessSupport is the support size of the witness, when one was
 	// constructed.
 	WitnessSupport int `json:"witness_support,omitempty"`

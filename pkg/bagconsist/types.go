@@ -99,15 +99,6 @@ func CyclicCounterexample(h *Hypergraph) (*Collection, error) { return core.Cycl
 // attributes).
 func PairConsistent(r, s *Bag) (bool, error) { return core.PairConsistent(r, s) }
 
-// PairConsistentViaFlow decides pair consistency by saturated max flow on
-// N(R,S) — statement 5 of Lemma 2. Exposed alongside PairConsistent so the
-// Lemma 2 equivalences can be checked on real instances.
-func PairConsistentViaFlow(r, s *Bag) (bool, error) { return core.PairConsistentViaFlow(r, s) }
-
-// PairConsistentViaLP decides pair consistency by rational feasibility of
-// the linear program P(R,S) — statement 3 of Lemma 2.
-func PairConsistentViaLP(r, s *Bag) (bool, error) { return core.PairConsistentViaLP(r, s) }
-
 // RelaxedPairConsistent reports whether two bags are consistent in the
 // relaxed (proportional) sense of the companion work [AK20].
 func RelaxedPairConsistent(r, s *Bag) (bool, error) { return core.RelaxedPairConsistent(r, s) }
