@@ -297,6 +297,24 @@ func (b *Bag) orderedRows() []int32 {
 	return order
 }
 
+// DisplayRanks sets rank[id], for every id of d whose entry is nonzero,
+// to its value's place among them in display order (compareKeyPieces),
+// so rank vectors order rows as orderedRows does.
+func DisplayRanks(d *table.Dict, rank []uint32) {
+	vals := d.Snapshot()
+	ids := table.GetUint32s(0)
+	for id, r := range rank {
+		if r != 0 {
+			ids = append(ids, uint32(id))
+		}
+	}
+	slices.SortFunc(ids, func(a, b uint32) int { return compareKeyPieces(vals[a], vals[b]) })
+	for r, id := range ids {
+		rank[id] = uint32(r)
+	}
+	table.PutUint32s(ids)
+}
+
 // compareKeyPieces orders two values as their encodeKey pieces "len:v"
 // compare. Pieces of equal length compare by value; otherwise the
 // decimal length prefixes differ before either ends, and decide.

@@ -38,25 +38,6 @@ func (b *Bag) OrderedPositions() []int32 {
 	return b.orderedRows()
 }
 
-// TupleAt materializes the support tuple stored at row position pos
-// (resolving its interned ids to value strings). Combined with
-// OrderedPositions it yields exactly the Tuples() sequence without
-// computing the deterministic order a second time.
-func (b *Bag) TupleAt(pos int) Tuple {
-	vals := make([]string, b.rows.W)
-	b.resolveRow(pos, vals)
-	return Tuple{schema: b.schema, vals: vals}
-}
-
-// FindRowIDs returns the row position holding exactly the given interned
-// ids (in the bag's own dictionaries), or -1. Width must match.
-func (b *Bag) FindRowIDs(row []uint32) int {
-	if len(row) != b.rows.W {
-		return -1
-	}
-	return b.findRow(row)
-}
-
 // UnionSrc says where one attribute of a two-bag union schema takes its
 // values from: R's column Pos when FromR, S's column Pos otherwise.
 type UnionSrc struct {

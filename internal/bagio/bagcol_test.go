@@ -233,7 +233,7 @@ func TestJSONSharedDictionaryGrowth(t *testing.T) {
 	}
 	checker := bagconsist.New()
 	ctx := context.Background()
-	before, err := canon.One(s)
+	before, err := canon.Bags([]*bag.Bag{s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestJSONSharedDictionaryGrowth(t *testing.T) {
 	if _, ok := shared.Lookup("b9"); !ok {
 		t.Fatal("Add on r did not grow the shared dictionary")
 	}
-	after, err := canon.One(s)
+	after, err := canon.Bags([]*bag.Bag{s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestJSONSharedDictionaryConcurrentGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, s := bags[0].Bag, bags[1].Bag
-	want, err := canon.One(s)
+	want, err := canon.Bags([]*bag.Bag{s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestJSONSharedDictionaryConcurrentGrowth(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got, err := canon.One(s)
+				got, err := canon.Bags([]*bag.Bag{s})
 				if err != nil || got.FP != want.FP || s.String() != wantText {
 					t.Errorf("sibling changed while its shared dictionary grew (err %v)", err)
 					return

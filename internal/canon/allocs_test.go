@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"bagconsistency/internal/bag"
 	"bagconsistency/internal/canon"
 	"bagconsistency/internal/gen"
 )
@@ -25,7 +26,7 @@ func measureCanonAllocs(tb testing.TB, support int) float64 {
 		tb.Fatal(err)
 	}
 	return testing.AllocsPerRun(50, func() {
-		if _, err := canon.Pair(r, s); err != nil {
+		if _, err := canon.Bags([]*bag.Bag{r, s}); err != nil {
 			tb.Fatal(err)
 		}
 	})
@@ -41,7 +42,7 @@ func checkCanonAllocsFlat(tb testing.TB) {
 	first := measureCanonAllocs(tb, canonAllocSupports[0])
 	for _, support := range canonAllocSupports[1:] {
 		if allocs := measureCanonAllocs(tb, support); allocs != first {
-			tb.Fatalf("canon.Pair allocates %.0f/op at support %d but %.0f/op at support %d; want the same at every support",
+			tb.Fatalf("canon.Bags allocates %.0f/op at support %d but %.0f/op at support %d; want the same at every support",
 				allocs, support, first, canonAllocSupports[0])
 		}
 	}

@@ -444,17 +444,6 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 	return can, nil
 }
 
-// Pair canonicalizes a two-bag instance (r, s). Bag order is significant,
-// matching a global check of the collection (r, s).
-func Pair(r, s *bag.Bag) (*Canonical, error) {
-	return Bags([]*bag.Bag{r, s})
-}
-
-// One canonicalizes a single bag.
-func One(b *bag.Bag) (*Canonical, error) {
-	return Bags([]*bag.Bag{b})
-}
-
 // Indices maps a tuple's concrete values for the given sorted attribute
 // list into canonical index space.
 func (c *Canonical) Indices(attrs []string, vals []string) ([]int, error) {

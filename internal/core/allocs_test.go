@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"bagconsistency/internal/core"
@@ -87,5 +88,82 @@ func TestPairCheckAllocBudget(t *testing.T) {
 	}
 	if allocs := measurePairWitnessAllocs(t); allocs > pairWitnessBudget {
 		t.Fatalf("MinimalPairWitness allocates %.0f/op, budget %d", allocs, pairWitnessBudget)
+	}
+}
+
+// measureBuildProgramAllocs counts BuildProgram's allocations on an
+// n×n×n 3DCT triangle (cells in [0, 2]) decoded as bagcd decodes it,
+// onto one dictionary per attribute. The warm-up calls let the scratch
+// pools settle on buffers of the instance's sizes first.
+func measureBuildProgramAllocs(tb testing.TB, n int) float64 {
+	tb.Helper()
+	inst, err := gen.RandomThreeDCT(rand.New(rand.NewSource(1)), n, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := redecoded(tb, mustTriangle(tb, inst))
+	build := func() {
+		if _, _, err := c.BuildProgram(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		build()
+	}
+	return testing.AllocsPerRun(50, build)
+}
+
+// checkBuildProgramAllocsFlat fails unless building an 8×8×8 triangle's
+// program (a join of about 300 columns) allocates no more than a 5×5×5
+// one's (about 80): the join's scratch is pooled and its results take a
+// fixed number of allocations, so the count does not grow with |J|.
+func checkBuildProgramAllocsFlat(tb testing.TB) {
+	tb.Helper()
+	// A collection mid-measurement would empty the scratch pools and
+	// charge their refill to whichever size was running.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small := measureBuildProgramAllocs(tb, 5)
+	if large := measureBuildProgramAllocs(tb, 8); large > small {
+		tb.Fatalf("BuildProgram allocates %.1f/call on an 8×8×8 triangle but %.1f/call on a 5×5×5 one; want no more", large, small)
+	}
+}
+
+// BenchmarkBuildProgramAllocs reports BuildProgram's allocations on an
+// 8×8×8 triangle and fails if they grow with the join.
+func BenchmarkBuildProgramAllocs(b *testing.B) {
+	b.ReportMetric(measureBuildProgramAllocs(b, 8), "allocs/call")
+	if !raceEnabled {
+		checkBuildProgramAllocsFlat(b)
+	}
+}
+
+// TestBuildProgramAllocBudget enforces the flat count under plain
+// `go test`.
+func TestBuildProgramAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	checkBuildProgramAllocsFlat(t)
+}
+
+// BenchmarkBuildProgramTriangles builds the programs of the first 64
+// cyclic-fresh triangle masters (5×5×5 tables, cells in [0, 2], master
+// m seeded 1_000_003+m), decoded as bagcd decodes them; one op builds
+// one program.
+func BenchmarkBuildProgramTriangles(b *testing.B) {
+	colls := make([]*core.Collection, 64)
+	for m := range colls {
+		inst, err := gen.RandomThreeDCT(rand.New(rand.NewSource(1_000_003+int64(m))), 5, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		colls[m] = redecoded(b, mustTriangle(b, inst))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := colls[i%len(colls)].BuildProgram(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

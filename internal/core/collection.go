@@ -209,131 +209,234 @@ func (c *Collection) VerifyWitness(w *bag.Bag) (bool, error) {
 	return true, nil
 }
 
-// JoinAllSupports computes J = R1' ⋈ ... ⋈ Rm', the index set of the
-// program P(R1,...,Rm). The result is a multiplicity-1 bag over the union
-// schema. Its size can be exponential in m; this is inherent to the cyclic
-// case (Theorem 4).
-func (c *Collection) JoinAllSupports() (*bag.Bag, error) {
-	if len(c.bags) == 0 {
-		return nil, fmt.Errorf("core: empty collection")
-	}
-	acc := c.bags[0].SupportBag()
-	for _, b := range c.bags[1:] {
-		j, err := bag.Join(acc, b.SupportBag())
-		if err != nil {
-			return nil, err
-		}
-		acc = j
-	}
-	return acc, nil
-}
-
 // BuildProgram constructs the integer program P(R1,...,Rm) of Equation
 // (14): one variable x_t per tuple t ∈ J = R1'⋈...⋈Rm', and for every i
 // and every support tuple r of Ri the constraint Σ_{t: t[Xi]=r} x_t =
-// Ri(r). Rows come bag by bag in collection order, Ri.Len() rows per bag.
-// The returned tuple slice aligns with the problem's columns, so an
-// integer solution can be decoded into a witnessing bag.
-func (c *Collection) BuildProgram() (*ilp.Problem, []bag.Tuple, error) {
-	j, err := c.JoinAllSupports()
-	if err != nil {
-		return nil, nil, err
+// Ri(r). Rows come bag by bag, each bag's in display order; columns in
+// J's display order. The second result is J with multiplicity 1: row j
+// is column j's tuple on the dictionary of the first bag holding each
+// attribute (as bag.UnionLayout picks), for callers to decode.
+func (c *Collection) BuildProgram() (*ilp.Problem, bag.View, error) {
+	m := len(c.bags)
+	if m == 0 {
+		return nil, bag.View{}, fmt.Errorf("core: empty collection")
 	}
-	// Row layout: bag 0's support tuples first (deterministic order), then
-	// bag 1's, ... — the same layout the string-keyed construction used, so
-	// the integer search explores an identical tree. Constraint rows are
-	// located by columnar row position: project the join row's interned ids
-	// onto each bag (through a per-column remap built once) and look the
-	// row up in the bag's integer index. No Tuple.Key() strings exist.
-	rowIdx := make([][]int32, len(c.bags)) // bag row position -> constraint row
-	var b []int64
-	row := 0
-	for i, rb := range c.bags {
-		v := rb.View()
-		idx := make([]int32, v.Rows.N())
-		for _, pos := range rb.OrderedPositions() {
-			idx[pos] = int32(row)
-			b = append(b, v.Rows.Counts[pos])
-			row++
-		}
-		rowIdx[i] = idx
+	union := c.bags[0].Schema()
+	for _, b := range c.bags[1:] {
+		union = union.Union(b.Schema())
 	}
-
-	jv := j.View()
-	jorder := j.OrderedPositions()
-	// Materialize the column tuples from the one ordering pass; tuples[i]
-	// is the join row at jorder[i] by construction, not by coincidence.
-	tuples := make([]bag.Tuple, len(jorder))
-	for i, jpos := range jorder {
-		tuples[i] = j.TupleAt(int(jpos))
-	}
-	jw := jv.Rows.W
-
-	// Per bag: where its attributes sit in the join schema, and the remap
-	// from the join's dictionaries into the bag's.
-	type proj struct {
-		jpos  []int
-		remap [][]uint32 // nil entry = shared dictionary
-	}
-	projs := make([]proj, len(c.bags))
-	for i, rb := range c.bags {
-		attrs := rb.Schema().Attrs()
-		p := proj{jpos: make([]int, len(attrs)), remap: make([][]uint32, len(attrs))}
-		bv := rb.View()
-		for k, a := range attrs {
-			jp := jv.Schema.Pos(a)
-			if jp < 0 {
-				return nil, nil, fmt.Errorf("core: bag %d attribute %q missing from join schema", i, a)
-			}
-			p.jpos[k] = jp
-			if jv.Cols[jp] != bv.Cols[k] {
-				p.remap[k] = table.Remap(jv.Cols[jp], bv.Cols[k])
+	w := union.Len()
+	views := make([]bag.View, m)
+	upos := make([][]int, m)      // bag i's column k is attribute upos[i][k] of union
+	home := make([]homeColumn, w) // each attribute's first bag column
+	rowBase := make([]int, m+1)   // bag i's constraint rows start at rowBase[i]
+	for i, b := range c.bags {
+		v := b.View()
+		views[i], upos[i], rowBase[i+1] = v, make([]int, v.Rows.W), rowBase[i]+v.Rows.N()
+		for k, a := range v.Schema.Attrs() {
+			if upos[i][k] = union.Pos(a); home[upos[i][k]].w == 0 {
+				home[upos[i][k]] = homeColumn{ids: v.Rows.IDs, w: v.Rows.W, col: k, bag: i}
 			}
 		}
-		projs[i] = p
+	}
+	n, pos := joinIDs(views, upos, home)
+	defer table.PutInt32s(pos)
+	ranks, release := rankTables(views)
+	defer release()
+	rowOf := table.GetInt32s(rowBase[m]) // the constraint row of every bag row
+	defer table.PutInt32s(rowOf)
+	b := make([]int64, rowBase[m])
+	for i, v := range views {
+		order := sortByRanks(v.Rows.IDs, v.Rows.N(), ranks[i])
+		for x, r := range order {
+			rowOf[rowBase[i]+int(r)] = int32(rowBase[i] + x)
+			b[rowBase[i]+x] = v.Rows.Counts[r]
+		}
+		table.PutInt32s(order)
 	}
 
+	ids := table.GetUint32s(n * w) // J in join order
+	defer table.PutUint32s(ids)
+	homeRanks, dicts := make([][]uint32, w), make([]*table.Dict, w)
+	for u, h := range home {
+		for t := 0; t < n; t++ {
+			ids[t*w+u] = h.ids[int(pos[t*m+h.bag])*h.w+h.col]
+		}
+		homeRanks[u], dicts[u] = ranks[h.bag][h.col], views[h.bag].Cols[h.col]
+	}
+	order := sortByRanks(ids, n, homeRanks)
+	defer table.PutInt32s(order)
 	// Every column touches one row per bag: the row lists are slices of
 	// one backing array, capped so no list can grow into the next.
-	nb := len(c.bags)
-	cols := make([][]int, len(tuples))
-	backing := make([]int, len(tuples)*nb)
-	projRow := table.GetUint32s(jw)
-	defer table.PutUint32s(projRow)
-	for tj, jpos := range jorder {
-		rows := backing[tj*nb : (tj+1)*nb : (tj+1)*nb]
-		base := int(jpos) * jw
-		for i := range c.bags {
-			p := &projs[i]
-			ok := true
-			for k, jp := range p.jpos {
-				id := jv.Rows.IDs[base+jp]
-				if m := p.remap[k]; m != nil {
-					id = m[id]
-					if id == table.MissingID {
-						ok = false
-						break
-					}
-				}
-				projRow[k] = id
-			}
-			var pos int
-			if ok {
-				pos = c.bags[i].FindRowIDs(projRow[:len(p.jpos)])
-			} else {
-				pos = -1
-			}
-			if pos < 0 {
-				return nil, nil, fmt.Errorf("core: join tuple projects outside bag %d support", i)
-			}
-			rows[i] = int(rowIdx[i][pos])
+	jrows := &table.Rows{W: w, IDs: make([]uint32, n*w), Counts: make([]int64, n)}
+	cols := make([][]int, n)
+	backing := make([]int, n*m)
+	for j, t := range order {
+		copy(jrows.IDs[j*w:(j+1)*w], ids[int(t)*w:int(t+1)*w])
+		jrows.Counts[j] = 1
+		cols[j] = backing[j*m : (j+1)*m : (j+1)*m]
+		for i := range cols[j] {
+			cols[j][i] = int(rowOf[rowBase[i]+int(pos[int(t)*m+i])])
 		}
-		cols[tj] = rows
 	}
-	if row == 0 {
-		// All bags empty: represent as a single trivially satisfied row so
-		// the ilp.Problem stays well-formed.
-		return &ilp.Problem{M: 1, Cols: nil, B: []int64{0}}, nil, nil
+	p := &ilp.Problem{M: rowBase[m], Cols: cols, B: b}
+	if rowBase[m] == 0 {
+		// All bags empty: a single trivially satisfied row keeps the
+		// ilp.Problem well-formed.
+		p = &ilp.Problem{M: 1, Cols: nil, B: []int64{0}}
 	}
-	return &ilp.Problem{M: row, Cols: cols, B: b}, tuples, nil
+	return p, bag.View{Schema: union, Cols: dicts, Rows: jrows}, nil
+}
+
+// homeColumn is where J reads an attribute's ids: column col of bag bag.
+type homeColumn struct {
+	ids         []uint32
+	w, col, bag int
+}
+
+// joinIDs computes J = R1'⋈...⋈Rm' on the bags' id columns: n tuples,
+// tuple t's row in bag i at pos[t*m+i] (pooled). Partial tuples are
+// extended bag by bag, so the intermediate results are the joins of the
+// bags' prefixes. Bag i's rows are grouped by its key, the attributes
+// already bound, and a partial tuple finds its group through a hash
+// index, its key translated where bag i's dictionary differs from home.
+func joinIDs(views []bag.View, upos [][]int, home []homeColumn) (n int, pos []int32) {
+	m := len(views)
+	n, pos = 1, table.GetInt32s(m)
+	for i, v := range views {
+		var keyCol []int
+		var keySrc []homeColumn
+		var remaps [][]uint32 // nil where bag i shares the home dictionary
+		for k, u := range upos[i] {
+			if h := home[u]; h.bag < i {
+				var remap []uint32
+				if d := views[h.bag].Cols[h.col]; d != v.Cols[k] {
+					remap = table.Remap(d, v.Cols[k])
+				}
+				keyCol, keySrc, remaps = append(keyCol, k), append(keySrc, h), append(remaps, remap)
+			}
+		}
+		keys := table.GetRows(len(keyCol))
+		for r := 0; r < v.Rows.N(); r++ {
+			for _, k := range keyCol {
+				keys.IDs = append(keys.IDs, v.Rows.IDs[r*v.Rows.W+k])
+			}
+		}
+		perm := table.GetInt32s(v.Rows.N())
+		table.SortPerm(keys, perm)
+		// Group g, the g-th distinct key, has the rows perm[start[g]:start[g+1]].
+		groups := table.GetRows(len(keyCol))
+		start := table.GetInt32s(len(perm) + 1)[:0]
+		table.Runs(keys, perm, func(s, _ int) {
+			groups.Append(keys.Row(int(perm[s])), 1)
+			start = append(start, int32(s))
+		})
+		start = append(start, int32(len(perm)))
+		index := table.NewIndex(groups.N())
+		index.Rebuild(groups)
+
+		// Count the matches first so the next buffer is sized exactly.
+		group := table.GetInt32s(n) // each partial tuple's key group, or -1
+		key := make([]uint32, len(keySrc))
+		total := 0
+		for t := range group {
+			for x, h := range keySrc {
+				if key[x] = h.ids[int(pos[t*m+h.bag])*h.w+h.col]; remaps[x] != nil {
+					key[x] = remaps[x][key[x]]
+				}
+			}
+			group[t] = int32(index.Find(groups, key))
+			if g := group[t]; g >= 0 {
+				total += int(start[g+1] - start[g])
+			}
+		}
+		next := table.GetInt32s(total * m)
+		o := 0
+		for t, g := range group {
+			if g < 0 {
+				continue
+			}
+			for _, r := range perm[start[g]:start[g+1]] {
+				copy(next[o*m:o*m+i], pos[t*m:t*m+i])
+				next[o*m+i] = r
+				o++
+			}
+		}
+		table.PutInt32s(pos)
+		n, pos = total, next
+		table.PutInt32s(group)
+		table.PutInt32s(start)
+		table.PutRows(groups)
+		table.PutInt32s(perm)
+		table.PutRows(keys)
+	}
+	return n, pos
+}
+
+// rankTables returns ranks[i][k], the display rank of every id column k
+// of bag i holds: one pooled table per dictionary (bag.DisplayRanks),
+// which release returns.
+func rankTables(views []bag.View) (ranks [][][]uint32, release func()) {
+	byDict := make(map[*table.Dict][]uint32)
+	ranks = make([][][]uint32, len(views))
+	for i, v := range views {
+		ranks[i] = make([][]uint32, v.Rows.W)
+		for k, d := range v.Cols {
+			rank, ok := byDict[d]
+			if !ok {
+				rank = table.GetUint32s(d.Len())
+				clear(rank)
+				byDict[d] = rank
+			}
+			for r := 0; r < v.Rows.N(); r++ {
+				rank[v.Rows.IDs[r*v.Rows.W+k]] = 1 // used
+			}
+			ranks[i][k] = rank
+		}
+	}
+	for d, rank := range byDict {
+		bag.DisplayRanks(d, rank)
+	}
+	return ranks, func() {
+		for _, rank := range byDict {
+			table.PutUint32s(rank)
+		}
+	}
+}
+
+// sortByRanks returns, pooled, the n rows of ids (width len(ranks)) in
+// display order: by rank vector, ranks[k] ranking column k.
+func sortByRanks(ids []uint32, n int, ranks [][]uint32) []int32 {
+	w := len(ranks)
+	keys := table.GetRows(w)
+	defer table.PutRows(keys)
+	for r := 0; r < n; r++ {
+		for k, rank := range ranks {
+			keys.IDs = append(keys.IDs, rank[ids[r*w+k]])
+		}
+	}
+	perm := table.GetInt32s(n)
+	table.SortPerm(keys, perm)
+	return perm
+}
+
+// witnessBag decodes a solution x of BuildProgram's program into a bag
+// on the dictionaries of its join j: row j of j times x_j, in order.
+func witnessBag(j bag.View, x []int64) (*bag.Bag, error) {
+	w, err := bag.NewShared(j.Schema, j.Cols, 0)
+	for col, v := range x {
+		if err == nil && v > 0 {
+			err = w.AddIDs(j.Rows.Row(col), v)
+		}
+	}
+	return w, err
+}
+
+// columnTuple decodes column col of BuildProgram's join j.
+func columnTuple(j bag.View, col int) bag.Tuple {
+	vals := make([]string, j.Rows.W)
+	for k, id := range j.Rows.Row(col) {
+		vals[k] = j.Cols[k].Value(id)
+	}
+	return bag.MustTuple(j.Schema, vals...) // a row of j has j.Schema's width
 }

@@ -129,13 +129,13 @@ func TestBuildProgramShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, tuples, err := c.BuildProgram()
+	p, j, err := c.BuildProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// J = R1' ⋈ S1' has 4 tuples; rows = 2 + 2 supports.
-	if len(tuples) != 4 || p.M != 4 {
-		t.Fatalf("program has %d columns and %d rows, want 4 and 4", len(tuples), p.M)
+	if len(p.Cols) != 4 || j.Rows.N() != 4 || p.M != 4 {
+		t.Fatalf("program has %d columns, a join of %d rows and %d rows, want 4, 4 and 4", len(p.Cols), j.Rows.N(), p.M)
 	}
 	for j, rows := range p.Cols {
 		if len(rows) != 2 {
@@ -151,13 +151,9 @@ func TestBuildProgramShape(t *testing.T) {
 	if !sol.Feasible {
 		t.Fatal("program must be feasible")
 	}
-	w := bag.New(r.Schema().Union(s.Schema()))
-	for j, v := range sol.X {
-		if v > 0 {
-			if err := w.AddTuple(tuples[j], v); err != nil {
-				t.Fatal(err)
-			}
-		}
+	w, err := witnessBag(j, sol.X)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ok, err := c.VerifyWitness(w)
 	if err != nil {
@@ -177,11 +173,11 @@ func TestBuildProgramAllEmptyBags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, tuples, err := c.BuildProgram()
+	p, j, err := c.BuildProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tuples) != 0 || !emptyProgramConsistent(p) {
+	if len(p.Cols) != 0 || j.Rows.N() != 0 || !emptyProgramConsistent(p) {
 		t.Error("empty collection should yield a trivially consistent program")
 	}
 }
@@ -243,12 +239,5 @@ func TestKWiseConsistencyHierarchy(t *testing.T) {
 	}
 	if _, err := c.KWiseConsistent(0, GlobalOptions{}); err == nil {
 		t.Error("expected error for k=0")
-	}
-}
-
-func TestJoinAllSupportsEmptyCollection(t *testing.T) {
-	c := &Collection{}
-	if _, err := c.JoinAllSupports(); err == nil {
-		t.Error("expected error for empty collection")
 	}
 }

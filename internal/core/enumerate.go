@@ -38,11 +38,7 @@ func (c *Collection) EnumerateWitnesses(opts ilp.Options, fn func(*bag.Bag) erro
 // cancellation: the underlying integer search polls ctx and unwinds with
 // ctx.Err() once it is done.
 func (c *Collection) EnumerateWitnessesContext(ctx context.Context, opts ilp.Options, fn func(*bag.Bag) error) error {
-	p, tuples, err := c.BuildProgram()
-	if err != nil {
-		return err
-	}
-	union, err := c.UnionSchema()
+	p, j, err := c.BuildProgram()
 	if err != nil {
 		return err
 	}
@@ -50,13 +46,9 @@ func (c *Collection) EnumerateWitnessesContext(ctx context.Context, opts ilp.Opt
 	// empty bag, exactly when every right-hand side is 0; the search's
 	// root decides it.
 	return ilp.EnumerateContext(ctx, p, opts, func(x []int64) error {
-		w := bag.New(union)
-		for j, v := range x {
-			if v > 0 {
-				if err := w.AddTuple(tuples[j], v); err != nil {
-					return err
-				}
-			}
+		w, err := witnessBag(j, x)
+		if err != nil {
+			return err
 		}
 		return fn(w)
 	})

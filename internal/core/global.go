@@ -136,7 +136,7 @@ func (c *Collection) GloballyConsistentContext(ctx context.Context, opts GlobalO
 // caller has already established pairwise consistency.
 func (c *Collection) solveProgram(ctx context.Context, opts GlobalOptions) (*Decision, error) {
 	_, buildSpan := trace.Start(ctx, trace.SpanProgram)
-	p, tuples, err := c.BuildProgram()
+	p, j, err := c.BuildProgram()
 	if p != nil {
 		buildSpan.SetCounter("rows", int64(p.M))
 		buildSpan.SetCounter("columns", int64(len(p.Cols)))
@@ -162,13 +162,9 @@ func (c *Collection) solveProgram(ctx context.Context, opts GlobalOptions) (*Dec
 	if !sol.Feasible {
 		return &Decision{Consistent: false, Method: MethodILP, Nodes: sol.Nodes}, nil
 	}
-	w := bag.New(union)
-	for j, v := range sol.X {
-		if v > 0 {
-			if err := w.AddTuple(tuples[j], v); err != nil {
-				return nil, err
-			}
-		}
+	w, err := witnessBag(j, sol.X)
+	if err != nil {
+		return nil, err
 	}
 	return &Decision{Consistent: true, Witness: w, Method: MethodILP, Nodes: sol.Nodes}, nil
 }
@@ -210,7 +206,11 @@ func (c *Collection) WitnessAcyclicContext(ctx context.Context, opts GlobalOptio
 			return nil, false, err
 		}
 	}
-	w, err := c.compose(ctx, c.bags[order[0]].Clone(), order[1:], opts)
+	acc := c.bags[order[0]] // each step builds a new bag on its inputs' dictionaries
+	if len(order) == 1 {
+		acc = acc.Clone() // the witness is never an input
+	}
+	w, err := c.compose(ctx, acc, order[1:], opts)
 	if err != nil {
 		return nil, false, err
 	}

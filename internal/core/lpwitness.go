@@ -26,13 +26,13 @@ func MinCostPairWitness(r, s *bag.Bag, cost TupleCost) (*bag.Bag, bool, error) {
 	if cost == nil {
 		return nil, false, fmt.Errorf("core: nil cost function")
 	}
-	p, tuples, err := buildPairProgram(r, s)
+	p, join, err := buildPairProgram(r, s)
 	if err != nil {
 		return nil, false, err
 	}
-	c := make([]int64, len(tuples))
-	for j, t := range tuples {
-		v := cost(t)
+	c := make([]int64, len(p.Cols))
+	for j := range c {
+		v := cost(columnTuple(join, j))
 		if v < 0 {
 			return nil, false, fmt.Errorf("core: negative tuple cost %d", v)
 		}
@@ -50,7 +50,7 @@ func MinCostPairWitness(r, s *bag.Bag, cost TupleCost) (*bag.Bag, bool, error) {
 		// below by zero.
 		return nil, false, fmt.Errorf("core: bounded objective reported unbounded (internal error)")
 	}
-	w := bag.New(r.Schema().Union(s.Schema()))
+	counts := make([]int64, len(res.X))
 	for j, x := range res.X {
 		if x.Sign() == 0 {
 			continue
@@ -64,9 +64,11 @@ func MinCostPairWitness(r, s *bag.Bag, cost TupleCost) (*bag.Bag, bool, error) {
 		if !num.IsInt64() {
 			return nil, false, fmt.Errorf("core: witness multiplicity %v overflows int64", num)
 		}
-		if err := w.AddTuple(tuples[j], num.Int64()); err != nil {
-			return nil, false, err
-		}
+		counts[j] = num.Int64()
+	}
+	w, err := witnessBag(join, counts)
+	if err != nil {
+		return nil, false, err
 	}
 	return w, true, nil
 }

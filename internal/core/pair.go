@@ -335,10 +335,10 @@ func emptyProgramConsistent(p *ilp.Problem) bool {
 
 // buildPairProgram builds P(R,S) of Equation (3): one variable per tuple of
 // R'⋈S', one equality per support tuple of R and of S.
-func buildPairProgram(r, s *bag.Bag) (*ilp.Problem, []bag.Tuple, error) {
+func buildPairProgram(r, s *bag.Bag) (*ilp.Problem, bag.View, error) {
 	c, err := NewCollection2(r, s)
 	if err != nil {
-		return nil, nil, err
+		return nil, bag.View{}, err
 	}
 	return c.BuildProgram()
 }

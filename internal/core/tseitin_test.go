@@ -121,14 +121,14 @@ func TestTseitinModularObstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.JoinAllSupports()
+	_, j, err := c.BuildProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every tuple in J projects into every support by construction of the
 	// join; the obstruction therefore forces J to be empty.
-	if j.Len() != 0 {
-		t.Fatalf("join of supports should be empty for the C4 Tseitin collection, has %d tuples", j.Len())
+	if j.Rows.N() != 0 {
+		t.Fatalf("join of supports should be empty for the C4 Tseitin collection, has %d tuples", j.Rows.N())
 	}
 }
 

@@ -33,17 +33,17 @@ func (c *Collection) MinimizeWitnessSupportContext(ctx context.Context, w *bag.B
 	if !ok {
 		return nil, fmt.Errorf("core: bag is not a witness of the collection")
 	}
-	p, tuples, err := c.BuildProgram()
+	p, join, err := c.BuildProgram()
 	if err != nil {
 		return nil, err
 	}
-	if len(tuples) == 0 {
+	if len(p.Cols) == 0 {
 		return w.Clone(), nil
 	}
 	// Active columns: start from the witness's support (a feasible subset).
-	active := make([]bool, len(tuples))
-	for j, t := range tuples {
-		active[j] = w.CountTuple(t) > 0
+	active := make([]bool, len(p.Cols))
+	for j := range active {
+		active[j] = w.CountTuple(columnTuple(join, j)) > 0
 	}
 	restricted := func() *ilp.Problem {
 		var cols [][]int
@@ -65,7 +65,7 @@ func (c *Collection) MinimizeWitnessSupportContext(ctx context.Context, w *bag.B
 		}
 		return sol.Feasible, sol.X, nil
 	}
-	for j := range tuples {
+	for j := range active {
 		if !active[j] {
 			continue
 		}
@@ -88,26 +88,17 @@ func (c *Collection) MinimizeWitnessSupportContext(ctx context.Context, w *bag.B
 	if !ok2 {
 		return nil, fmt.Errorf("core: minimization lost feasibility (internal error)")
 	}
-	union, err := c.UnionSchema()
+	counts := make([]int64, len(active))
+	xi := 0
+	for j := range active {
+		if active[j] && x != nil {
+			counts[j] = x[xi]
+			xi++
+		}
+	}
+	out, err := witnessBag(join, counts)
 	if err != nil {
 		return nil, err
-	}
-	out := bag.New(union)
-	xi := 0
-	for j := range tuples {
-		if !active[j] {
-			continue
-		}
-		v := int64(0)
-		if x != nil {
-			v = x[xi]
-		}
-		xi++
-		if v > 0 {
-			if err := out.AddTuple(tuples[j], v); err != nil {
-				return nil, err
-			}
-		}
 	}
 	// Every surviving column carries positive flow: a solution with a zero
 	// column would make the probe that kept that column infeasible, a

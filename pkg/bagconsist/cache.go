@@ -126,7 +126,11 @@ type cachedResult struct {
 }
 
 // encodeCached converts a freshly computed Report into canonical form
-// using the canonicalization of the instance that produced it.
+// using the canonicalization of the instance that produced it, keeping
+// the witness rows in the Report's display order. A witness whose every
+// column sits on its attribute's home dictionary in can, as a decoded
+// request's witnesses do, maps each id to its canonical index by one
+// array load (indexOfID); any other witness maps values by string.
 func encodeCached(rep *Report, can *canon.Canonical) (*cachedResult, error) {
 	cr := &cachedResult{
 		consistent:     rep.Consistent,
@@ -135,18 +139,56 @@ func encodeCached(rep *Report, can *canon.Canonical) (*cachedResult, error) {
 		nodes:          rep.Nodes,
 		witnessSupport: rep.WitnessSupport,
 	}
-	if rep.Witness != nil {
-		cr.witnessAttrs = rep.Witness.Attrs
-		cr.witnessRows = make([]cachedRow, 0, len(rep.Witness.Rows))
-		for _, row := range rep.Witness.Rows {
-			idx, err := can.Indices(cr.witnessAttrs, row.Values)
-			if err != nil {
-				return nil, err
+	w := rep.Witness
+	if w == nil {
+		return cr, nil
+	}
+	cr.witnessAttrs = w.Attrs
+	cr.witnessRows = make([]cachedRow, len(w.Rows))
+	inv := indexOfID(w, can)
+	for k, row := range w.Rows {
+		var idx []int
+		var err error
+		if inv == nil {
+			idx, err = can.Indices(w.Attrs, row.Values)
+		} else {
+			idx = make([]int, len(inv))
+			for j, id := range w.b.View().Rows.Row(int(w.order[k])) {
+				if idx[j] = int(inv[j][id]) - 1; idx[j] < 0 {
+					err = fmt.Errorf("bagconsist: witness value %q not in the instance's %q column", row.Values[j], w.Attrs[j])
+				}
 			}
-			cr.witnessRows = append(cr.witnessRows, cachedRow{indices: idx, count: row.Count})
 		}
+		if err != nil {
+			return nil, err
+		}
+		cr.witnessRows[k] = cachedRow{indices: idx, count: row.Count}
 	}
 	return cr, nil
+}
+
+// indexOfID returns, per column of w, the table from id to canonical
+// index plus one (0 for none), the inverse of can.IDs; or nil unless w
+// was built from a bag whose every column is its attribute's home
+// dictionary in can.
+func indexOfID(w *Witness, can *canon.Canonical) [][]int32 {
+	if w.b == nil || len(w.order) != len(w.Rows) {
+		return nil
+	}
+	inv := make([][]int32, len(w.Attrs))
+	for j, a := range w.Attrs {
+		d, ids := can.IDs(a)
+		if d == nil || d != w.b.View().Cols[j] {
+			return nil
+		}
+		inv[j] = make([]int32, d.Len())
+		for x, id := range ids {
+			if id != table.MissingID {
+				inv[j][id] = int32(x + 1)
+			}
+		}
+	}
+	return inv
 }
 
 // report materializes the cached result for an instance with the given

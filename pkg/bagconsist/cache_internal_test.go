@@ -1,11 +1,21 @@
 package bagconsist
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"bagconsistency/internal/bag"
+	"bagconsistency/internal/bagio"
 	"bagconsistency/internal/canon"
+	"bagconsistency/internal/core"
+	"bagconsistency/internal/gen"
+	"bagconsistency/internal/hypergraph"
 )
 
 // TestCachedWitnessChecks: rebuilding a cached witness in id space keeps
@@ -23,7 +33,7 @@ func TestCachedWitnessChecks(t *testing.T) {
 	if err := s.Add([]string{"b"}, 2); err != nil {
 		t.Fatal(err)
 	}
-	can, err := canon.Pair(r, s)
+	can, err := canon.Bags([]*bag.Bag{r, s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +68,186 @@ func TestCachedWitnessChecks(t *testing.T) {
 	} {
 		if _, err := witness(tc.row); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// overTheWire sends c's bags, each value given prefix, through the JSON
+// wire, which puts them on one dictionary per attribute as bagcd
+// decodes a request.
+func overTheWire(t *testing.T, c *core.Collection, prefix string) *core.Collection {
+	t.Helper()
+	named := make([]bagio.NamedBag, c.Len())
+	for i, b := range c.Bags() {
+		renamed := bag.New(b.Schema())
+		err := b.Each(func(tup bag.Tuple, n int64) error {
+			vals := tup.Values()
+			for k := range vals {
+				vals[k] = prefix + vals[k]
+			}
+			return renamed.Add(vals, n)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		named[i] = bagio.NamedBag{Name: "r" + strconv.Itoa(i), Bag: renamed}
+	}
+	var buf bytes.Buffer
+	if err := bagio.EncodeJSON(&buf, named); err != nil {
+		t.Fatal(err)
+	}
+	back, err := bagio.DecodeJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bags := make([]*bag.Bag, len(back))
+	for i, nb := range back {
+		bags[i] = nb.Bag
+	}
+	out, err := core.NewCollection(c.Hypergraph(), bags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEncodeCachedIDPathMatchesStrings: a witness on a decoded request's
+// own dictionaries is encoded through the canonical id tables, and the
+// same witness copied onto dictionaries of its own through string
+// lookups, as is one decoded from JSON; all write the same payload
+// bytes, and so does the answer for the same bags each copied onto
+// dictionaries of its own. A value-renamed repeat then hits the cache and
+// rebuilds the same witness under the renaming. The instances are a
+// 3DCT triangle (integer program), an acyclic path (composition) and a
+// near-acyclic collection (decomposition).
+func TestEncodeCachedIDPathMatchesStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tri, err := gen.RandomThreeDCT(rng, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triangle, err := tri.ToCollection()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _, err := gen.RandomConsistent(rng, hypergraph.Path(5), 16, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nh, err := gen.NearAcyclicHypergraph(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, _, err := gen.RandomConsistent(rng, nh, 12, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		c      *core.Collection
+		method string
+	}{{"triangle", triangle, "integer-program"}, {"path", path, "acyclic-jointree"}, {"near-acyclic", near, "hybrid-decomposition"}} {
+		decoded := overTheWire(t, tc.c, "")
+		rep, err := New().CheckGlobal(ctx, decoded)
+		if err != nil || !rep.Consistent || rep.Method != tc.method {
+			t.Fatalf("%s: %+v, %v; want a consistent %s answer", tc.name, rep, err, tc.method)
+		}
+		can, err := canon.Bags(decoded.Bags())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if indexOfID(rep.Witness, can) == nil {
+			t.Fatalf("%s: the decoded request's witness does not take the id path", tc.name)
+		}
+		byID, err := encodeCached(rep, can)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := encodePayload(byID)
+
+		copied := *rep
+		copied.Witness = newWitness(rep.Witness.b.Clone())
+		if indexOfID(copied.Witness, can) != nil {
+			t.Fatalf("%s: a witness on its own dictionaries takes the id path", tc.name)
+		}
+		byString, err := encodeCached(&copied, can)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodePayload(byString); !bytes.Equal(got, want) {
+			t.Fatalf("%s: string path payload %x, id path %x", tc.name, got, want)
+		}
+		// A witness decoded from JSON has no bag: strings again.
+		body, err := json.Marshal(rep.Witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied.Witness = new(Witness)
+		if err := json.Unmarshal(body, copied.Witness); err != nil {
+			t.Fatal(err)
+		}
+		if fromJSON, err := encodeCached(&copied, can); err != nil || !bytes.Equal(encodePayload(fromJSON), want) {
+			t.Fatalf("%s: payload of the JSON-decoded witness differs (%v)", tc.name, err)
+		}
+		clones := make([]*bag.Bag, decoded.Len())
+		for i, b := range decoded.Bags() {
+			clones[i] = b.Clone()
+		}
+		sep, err := core.NewCollection(decoded.Hypergraph(), clones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sepRep, err := New().CheckGlobal(ctx, sep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sepCan, err := canon.Bags(clones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		separate, err := encodeCached(sepRep, sepCan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodePayload(separate); !bytes.Equal(got, want) {
+			t.Fatalf("%s: payload from bags on separate dictionaries %x, want %x", tc.name, got, want)
+		}
+
+		checker := New(WithCache(16))
+		if _, err := checker.CheckGlobal(ctx, decoded); err != nil {
+			t.Fatal(err)
+		}
+		renamed := overTheWire(t, tc.c, "v.")
+		hit, err := checker.CheckGlobal(ctx, renamed)
+		if err != nil || !hit.CacheHit {
+			t.Fatalf("%s: renamed repeat %+v, %v; want a cache hit", tc.name, hit, err)
+		}
+		w, err := hit.WitnessBag()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := renamed.VerifyWitness(w); err != nil || !ok {
+			t.Fatalf("%s: rebuilt witness does not verify: %v", tc.name, err)
+		}
+		key := func(vals []string, n int64, strip string) string {
+			out := make([]string, len(vals))
+			for k, v := range vals {
+				out[k] = strings.TrimPrefix(v, strip)
+			}
+			return strings.Join(out, " ") + " : " + strconv.FormatInt(n, 10)
+		}
+		var got, orig []string
+		for _, row := range hit.Witness.Rows {
+			got = append(got, key(row.Values, row.Count, "v."))
+		}
+		for _, row := range rep.Witness.Rows {
+			orig = append(orig, key(row.Values, row.Count, ""))
+		}
+		slices.Sort(got)
+		slices.Sort(orig)
+		if !slices.Equal(got, orig) {
+			t.Fatalf("%s: rebuilt witness %v, want %v renamed", tc.name, got, orig)
 		}
 	}
 }

@@ -50,7 +50,8 @@ type Witness struct {
 	Attrs []string     `json:"attrs"`
 	Rows  []WitnessRow `json:"rows"`
 
-	b *bag.Bag
+	b     *bag.Bag
+	order []int32 // b's row position of each of Rows, when built from b
 }
 
 // WitnessRow is one support tuple of a witness.
@@ -66,8 +67,8 @@ func newWitness(b *bag.Bag) *Witness {
 	if b == nil {
 		return nil
 	}
-	w := &Witness{Attrs: b.Schema().Attrs(), b: b}
 	order := b.OrderedPositions()
+	w := &Witness{Attrs: b.Schema().Attrs(), b: b, order: order}
 	if len(order) == 0 {
 		return w
 	}
