@@ -31,8 +31,7 @@
 // words over flat arrays; and a Canonical maps each canonical index
 // straight to an id in one of the instance's own dictionaries. Strings
 // are compared only to break residual ties and to unify values when
-// several dictionaries feed one attribute. The string-keyed value→index
-// map (Index) is built only when a caller asks for it.
+// several dictionaries feed one attribute.
 //
 // Completeness of the invariance is best-effort where canonical labeling
 // is inherently hard: when color refinement leaves two values of an
@@ -77,9 +76,7 @@ type Canonical struct {
 	// FP is the instance fingerprint.
 	FP Fingerprint
 
-	cols      []rankTable // one per attribute, in first-seen order
-	indexOnce sync.Once
-	index     map[string]map[string]int
+	cols []rankTable // one per attribute, in first-seen order
 }
 
 // rankTable is one attribute's canonical value order.
@@ -108,22 +105,6 @@ func (c *Canonical) IDs(attr string) (*table.Dict, []uint32) {
 		}
 	}
 	return nil, nil
-}
-
-// Index returns, per attribute, the map from value to canonical index. It
-// is built on first use: the fingerprint and the id tables never need it.
-func (c *Canonical) Index() map[string]map[string]int {
-	c.indexOnce.Do(func() {
-		c.index = make(map[string]map[string]int, len(c.cols))
-		for _, t := range c.cols {
-			m := make(map[string]int, len(t.vals))
-			for i, v := range t.vals {
-				m[v] = i
-			}
-			c.index[t.attr] = m
-		}
-	})
-	return c.index
 }
 
 // space is one attribute's value universe during a canonicalization: the
@@ -442,24 +423,6 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 	}
 	enc.sum(can.FP[:0])
 	return can, nil
-}
-
-// Indices maps a tuple's concrete values for the given sorted attribute
-// list into canonical index space.
-func (c *Canonical) Indices(attrs []string, vals []string) ([]int, error) {
-	if len(attrs) != len(vals) {
-		return nil, fmt.Errorf("canon: %d attrs but %d values", len(attrs), len(vals))
-	}
-	index := c.Index()
-	out := make([]int, len(vals))
-	for i, attr := range attrs {
-		idx, ok := index[attr][vals[i]]
-		if !ok {
-			return nil, fmt.Errorf("canon: value %q not in the instance's %q column", vals[i], attr)
-		}
-		out[i] = idx
-	}
-	return out, nil
 }
 
 // countDistinct counts the distinct colors across every attribute space

@@ -192,6 +192,18 @@ func (c *Canonical) values() map[string][]string {
 	return m
 }
 
+// index returns, per attribute, the map from value to canonical index.
+func (c *Canonical) index() map[string]map[string]int {
+	m := make(map[string]map[string]int, len(c.cols))
+	for _, t := range c.cols {
+		m[t.attr] = make(map[string]int, len(t.vals))
+		for i, v := range t.vals {
+			m[t.attr][v] = i
+		}
+	}
+	return m
+}
+
 // TestFingerprintMatchesStringKeyedReference checks, on randomized
 // acyclic and cyclic instances, that the interned columnar refinement
 // produces exactly the fingerprints and canonical value tables of the
@@ -226,7 +238,7 @@ func TestFingerprintMatchesStringKeyedReference(t *testing.T) {
 		if !reflect.DeepEqual(got.values(), want.Values) {
 			t.Fatalf("trial %d: canonical value tables diverged\n got %v\nwant %v", trial, got.values(), want.Values)
 		}
-		if !reflect.DeepEqual(got.Index(), want.Index) {
+		if !reflect.DeepEqual(got.index(), want.Index) {
 			t.Fatalf("trial %d: canonical index tables diverged", trial)
 		}
 	}
@@ -335,7 +347,7 @@ func TestFingerprintMatchesReferenceOnSharedDictionaries(t *testing.T) {
 		if got.FP != want.FP {
 			t.Fatalf("trial %d: fingerprint diverged from string-keyed reference", trial)
 		}
-		if !reflect.DeepEqual(got.values(), want.Values) || !reflect.DeepEqual(got.Index(), want.Index) {
+		if !reflect.DeepEqual(got.values(), want.Values) || !reflect.DeepEqual(got.index(), want.Index) {
 			t.Fatalf("trial %d: canonical value tables diverged", trial)
 		}
 		for attr, vals := range want.Values {

@@ -145,13 +145,13 @@ func (c *Collection) solveProgram(ctx context.Context, opts GlobalOptions) (*Dec
 	if err != nil {
 		return nil, err
 	}
-	union, err := c.UnionSchema()
-	if err != nil {
-		return nil, err
-	}
 	if len(p.Cols) == 0 {
 		if emptyProgramConsistent(p) {
-			return &Decision{Consistent: true, Witness: bag.New(union), Method: MethodILP}, nil
+			w, err := witnessBag(j, nil)
+			if err != nil {
+				return nil, err
+			}
+			return &Decision{Consistent: true, Witness: w, Method: MethodILP}, nil
 		}
 		return &Decision{Consistent: false, Method: MethodILP}, nil
 	}

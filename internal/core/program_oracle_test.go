@@ -269,9 +269,8 @@ func oracleCollections(t testing.TB) map[string]*core.Collection {
 	add("separate dictionaries", collectionOf(t, r, s, u))
 	add("separate dictionaries, reversed", collectionOf(t, u, s, r))
 
-	// Home dictionaries far larger than the rows: the ids the rows hold
-	// run past a thousand, so the join finds partners by binary search
-	// rather than by bucket.
+	// Dictionaries far larger than the ids the rows hold: the rank tables
+	// and the join's radix keys cover ids no row uses.
 	padded := func(attrs []string, rows map[string]int64) *bag.Bag {
 		b := bagOf(t, attrs, nil)
 		for x := 0; x < 1500; x++ {

@@ -127,10 +127,8 @@ type cachedResult struct {
 
 // encodeCached converts a freshly computed Report into canonical form
 // using the canonicalization of the instance that produced it, keeping
-// the witness rows in the Report's display order. A witness whose every
-// column sits on its attribute's home dictionary in can, as a decoded
-// request's witnesses do, maps each id to its canonical index by one
-// array load (indexOfID); any other witness maps values by string.
+// the witness rows in the Report's display order. Each witness value maps
+// to its canonical index by one array load (indexOfID).
 func encodeCached(rep *Report, can *canon.Canonical) (*cachedResult, error) {
 	cr := &cachedResult{
 		consistent:     rep.Consistent,
@@ -143,49 +141,51 @@ func encodeCached(rep *Report, can *canon.Canonical) (*cachedResult, error) {
 	if w == nil {
 		return cr, nil
 	}
-	cr.witnessAttrs = w.Attrs
-	cr.witnessRows = make([]cachedRow, len(w.Rows))
-	inv := indexOfID(w, can)
-	for k, row := range w.Rows {
-		var idx []int
-		var err error
-		if inv == nil {
-			idx, err = can.Indices(w.Attrs, row.Values)
-		} else {
-			idx = make([]int, len(inv))
-			for j, id := range w.b.View().Rows.Row(int(w.order[k])) {
-				if idx[j] = int(inv[j][id]) - 1; idx[j] < 0 {
-					err = fmt.Errorf("bagconsist: witness value %q not in the instance's %q column", row.Values[j], w.Attrs[j])
-				}
-			}
-		}
+	if w.b == nil { // decoded from JSON
+		b, err := w.Bag()
 		if err != nil {
 			return nil, err
 		}
-		cr.witnessRows[k] = cachedRow{indices: idx, count: row.Count}
+		w = newWitness(b)
+	}
+	v := w.b.View()
+	inv := make([][]int32, len(w.Attrs))
+	for j, a := range w.Attrs {
+		inv[j] = indexOfID(can, a, v.Cols[j])
+	}
+	cr.witnessAttrs = w.Attrs
+	cr.witnessRows = make([]cachedRow, len(w.order))
+	flat := make([]int, len(w.order)*len(inv))
+	for k, pos := range w.order {
+		idx := flat[k*len(inv) : (k+1)*len(inv) : (k+1)*len(inv)]
+		for j, id := range v.Rows.Row(int(pos)) {
+			if idx[j] = int(inv[j][id]) - 1; idx[j] < 0 {
+				return nil, fmt.Errorf("bagconsist: witness value %q not in the instance's %q column", v.Cols[j].Value(id), w.Attrs[j])
+			}
+		}
+		cr.witnessRows[k] = cachedRow{indices: idx, count: v.Rows.Counts[pos]}
 	}
 	return cr, nil
 }
 
-// indexOfID returns, per column of w, the table from id to canonical
-// index plus one (0 for none), the inverse of can.IDs; or nil unless w
-// was built from a bag whose every column is its attribute's home
-// dictionary in can.
-func indexOfID(w *Witness, can *canon.Canonical) [][]int32 {
-	if w.b == nil || len(w.order) != len(w.Rows) {
-		return nil
+// indexOfID returns the table from ids in d, a witness column's
+// dictionary for attr, to attr's canonical index plus one: the inverse of
+// can.IDs, composed with table.Remap where d is not attr's home. Every
+// witness value is held by the rows over the home, so 0 marks a value no
+// witness of the instance holds.
+func indexOfID(can *canon.Canonical, attr string, d *table.Dict) []int32 {
+	home, ids := can.IDs(attr)
+	var toD []uint32
+	if home != nil && d != home {
+		toD = table.Remap(home, d)
 	}
-	inv := make([][]int32, len(w.Attrs))
-	for j, a := range w.Attrs {
-		d, ids := can.IDs(a)
-		if d == nil || d != w.b.View().Cols[j] {
-			return nil
+	inv := make([]int32, d.Len()) // after Remap: d may grow, never shrink
+	for x, id := range ids {
+		if id != table.MissingID && toD != nil {
+			id = toD[id]
 		}
-		inv[j] = make([]int32, d.Len())
-		for x, id := range ids {
-			if id != table.MissingID {
-				inv[j][id] = int32(x + 1)
-			}
+		if id != table.MissingID {
+			inv[id] = int32(x + 1)
 		}
 	}
 	return inv

@@ -16,6 +16,7 @@ import (
 	"bagconsistency/internal/core"
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/hypergraph"
+	"bagconsistency/internal/table"
 )
 
 // TestCachedWitnessChecks: rebuilding a cached witness in id space keeps
@@ -111,16 +112,54 @@ func overTheWire(t *testing.T, c *core.Collection, prefix string) *core.Collecti
 	return out
 }
 
-// TestEncodeCachedIDPathMatchesStrings: a witness on a decoded request's
-// own dictionaries is encoded through the canonical id tables, and the
-// same witness copied onto dictionaries of its own through string
-// lookups, as is one decoded from JSON; all write the same payload
-// bytes, and so does the answer for the same bags each copied onto
+// stringPayload is encodeCached's payload for rep with each witness value
+// mapped to its canonical index by string, through the values of can's id
+// tables.
+func stringPayload(t *testing.T, rep *Report, can *canon.Canonical) []byte {
+	t.Helper()
+	w := rep.Witness
+	cr := &cachedResult{
+		consistent:     rep.Consistent,
+		method:         rep.Method,
+		bags:           rep.Bags,
+		nodes:          rep.Nodes,
+		witnessSupport: rep.WitnessSupport,
+		witnessAttrs:   w.Attrs,
+	}
+	index := make([]map[string]int, len(w.Attrs))
+	for j, a := range w.Attrs {
+		d, ids := can.IDs(a)
+		index[j] = make(map[string]int, len(ids))
+		for x, id := range ids {
+			if id != table.MissingID {
+				index[j][d.Value(id)] = x
+			}
+		}
+	}
+	for _, row := range w.Rows {
+		idx := make([]int, len(row.Values))
+		for j, v := range row.Values {
+			x, ok := index[j][v]
+			if !ok {
+				t.Fatalf("witness value %q not in the instance's %q column", v, w.Attrs[j])
+			}
+			idx[j] = x
+		}
+		cr.witnessRows = append(cr.witnessRows, cachedRow{indices: idx, count: row.Count})
+	}
+	return encodePayload(cr)
+}
+
+// TestEncodeCachedMatchesStringTranslation: encodeCached writes the
+// payload a string translation of the witness writes, whether the witness
+// sits on the decoded request's own dictionaries (as each method's answer
+// does), on dictionaries of its own, or was decoded from JSON without a
+// bag; and so does the answer for the same bags each copied onto
 // dictionaries of its own. A value-renamed repeat then hits the cache and
-// rebuilds the same witness under the renaming. The instances are a
-// 3DCT triangle (integer program), an acyclic path (composition) and a
+// rebuilds the same witness under the renaming. The instances are a 3DCT
+// triangle (integer program), an acyclic path (composition) and a
 // near-acyclic collection (decomposition).
-func TestEncodeCachedIDPathMatchesStrings(t *testing.T) {
+func TestEncodeCachedMatchesStringTranslation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tri, err := gen.RandomThreeDCT(rng, 4, 2)
 	if err != nil {
@@ -157,28 +196,26 @@ func TestEncodeCachedIDPathMatchesStrings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if indexOfID(rep.Witness, can) == nil {
-			t.Fatalf("%s: the decoded request's witness does not take the id path", tc.name)
+		for j, a := range rep.Witness.Attrs {
+			if home, _ := can.IDs(a); rep.Witness.b.View().Cols[j] != home {
+				t.Fatalf("%s: witness column %q is not on the request's dictionary", tc.name, a)
+			}
 		}
-		byID, err := encodeCached(rep, can)
-		if err != nil {
-			t.Fatal(err)
+		want := stringPayload(t, rep, can)
+		encode := func(arm string, rep *Report, can *canon.Canonical) {
+			t.Helper()
+			cr, err := encodeCached(rep, can)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, arm, err)
+			}
+			if got := encodePayload(cr); !bytes.Equal(got, want) {
+				t.Fatalf("%s, %s: payload %x, want %x", tc.name, arm, got, want)
+			}
 		}
-		want := encodePayload(byID)
-
+		encode("request dictionaries", rep, can)
 		copied := *rep
 		copied.Witness = newWitness(rep.Witness.b.Clone())
-		if indexOfID(copied.Witness, can) != nil {
-			t.Fatalf("%s: a witness on its own dictionaries takes the id path", tc.name)
-		}
-		byString, err := encodeCached(&copied, can)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encodePayload(byString); !bytes.Equal(got, want) {
-			t.Fatalf("%s: string path payload %x, id path %x", tc.name, got, want)
-		}
-		// A witness decoded from JSON has no bag: strings again.
+		encode("own dictionaries", &copied, can)
 		body, err := json.Marshal(rep.Witness)
 		if err != nil {
 			t.Fatal(err)
@@ -187,9 +224,8 @@ func TestEncodeCachedIDPathMatchesStrings(t *testing.T) {
 		if err := json.Unmarshal(body, copied.Witness); err != nil {
 			t.Fatal(err)
 		}
-		if fromJSON, err := encodeCached(&copied, can); err != nil || !bytes.Equal(encodePayload(fromJSON), want) {
-			t.Fatalf("%s: payload of the JSON-decoded witness differs (%v)", tc.name, err)
-		}
+		encode("decoded from JSON", &copied, can)
+
 		clones := make([]*bag.Bag, decoded.Len())
 		for i, b := range decoded.Bags() {
 			clones[i] = b.Clone()
@@ -206,13 +242,7 @@ func TestEncodeCachedIDPathMatchesStrings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		separate, err := encodeCached(sepRep, sepCan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encodePayload(separate); !bytes.Equal(got, want) {
-			t.Fatalf("%s: payload from bags on separate dictionaries %x, want %x", tc.name, got, want)
-		}
+		encode("separate bag dictionaries", sepRep, sepCan)
 
 		checker := New(WithCache(16))
 		if _, err := checker.CheckGlobal(ctx, decoded); err != nil {
