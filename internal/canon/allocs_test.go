@@ -15,7 +15,7 @@ import (
 // id (CSR occurrence lists, colors, ranks), so the count is the same at
 // every support size. The string-keyed refinement measured ~2700
 // allocs/op on the support-256 pair, and the first interned one
-// 339/973/3482 at support 64/256/1024; this one measures 31 at each.
+// 339/973/3482 at support 64/256/1024; this one measures 15 at each.
 var canonAllocSupports = []int{64, 256, 1024}
 
 func measureCanonAllocs(tb testing.TB, support int) float64 {

@@ -33,6 +33,17 @@
 // are compared only to break residual ties and to unify values when
 // several dictionaries feed one attribute.
 //
+// The fingerprint is a persistent store key, so its bits never change
+// with the implementation. What may change is only how the same words
+// reach the same hashes: each row's FNV state after its fixed prefix
+// (bag index and multiplicity) is computed once per call, independent
+// FNV chains (four rows, two occurrence lists) run interleaved, the
+// distinct colors of the stop rule are counted exactly with a hash set
+// instead of a sort, and each bag's rows are put in canonical order by
+// counting sorts over the dense per-attribute ranks. refBags in the
+// tests is the original string-keyed implementation, kept as the
+// oracle.
+//
 // Completeness of the invariance is best-effort where canonical labeling
 // is inherently hard: when color refinement leaves two values of an
 // attribute indistinguishable, the tie is broken by the original value
@@ -49,9 +60,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"bagconsistency/internal/bag"
 	"bagconsistency/internal/table"
@@ -166,17 +177,19 @@ type remapKey struct {
 // Dictionary ids are translated once per dictionary into per-attribute
 // space ids, and every refinement round then hashes machine integers over
 // flat arrays: CSR occurrence lists whose offsets are counted once, colors
-// and ranks indexed by space id. The hash functions, refinement schedule,
-// tie-breaking, and final encoding are those of the original string-keyed
+// and ranks indexed by space id, and row hashes continued from each row's
+// fixed prefix. The hash functions, refinement schedule, tie-breaking,
+// and final encoding are those of the original string-keyed
 // implementation, so fingerprints are bit-for-bit identical (the
-// reference property test pins this).
+// reference property test, FuzzFingerprint and TestFingerprintPin pin
+// this).
 func Bags(bags []*bag.Bag) (*Canonical, error) {
 	if len(bags) == 0 {
 		return nil, fmt.Errorf("canon: empty instance")
 	}
 	views := make([]bag.View, len(bags))
 	attrs := make([][]string, len(bags))
-	nrefs, ncols := 0, 0
+	nrefs, nrows, ncols := 0, 0, 0
 	for i, b := range bags {
 		if b == nil {
 			return nil, fmt.Errorf("canon: nil bag at index %d", i)
@@ -184,6 +197,7 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 		views[i] = b.View()
 		attrs[i] = views[i].Schema.Attrs()
 		nrefs += len(views[i].Rows.IDs)
+		nrows += views[i].Rows.N()
 		ncols += len(attrs[i])
 	}
 
@@ -280,13 +294,29 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 	// hash covers the bag index, the multiplicity, and the current colors
 	// of all its values). Everything a color depends on is
 	// renaming-invariant, so the stable partition is too.
-	color := getU64s(nv)
-	defer putU64s(color)
+	color := table.GetUint64s(nv)
+	defer table.PutUint64s(color)
 	for k := range spaces {
 		sp := &spaces[k]
 		c0 := hashStrings("attr", sp.attr)
 		for g := sp.base; g < sp.base+len(sp.vals); g++ {
 			color[g] = c0
+		}
+	}
+	// A tuple hash starts with the bag index and the row's multiplicity,
+	// which no round changes: pre holds each row's FNV state after those
+	// two words, so a round hashes only the row's colors.
+	pre := table.GetUint64s(nrows)
+	defer table.PutUint64s(pre)
+	p0 := 0
+	for i, v := range views {
+		bagPrefix := newHasher()
+		bagPrefix.writeUint(uint64(i))
+		for _, count := range v.Rows.Counts {
+			h := bagPrefix
+			h.writeUint(uint64(count))
+			pre[p0] = h.sum()
+			p0++
 		}
 	}
 	// Occurrence lists in CSR form: value g's tuple hashes of a round
@@ -303,46 +333,25 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 	}
 	cur := table.GetInt32s(nv)
 	defer table.PutInt32s(cur)
-	occ := getU64s(nrefs)
-	defer putU64s(occ)
-	scratch := getU64s(nv)
-	defer putU64s(scratch)
-	distinct := countDistinct(color, scratch)
+	occ := table.GetUint64s(nrefs)
+	defer table.PutUint64s(occ)
+	set := table.GetUint64s(1 << bits.Len(uint(2*nv)))
+	defer table.PutUint64s(set)
+	distinct := distinctColors(color, set)
 	// The partition refines monotonically (old color is folded into the
 	// new one), so it stabilizes after at most |values| strict
 	// refinements.
 	for round := 0; round <= nv; round++ {
 		copy(cur, off[:nv])
-		r0 := 0
-		for i, v := range views {
-			w := v.Rows.W
-			for r, count := range v.Rows.Counts {
-				row := refs[r0+r*w : r0+(r+1)*w]
-				h := newHasher()
-				h.writeUint(uint64(i))
-				h.writeUint(uint64(count))
-				for _, g := range row {
-					h.writeUint(color[g])
-				}
-				th := h.sum()
-				for _, g := range row {
-					occ[cur[g]] = th
-					cur[g]++
-				}
-			}
+		r0, p0 := 0, 0
+		for _, v := range views {
+			n := v.Rows.N()
+			scatterTupleHashes(refs[r0:r0+len(v.Rows.IDs)], v.Rows.W, pre[p0:p0+n], color, occ, cur)
 			r0 += len(v.Rows.IDs)
+			p0 += n
 		}
-		for g := 0; g < nv; g++ {
-			hs := occ[off[g]:off[g+1]]
-			slices.Sort(hs)
-			h := newHasher()
-			h.writeUint(color[g])
-			for _, x := range hs {
-				h.writeUint(x)
-			}
-			color[g] = h.sum()
-		}
-		if d := countDistinct(color, scratch); d == distinct {
+		foldOccurrences(color, occ, off)
+		if d := distinctColors(color, set); d == distinct {
 			break
 		} else {
 			distinct = d
@@ -359,9 +368,11 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 	defer table.PutUint32s(rankOf)
 	order := table.GetUint32s(nv)
 	defer table.PutUint32s(order)
+	maxValues := 0
 	for k := range spaces {
 		sp := &spaces[k]
 		n, base := len(sp.vals), sp.base
+		maxValues = max(maxValues, n)
 		ord := order[base : base+n]
 		for x := range ord {
 			ord[x] = uint32(x)
@@ -386,74 +397,211 @@ func Bags(bags []*bag.Bag) (*Canonical, error) {
 	// tuples as canonical index vectors with multiplicities, sorted by
 	// index vector. The encoding is a faithful description of the
 	// instance up to per-attribute renaming.
+	for x, g := range refs {
+		refs[x] = rankOf[g] // refs now holds every row's canonical index vector
+	}
+	perm := table.GetInt32s(nrows)
+	defer table.PutInt32s(perm)
+	tmp := table.GetInt32s(nrows)
+	defer table.PutInt32s(tmp)
+	buckets := table.GetInt32s(maxValues + 1)
+	defer table.PutInt32s(buckets)
 	enc := digest{h: sha256.New()}
 	enc.u64(uint64(len(views)))
-	r0 = 0
+	c, r0 = 0, 0
 	for i, v := range views {
 		enc.u64(uint64(len(attrs[i])))
 		for _, a := range attrs[i] {
 			enc.str(a)
 		}
 		w, n := v.Rows.W, v.Rows.N()
-		stride := w + 1
-		block := getU64s(n * stride)
-		for r, count := range v.Rows.Counts {
-			vec := block[r*stride : (r+1)*stride]
-			for j, g := range refs[r0+r*w : r0+(r+1)*w] {
-				vec[j] = uint64(rankOf[g])
-			}
-			vec[w] = uint64(count)
-		}
-		perm := table.GetInt32s(n)
-		for x := range perm {
-			perm[x] = int32(x)
-		}
-		slices.SortFunc(perm, func(a, b int32) int {
-			return slices.Compare(block[int(a)*stride:int(a+1)*stride], block[int(b)*stride:int(b+1)*stride])
-		})
+		vecs, counts := refs[r0:r0+len(v.Rows.IDs)], v.Rows.Counts
+		sorted := sortRows(vecs, w, counts, colSpace[c:c+w], spaces, perm[:n], tmp[:n], buckets)
 		enc.u64(uint64(n))
-		for _, p := range perm {
-			for _, x := range block[int(p)*stride : int(p+1)*stride] {
-				enc.u64(x)
+		for _, p := range sorted {
+			for _, x := range vecs[int(p)*w : int(p+1)*w] {
+				enc.u64(uint64(x))
 			}
+			enc.u64(uint64(counts[p]))
 		}
-		table.PutInt32s(perm)
-		putU64s(block)
+		c += w
 		r0 += len(v.Rows.IDs)
 	}
 	enc.sum(can.FP[:0])
 	return can, nil
 }
 
-// countDistinct counts the distinct colors across every attribute space
+// scatterTupleHashes computes one round's tuple hash of each row of a bag
+// (rows holds its n rows of w global ids, pre their fixed prefixes) and
+// appends it to the occurrence list of every value in the row. Rows are
+// hashed four at a time, each on its own FNV chain, so the chains'
+// multiplies overlap; every chain takes the same words in the same order
+// as one row alone.
+func scatterTupleHashes(rows []uint32, w int, pre, color, occ []uint64, cur []int32) {
+	n, r := len(pre), 0
+	for ; r+4 <= n; r += 4 {
+		x0 := rows[r*w : (r+1)*w]
+		x1 := rows[(r+1)*w : (r+2)*w]
+		x2 := rows[(r+2)*w : (r+3)*w]
+		x3 := rows[(r+3)*w : (r+4)*w]
+		h0, h1, h2, h3 := pre[r], pre[r+1], pre[r+2], pre[r+3]
+		for j := range x0 {
+			h0 = fnvWord(h0, color[x0[j]])
+			h1 = fnvWord(h1, color[x1[j]])
+			h2 = fnvWord(h2, color[x2[j]])
+			h3 = fnvWord(h3, color[x3[j]])
+		}
+		for j := range x0 {
+			g0, g1, g2, g3 := x0[j], x1[j], x2[j], x3[j]
+			occ[cur[g0]] = h0
+			cur[g0]++
+			occ[cur[g1]] = h1
+			cur[g1]++
+			occ[cur[g2]] = h2
+			cur[g2]++
+			occ[cur[g3]] = h3
+			cur[g3]++
+		}
+	}
+	for ; r < n; r++ {
+		x := rows[r*w : (r+1)*w]
+		h := pre[r]
+		for _, g := range x {
+			h = fnvWord(h, color[g])
+		}
+		for _, g := range x {
+			occ[cur[g]] = h
+			cur[g]++
+		}
+	}
+}
+
+// foldOccurrences replaces each value's color by the hash of the old
+// color and its sorted occurrence list. Values are folded two at a time:
+// the lists' common length on two interleaved chains, then each tail
+// alone, which feeds every chain the same words as a value alone.
+func foldOccurrences(color, occ []uint64, off []int32) {
+	nv, g := len(color), 0
+	for ; g+2 <= nv; g += 2 {
+		a, b := occ[off[g]:off[g+1]], occ[off[g+1]:off[g+2]]
+		sortHashes(a)
+		sortHashes(b)
+		ha, hb := fnvWord(fnvOffset, color[g]), fnvWord(fnvOffset, color[g+1])
+		m := min(len(a), len(b))
+		for k, x := range a[:m] {
+			ha = fnvWord(ha, x)
+			hb = fnvWord(hb, b[k])
+		}
+		for _, x := range a[m:] {
+			ha = fnvWord(ha, x)
+		}
+		for _, x := range b[m:] {
+			hb = fnvWord(hb, x)
+		}
+		color[g], color[g+1] = ha, hb
+	}
+	if g < nv {
+		a := occ[off[g]:off[g+1]]
+		sortHashes(a)
+		h := fnvWord(fnvOffset, color[g])
+		for _, x := range a {
+			h = fnvWord(h, x)
+		}
+		color[g] = h
+	}
+}
+
+// sortHashes sorts one occurrence list: by insertion below a length where
+// that beats slices.Sort's setup, by slices.Sort above it. The order is
+// the same either way.
+func sortHashes(hs []uint64) {
+	if len(hs) > insertionSortMax {
+		slices.Sort(hs)
+		return
+	}
+	for i := 1; i < len(hs); i++ {
+		x, j := hs[i], i
+		for ; j > 0 && hs[j-1] > x; j-- {
+			hs[j] = hs[j-1]
+		}
+		hs[j] = x
+	}
+}
+
+const insertionSortMax = 12
+
+// distinctColors counts the distinct colors across every attribute space
 // (matching the string-keyed implementation, which counted over the whole
-// valueRef universe at once). scratch must hold all colors.
-func countDistinct(colors, scratch []uint64) int {
-	all := scratch[:len(colors)]
-	copy(all, colors)
-	slices.Sort(all)
-	d := 0
-	for i, v := range all {
-		if i == 0 || all[i-1] != v {
-			d++
+// valueRef universe at once), exactly: set is an open-addressing table
+// whose power-of-two length is at least twice len(colors). A color probes
+// from the slot its top bits name (colors are FNV hashes, whose top bits
+// are well mixed); 0 marks an empty slot, so color 0 is counted apart.
+func distinctColors(colors, set []uint64) int {
+	clear(set)
+	mask := uint64(len(set) - 1)
+	shift := uint(64 - bits.Len64(mask))
+	d, zero := 0, false
+	for _, c := range colors {
+		if c == 0 {
+			if !zero {
+				zero = true
+				d++
+			}
+			continue
+		}
+		for x := c >> shift; ; x = (x + 1) & mask {
+			if set[x] == c {
+				break
+			}
+			if set[x] == 0 {
+				set[x] = c
+				d++
+				break
+			}
 		}
 	}
 	return d
 }
 
-var u64Pool = sync.Pool{New: func() any { s := make([]uint64, 0, 256); return &s }}
-
-func getU64s(n int) []uint64 {
-	p := u64Pool.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
+// sortRows returns the order of a bag's rows (vecs holds its canonical
+// index vectors, w per row) by index vector, then count: the order of
+// slices.Compare over each row's vector with its count appended. Stable
+// counting sorts, one per column from the last, order the vectors in
+// O(w·(n + values)), since the ranks of column j are dense below its
+// space's value count. A bag's rows are distinct and a dictionary maps
+// ids to distinct strings, so equal vectors need a non-injective
+// dictionary (table.DictFromSnapshot); the final pass orders them by
+// count all the same. perm and tmp have one entry per row; buckets one
+// more than the largest space.
+func sortRows(vecs []uint32, w int, counts []int64, colSpace []int, spaces []space, perm, tmp, buckets []int32) []int32 {
+	for x := range perm {
+		perm[x] = int32(x)
 	}
-	return (*p)[:n]
-}
-
-func putU64s(s []uint64) {
-	s = s[:0]
-	u64Pool.Put(&s)
+	for j := w - 1; j >= 0; j-- {
+		bk := buckets[:len(spaces[colSpace[j]].vals)+1]
+		clear(bk)
+		for _, p := range perm {
+			bk[vecs[int(p)*w+j]+1]++
+		}
+		for x := 1; x < len(bk); x++ {
+			bk[x] += bk[x-1]
+		}
+		for _, p := range perm {
+			key := vecs[int(p)*w+j]
+			tmp[bk[key]] = p
+			bk[key]++
+		}
+		perm, tmp = tmp, perm
+	}
+	for x := 1; x < len(perm); x++ {
+		p, y := perm[x], x
+		vec := vecs[int(p)*w : int(p+1)*w]
+		for ; y > 0 && counts[perm[y-1]] > counts[p] && slices.Equal(vecs[int(perm[y-1])*w:int(perm[y-1]+1)*w], vec); y-- {
+			perm[y] = perm[y-1]
+		}
+		perm[y] = p
+	}
+	return perm
 }
 
 // digest feeds the canonical encoding to SHA-256 in blocks: big-endian
@@ -502,13 +650,19 @@ func (d *digest) sum(out []byte) []byte {
 // the stack, allocation-free.
 type hasher struct{ h uint64 }
 
-const fnvPrime = 1099511628211
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
-func newHasher() hasher { return hasher{h: 14695981039346656037} }
+func newHasher() hasher { return hasher{h: fnvOffset} }
 
 // writeUint hashes v's 8 bytes, least significant first.
-func (x *hasher) writeUint(v uint64) {
-	h := x.h
+func (x *hasher) writeUint(v uint64) { x.h = fnvWord(x.h, v) }
+
+// fnvWord continues the FNV-1a state h over v's 8 bytes, least
+// significant first.
+func fnvWord(h, v uint64) uint64 {
 	h = (h ^ v&0xff) * fnvPrime
 	h = (h ^ v>>8&0xff) * fnvPrime
 	h = (h ^ v>>16&0xff) * fnvPrime
@@ -516,8 +670,7 @@ func (x *hasher) writeUint(v uint64) {
 	h = (h ^ v>>32&0xff) * fnvPrime
 	h = (h ^ v>>40&0xff) * fnvPrime
 	h = (h ^ v>>48&0xff) * fnvPrime
-	h = (h ^ v>>56) * fnvPrime
-	x.h = h
+	return (h ^ v>>56) * fnvPrime
 }
 
 func (x *hasher) sum() uint64 { return x.h }

@@ -205,9 +205,9 @@ func (c *Canonical) index() map[string]map[string]int {
 }
 
 // TestFingerprintMatchesStringKeyedReference checks, on randomized
-// acyclic and cyclic instances, that the interned columnar refinement
-// produces exactly the fingerprints and canonical value tables of the
-// original string-keyed implementation.
+// acyclic and cyclic instances and large pairs, that the interned
+// columnar refinement produces exactly the fingerprints and canonical
+// value tables of the original string-keyed implementation.
 func TestFingerprintMatchesStringKeyedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 40
@@ -263,6 +263,22 @@ func TestFingerprintMatchesStringKeyedReference(t *testing.T) {
 		}
 		if got.FP != want.FP {
 			t.Fatalf("cyclic trial %d: fingerprint diverged from reference", trial)
+		}
+	}
+
+	// Support-1024 pairs give values occurrence lists longer than the
+	// insertion-sort cutoff.
+	for trial := 0; trial < 3; trial++ {
+		r, s, err := gen.RandomConsistentPair(rng, 1024, 1<<20, 1024/8+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff, err := referenceMismatch([]*bag.Bag{r, s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff != "" {
+			t.Fatalf("support-1024 trial %d: %s", trial, diff)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Asserted allocation ceilings for the engine hot paths. The pre-columnar
 // engine spent ~1070 allocs/op on an uncached support-256 pair check
-// (BENCH_pr5_baseline.json); the interned engine measures ~47. The budget
+// (BENCH_pr5_baseline.json); the interned engine measures ~20. The budget
 // is set with ~2x headroom above the measured value and far below
 // baseline/5, so any regression that reintroduces per-tuple allocation
 // (key strings, map[string] rebuilds, unpooled scratch) fails the build
@@ -22,8 +22,8 @@ import (
 // count flat in the instance size. Allocating per middle arc, as a flow
 // network does, costs ~1700 allocs/op at this size and fails the build.
 const (
-	pairCheckAllocBudget = 100 // measured ~47 on support=256
-	pairWitnessBudget    = 130 // measured ~63 on support=256
+	pairCheckAllocBudget = 100 // measured ~20 on support=256
+	pairWitnessBudget    = 130 // measured ~43 on support=256
 )
 
 func measurePairCheckAllocs(tb testing.TB) float64 {

@@ -35,11 +35,11 @@ func SortPermOf(rs *Rows, perm []int32) {
 			maxID = v
 		}
 	}
-	tmp := getInt32s(len(perm))
-	defer putInt32s(tmp)
+	tmp := GetInt32s(len(perm))
+	defer PutInt32s(tmp)
 	if maxID < radixDirectMax {
-		counts := getInt32s(int(maxID) + 2)
-		defer putInt32s(counts)
+		counts := GetInt32s(int(maxID) + 2)
+		defer PutInt32s(counts)
 		for col := rs.W - 1; col >= 0; col-- {
 			countingPass(rs, perm, tmp, counts, col, maxID)
 			perm, tmp = tmp, perm
@@ -51,8 +51,8 @@ func SortPermOf(rs *Rows, perm []int32) {
 	}
 	// Wide dictionaries: two 16-bit passes per column — always an even
 	// number of buffer swaps, so the result ends in the caller's perm.
-	counts := getInt32s(1 << 16)
-	defer putInt32s(counts)
+	counts := GetInt32s(1 << 16)
+	defer PutInt32s(counts)
 	for col := rs.W - 1; col >= 0; col-- {
 		countingPass16(rs, perm, tmp, counts, col, 0)
 		perm, tmp = tmp, perm

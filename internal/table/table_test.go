@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"testing"
 )
@@ -162,6 +163,25 @@ func TestRuns(t *testing.T) {
 	for i := range want {
 		if runs[i] != want[i] {
 			t.Fatalf("runs = %v, want %v", runs, want)
+		}
+	}
+}
+
+// TestPoolWarmCycleAllocatesNothing: once a pool holds a buffer large
+// enough, a Get/Put cycle reuses both the buffer and the slice header
+// the pool keeps it in. The GC is off so the pools are not emptied
+// mid-measurement.
+func TestPoolWarmCycleAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, cycle := range map[string]func(){
+		"int32":  func() { PutInt32s(GetInt32s(100)) },
+		"uint32": func() { PutUint32s(GetUint32s(100)) },
+		"int64":  func() { PutInt64s(GetInt64s(100)) },
+		"uint64": func() { PutUint64s(GetUint64s(100)) },
+	} {
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("%s: a warm Get/Put cycle allocates %.0f times, want 0", name, allocs)
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // its job is to catch accidental per-tuple work inside span recording,
 // not to shave fixed overhead.
 const (
-	untracedPairCheckBudget = 60  // measured ~28 on support=256
-	tracedPairCheckBudget   = 150 // measured ~48: + trace, spans, snapshot, phases
+	untracedPairCheckBudget = 60  // measured ~21 on support=256
+	tracedPairCheckBudget   = 150 // measured ~41: + trace, spans, snapshot, phases
 )
 
 func measureFacadePairAllocs(tb testing.TB, traced bool) float64 {
