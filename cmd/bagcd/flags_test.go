@@ -31,13 +31,15 @@ func TestMaxBodyBytesFlag(t *testing.T) {
 	}
 }
 
-// TestRemovedAdmissionFlags: hardness-aware shedding is the only
-// admission policy and the cost-model calibrator is gone, so the flags
-// that selected the policy and paced the calibrator are unknown.
-func TestRemovedAdmissionFlags(t *testing.T) {
+// TestRemovedFlags: hardness-aware shedding is the only admission
+// policy, and the cost-model calibrator and the hot-key sketch are gone,
+// so the flags that selected the policy, paced the calibrator and sized
+// the sketch are unknown.
+func TestRemovedFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-admission", "hardness"},
 		{"-calib-interval", "1m"},
+		{"-hotkey-k", "0"},
 	} {
 		_, _, err := parseFlags(args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -15,7 +15,7 @@
 //	      [-max-nodes N] [-default-timeout 0] [-max-timeout 60s]
 //	      [-shed-threshold 0.5] [-expensive-support N]
 //	      [-trace-slow-ms N] [-trace-ring N] [-log-format text|json]
-//	      [-hotkey-k N] [-flightrec] [-flightrec-queue-frac F]
+//	      [-flightrec] [-flightrec-queue-frac F]
 //	      [-flightrec-p99-budget D] [-flightrec-retain N]
 //	      [-drain-timeout 30s] [-max-batch-lines N] [-version]
 //
@@ -44,21 +44,18 @@
 // id = trace id); -log-format json switches them to JSON. See
 // docs/OBSERVABILITY.md.
 //
-// Workload analytics ride the same cache-layer canonicalization: a
-// SpaceSaving sketch of -hotkey-k counters tracks per-fingerprint
-// hits/misses/sheds/service time (GET /debug/workload, bagcd_hotkey_*
-// metrics; -hotkey-k 0 disables). -flightrec arms the overload flight
-// recorder: when queue fill reaches -flightrec-queue-frac or windowed
-// p99 crosses -flightrec-p99-budget, it captures a bounded CPU+heap
-// profile plus the workload and trace state into <data-dir>/flightrec
-// (rotated, -flightrec-retain kept).
+// -flightrec arms the overload flight recorder: when queue fill reaches
+// -flightrec-queue-frac or windowed p99 crosses -flightrec-p99-budget,
+// it captures a bounded CPU+heap profile plus the trace rings into
+// <data-dir>/flightrec (rotated, -flightrec-retain kept). Its status is
+// the flight_recorder section of GET /healthz.
 //
 // Endpoints (see docs/SERVING.md for wire formats):
 //
 //	POST /v1/check        global consistency of one collection
 //	POST /v1/check/pair   pair consistency of a two-bag collection
 //	POST /v1/batch        NDJSON streaming batch
-//	GET  /healthz         liveness, queue and cache occupancy
+//	GET  /healthz         liveness, queue and cache occupancy, flight recorder
 //	GET  /metrics         Prometheus text exposition
 //	GET  /debug/traces    recent request traces (?slow=1: slow captures)
 package main
@@ -115,7 +112,6 @@ type options struct {
 	traceSlowMs      int64
 	traceRing        int
 	logFormat        string
-	hotkeyK          int
 	flightrec        bool
 	flightQueueFrac  float64
 	flightP99Budget  time.Duration
@@ -125,7 +121,6 @@ type options struct {
 	storeLogf        func(format string, args ...any) // recovery warnings; tests capture it
 	accessLog        *slog.Logger                     // set by run(); tests may inject their own
 	slow             *trace.SlowCapture               // built by buildServer when -trace-slow-ms >= 0
-	workload         *telemetry.Workload              // built by buildServer when -hotkey-k > 0
 	flight           *telemetry.Recorder              // built by buildServer when -flightrec
 }
 
@@ -151,8 +146,7 @@ func parseFlags(args []string, out io.Writer) (*options, bool, error) {
 	fs.Int64Var(&opt.traceSlowMs, "trace-slow-ms", -1, "trace every request and capture those slower than N ms (0 captures all; -1 disables — traceparent-carrying requests are still traced)")
 	fs.IntVar(&opt.traceRing, "trace-ring", service.DefaultTraceRingSize, "recent request traces kept for GET /debug/traces")
 	fs.StringVar(&opt.logFormat, "log-format", "text", "structured log encoding: text or json")
-	fs.IntVar(&opt.hotkeyK, "hotkey-k", 256, "SpaceSaving hot-key sketch counters behind /debug/workload and bagcd_hotkey_* (0 disables workload analytics)")
-	fs.BoolVar(&opt.flightrec, "flightrec", false, "arm the overload flight recorder: capture pprof + workload + traces into <data-dir>/flightrec on queue or p99 pressure (requires -data-dir)")
+	fs.BoolVar(&opt.flightrec, "flightrec", false, "arm the overload flight recorder: capture pprof + traces into <data-dir>/flightrec on queue or p99 pressure (requires -data-dir)")
 	fs.Float64Var(&opt.flightQueueFrac, "flightrec-queue-frac", 0.9, "queue fill fraction that triggers a flight capture (0 disables the queue trigger)")
 	fs.DurationVar(&opt.flightP99Budget, "flightrec-p99-budget", 0, "windowed p99 end-to-end latency that triggers a flight capture (0 disables the latency trigger)")
 	fs.IntVar(&opt.flightRetain, "flightrec-retain", 8, "flight capture directories retained (oldest pruned first)")
@@ -215,9 +209,6 @@ func (o *options) validate() error {
 	if o.logFormat != "text" && o.logFormat != "json" {
 		return fmt.Errorf("-log-format must be text or json, got %q", o.logFormat)
 	}
-	if o.hotkeyK < 0 {
-		return fmt.Errorf("-hotkey-k must be >= 0, got %d", o.hotkeyK)
-	}
 	if o.flightrec {
 		if o.dataDir == "" {
 			return fmt.Errorf("-flightrec needs -data-dir for its capture directory")
@@ -270,14 +261,6 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 		}
 		return nil, nil, nil, err
 	}
-	// Workload analytics: the cache layer's observer feeds canonical
-	// fingerprints into the SpaceSaving sketch via the worker's capture
-	// carrier; the top-K surfaces on /debug/workload and bagcd_hotkey_*.
-	if opt.hotkeyK > 0 {
-		opt.workload = telemetry.NewWorkload(opt.hotkeyK)
-		checkerOpts = append(checkerOpts, bagconsist.WithCheckObserver(telemetry.RecordCheck))
-		telemetry.RegisterWorkloadMetrics(reg, opt.workload, service.DefaultWorkloadTopN)
-	}
 	if opt.flightrec && opt.flight == nil {
 		var err error
 		opt.flight, err = telemetry.NewRecorder(telemetry.RecorderConfig{
@@ -300,7 +283,6 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 		ShedThreshold:    opt.shedThreshold,
 		ExpensiveSupport: opt.expensiveSupport,
 		Metrics:          reg,
-		Workload:         opt.workload,
 		Flight:           opt.flight,
 	})
 	if err != nil {
@@ -333,12 +315,6 @@ func buildServer(opt *options) (*service.Service, http.Handler, *bagconsist.Stor
 	if opt.flight != nil {
 		opt.flight.Start(telemetry.RecorderProbes{
 			QueueFill: svc.QueueFill,
-			Workload: func() any {
-				return service.WorkloadStatus{
-					Schema:   service.WorkloadStatusSchema,
-					Workload: opt.workload.Snapshot(0),
-				}
-			},
 			Traces: func() []*trace.Snapshot {
 				snaps := ring.Snapshots()
 				if opt.slow != nil {

@@ -120,7 +120,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&opt.sh.ExpensiveSupport, "sh-expensive-support", service.DefaultExpensiveSupport, "selfhost: support size classed expensive")
 	fs.Int64Var(&opt.sh.MaxNodes, "sh-max-nodes", 10_000_000, "selfhost: integer-search node budget")
 	fs.Float64Var(&opt.sh.MaxTimeoutMs, "sh-max-timeout-ms", 2000, "selfhost: server-side per-request timeout cap (ms)")
-	fs.IntVar(&opt.sh.HotkeyK, "sh-hotkey-k", 256, "selfhost: hot-key sketch capacity (0 disables workload analytics)")
 
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -140,9 +139,6 @@ func (o *options) validate() error {
 	}
 	if o.traceTop < 0 {
 		return fmt.Errorf("bagload: -trace-top must be >= 0")
-	}
-	if o.sh.HotkeyK < 0 {
-		return fmt.Errorf("bagload: -sh-hotkey-k must be >= 0")
 	}
 	return nil
 }
@@ -271,18 +267,7 @@ func run(ctx context.Context, opt *options, progress io.Writer) (*Report, error)
 
 	rep := aggregate(opt, arrival, events, results, wall, before, after, quiesced)
 	rep.Config.Target = targetName(opt)
-	// Best-effort workload scrape: an older daemon or one without
-	// -hotkey-k 404s here, and the report simply omits the section.
-	if ws, err := scrapeWorkload(ctx, cli); err == nil {
-		rep.Workload = buildWorkloadReport(ws, corpus, events, results)
-	}
 	return rep, nil
-}
-
-func scrapeWorkload(ctx context.Context, cli *bagclient.Client) (*bagclient.WorkloadStatus, error) {
-	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	return cli.Workload(wctx, workloadTopScrape)
 }
 
 func targetName(opt *options) string {

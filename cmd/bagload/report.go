@@ -10,7 +10,6 @@ import (
 
 	"bagconsistency/internal/buildinfo"
 	"bagconsistency/internal/metrics"
-	"bagconsistency/pkg/bagclient"
 	"bagconsistency/pkg/bagconsist"
 )
 
@@ -38,44 +37,10 @@ type Report struct {
 	// latency to queue wait versus engine phases with direct evidence.
 	Traces []CapturedTrace `json:"traces,omitempty"`
 
-	// Workload pairs the server's hot-key sketch with the client's
-	// exact per-key counts — the ground truth only the load generator
-	// knows. Present when the target serves /debug/workload (selfhost
-	// with -sh-hotkey-k > 0, or a daemon running -hotkey-k).
-	Workload *WorkloadReport `json:"workload,omitempty"`
-}
-
-// WorkloadReport is the analytics cross-check: the sketch's claimed
-// top-K versus the schedule's actual per-fingerprint send counts.
-type WorkloadReport struct {
-	// Server is the /debug/workload status scraped after the run
-	// quiesced: sketch top-K and flight recorder.
-	Server *ServerWorkload `json:"server,omitempty"`
-	// ClientTopK are the exact per-fingerprint counts the driver sent,
-	// hottest first — computed from the schedule, not sampled.
-	ClientTopK []ClientKeyCount `json:"client_top_k"`
-	// AgreementK and TopKAgreement report set overlap between the
-	// sketch's top-K keys and the client's top-K keys:
-	// |intersection| / K with K = AgreementK. 1.0 means the sketch named
-	// exactly the keys the schedule actually favored.
-	AgreementK    int     `json:"agreement_k"`
-	TopKAgreement float64 `json:"top_k_agreement"`
-}
-
-// ServerWorkload is the scraped /debug/workload status as archived.
-type ServerWorkload struct {
-	bagclient.WorkloadStatus
-	// Calibration is decoded, never written: reports archived before
-	// the cost-model calibrator was deleted carry its snapshot here.
-	Calibration json.RawMessage `json:"calibration,omitempty"`
-}
-
-// ClientKeyCount is one fingerprint's exact client-side ledger.
-type ClientKeyCount struct {
-	Key  string `json:"key"`
-	Sent int    `json:"sent"`
-	OK   int    `json:"ok"`
-	Shed int    `json:"shed"`
+	// Workload is decoded, never written: reports archived before the
+	// hot-key sketch was deleted carry its cross-check against the
+	// client's exact per-key counts here.
+	Workload json.RawMessage `json:"workload,omitempty"`
 }
 
 // CapturedTrace is one sampled request's end-to-end phase tree as the
@@ -118,7 +83,9 @@ type RunConfig struct {
 // reports archived before the drop-tail arm was deleted may say "fifo".
 // BranchLowFirst is archival: the integer search has one value order, so
 // new runs record false, and reports archived before the low-first order
-// was deleted may say true.
+// was deleted may say true. HotkeyK is archival too: new runs leave it
+// 0, and reports archived before the hot-key sketch was deleted record
+// the sketch's capacity.
 type SelfhostConfig struct {
 	Parallelism      int     `json:"parallelism"`
 	QueueDepth       int     `json:"queue_depth"`
@@ -271,7 +238,6 @@ func writeTable(w io.Writer, r *Report) {
 			fmt.Fprintf(w, "  ilp: nodes %g\n", s.ILPNodes)
 		}
 	}
-	writeWorkloadSection(w, r.Workload)
 	c := r.Conservation
 	fmt.Fprintf(w, "\nconservation: client %s", holdsWord(c.ClientHolds))
 	if c.ServerHolds != nil {

@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"time"
 
-	"bagconsistency/internal/metrics"
 	"bagconsistency/internal/service"
-	"bagconsistency/internal/telemetry"
 	"bagconsistency/pkg/bagconsist"
 )
 
@@ -33,24 +31,14 @@ func bootSelfhost(cfg SelfhostConfig) (*selfhost, error) {
 	if cfg.MaxNodes > 0 {
 		checkerOpts = append(checkerOpts, bagconsist.WithMaxNodes(cfg.MaxNodes))
 	}
-	reg := metrics.NewRegistry()
-	// Workload analytics mirror bagcd's own wiring: the cache observer
-	// hands canonical fingerprints to the hot-key sketch. The selfhost
-	// never runs the flight recorder — a load run is its own post-mortem.
-	var workload *telemetry.Workload
-	if cfg.HotkeyK > 0 {
-		workload = telemetry.NewWorkload(cfg.HotkeyK)
-		checkerOpts = append(checkerOpts, bagconsist.WithCheckObserver(telemetry.RecordCheck))
-		telemetry.RegisterWorkloadMetrics(reg, workload, service.DefaultWorkloadTopN)
-	}
+	// The selfhost never runs the flight recorder — a load run is its
+	// own post-mortem.
 	svc, err := service.New(service.Config{
 		Checker:          bagconsist.New(checkerOpts...),
 		QueueDepth:       cfg.QueueDepth,
 		MaxTimeout:       time.Duration(cfg.MaxTimeoutMs * float64(time.Millisecond)),
 		ShedThreshold:    cfg.ShedThreshold,
 		ExpensiveSupport: cfg.ExpensiveSupport,
-		Metrics:          reg,
-		Workload:         workload,
 	})
 	if err != nil {
 		return nil, err

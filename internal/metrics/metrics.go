@@ -39,16 +39,14 @@ const (
 	kindGaugeFunc
 	kindCounterFunc
 	kindHistogram
-	kindSeriesFunc
 )
 
 type family struct {
-	name     string
-	help     string
-	kind     familyKind
-	buckets  []float64       // histogram families only
-	seriesFn func() []Series // dynamic families only
-	series   map[string]any
+	name    string
+	help    string
+	kind    familyKind
+	buckets []float64 // histogram families only
+	series  map[string]any
 }
 
 // NewRegistry returns an empty registry.
@@ -124,27 +122,6 @@ func (r *Registry) CounterFunc(name, labels, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f.series[labels] = fn
-}
-
-// Series is one (labels, value) pair of a dynamic family. Labels uses
-// the same pre-rendered form as everywhere else in this package.
-type Series struct {
-	Labels string
-	Value  float64
-}
-
-// SeriesFunc registers a gauge family whose entire series set is read
-// from fn at scrape time. This is the shape for label sets that churn —
-// a top-K table keyed by fingerprint, say — where static registration
-// would pin every key ever seen into the scrape forever. Series are
-// sorted by label string at exposition, so output stays deterministic
-// regardless of fn's ordering. Re-registering replaces fn. fn runs
-// under the registry lock and must not call back into the registry.
-func (r *Registry) SeriesFunc(name, help string, fn func() []Series) {
-	f := r.family(name, help, kindSeriesFunc)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f.seriesFn = fn
 }
 
 // Histogram returns the histogram for (name, labels) with the given
@@ -265,7 +242,6 @@ func (f *family) write(w io.Writer) error {
 		kindGaugeFunc:   "gauge",
 		kindCounterFunc: "counter",
 		kindHistogram:   "histogram",
-		kindSeriesFunc:  "gauge",
 	}[f.kind]
 	if f.help != "" {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
@@ -274,19 +250,6 @@ func (f *family) write(w io.Writer) error {
 	}
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, typ); err != nil {
 		return err
-	}
-	if f.kind == kindSeriesFunc {
-		var all []Series
-		if f.seriesFn != nil {
-			all = f.seriesFn()
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Labels < all[j].Labels })
-		for _, s := range all {
-			if _, err := fmt.Fprintf(w, "%s %s\n", seriesName(f.name, s.Labels), formatFloat(s.Value)); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	labelSets := make([]string, 0, len(f.series))
 	for ls := range f.series {

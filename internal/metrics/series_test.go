@@ -67,76 +67,15 @@ func TestSampleAllEqualValues(t *testing.T) {
 	}
 }
 
-// TestSeriesFuncExposition: a dynamic family emits whatever fn returns
-// at scrape time, sorted by label string, typed as a gauge.
-func TestSeriesFuncExposition(t *testing.T) {
-	r := NewRegistry()
-	current := []Series{
-		{Labels: `key="zz"`, Value: 3},
-		{Labels: `key="aa"`, Value: 7},
-	}
-	r.SeriesFunc("bagcd_hotkey_count", "per-key estimates", func() []Series { return current })
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "# HELP bagcd_hotkey_count per-key estimates\n" +
-		"# TYPE bagcd_hotkey_count gauge\n" +
-		"bagcd_hotkey_count{key=\"aa\"} 7\n" +
-		"bagcd_hotkey_count{key=\"zz\"} 3\n"
-	if sb.String() != want {
-		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)
-	}
-
-	// The label set churns between scrapes — stale keys disappear, new
-	// ones appear, without any registry mutation.
-	current = []Series{{Labels: `key="bb"`, Value: 1}}
-	sb.Reset()
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if strings.Contains(out, `key="aa"`) || !strings.Contains(out, `key="bb"`) {
-		t.Fatalf("label churn not reflected:\n%s", out)
-	}
-}
-
-func TestSeriesFuncNilAndEmpty(t *testing.T) {
-	r := NewRegistry()
-	r.SeriesFunc("bagcd_hotkey_hits", "", func() []Series { return nil })
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != "# TYPE bagcd_hotkey_hits gauge\n" {
-		t.Fatalf("empty dynamic family exposition: %q", got)
-	}
-}
-
-func TestSeriesFuncKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.SeriesFunc("bagcd_hotkey_count", "", func() []Series { return nil })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on kind mismatch")
-		}
-	}()
-	r.Counter("bagcd_hotkey_count", "", "")
-}
-
-// TestNewFamiliesDeterministicOrdering: the full bagcd_hotkey_* +
-// bagcd_cost_error_* block scrapes identically twice in a row, with
-// families in sorted name order and histogram series in label order.
+// TestNewFamiliesDeterministicOrdering: counter, counter-func and
+// histogram families scrape identically twice in a row, with families
+// in sorted name order and series in label order whatever the
+// registration order.
 func TestNewFamiliesDeterministicOrdering(t *testing.T) {
 	r := NewRegistry()
-	r.SeriesFunc("bagcd_hotkey_count", "", func() []Series {
-		return []Series{{Labels: `key="b"`, Value: 2}, {Labels: `key="a"`, Value: 5}}
-	})
-	r.SeriesFunc("bagcd_hotkey_sheds", "", func() []Series {
-		return []Series{{Labels: `key="a"`, Value: 1}}
-	})
-	r.CounterFunc("bagcd_hotkey_stream_total", "", "", func() float64 { return 7 })
+	r.Counter("bagcd_load_shed_total", `reason="queue_full"`, "").Add(2)
+	r.Counter("bagcd_load_shed_total", `reason="deadline_unmeetable"`, "").Add(5)
+	r.CounterFunc("bagcd_load_admitted_total", "", "", func() float64 { return 7 })
 	buckets := []float64{0.5, 1, 2}
 	r.Histogram("bagcd_cost_error_ratio", `class="expensive"`, "", buckets).Observe(1.5)
 	r.Histogram("bagcd_cost_error_ratio", `class="cheap"`, "", buckets).Observe(0.9)
@@ -157,11 +96,11 @@ func TestNewFamiliesDeterministicOrdering(t *testing.T) {
 		`bagcd_cost_error_ratio_bucket{class="cheap",le="0.5"}`,
 		`bagcd_cost_error_ratio_count{class="cheap"}`,
 		`bagcd_cost_error_ratio_bucket{class="expensive",le="0.5"}`,
-		"# TYPE bagcd_hotkey_count gauge",
-		`bagcd_hotkey_count{key="a"} 5`,
-		`bagcd_hotkey_count{key="b"} 2`,
-		`bagcd_hotkey_sheds{key="a"} 1`,
-		"bagcd_hotkey_stream_total 7",
+		"# TYPE bagcd_load_admitted_total counter",
+		"bagcd_load_admitted_total 7",
+		"# TYPE bagcd_load_shed_total counter",
+		`bagcd_load_shed_total{reason="deadline_unmeetable"} 5`,
+		`bagcd_load_shed_total{reason="queue_full"} 2`,
 	}
 	pos := -1
 	for _, marker := range order {

@@ -2,13 +2,47 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"bagconsistency/internal/telemetry"
 	"bagconsistency/internal/trace"
 	"bagconsistency/pkg/bagconsist"
 )
+
+// newHTTPServer serves a prebuilt handler with drain-on-cleanup.
+func newHTTPServer(t *testing.T, h http.Handler, svc *Service) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = svc.Drain(ctx)
+	})
+	return ts
+}
+
+// getJSON asserts the status code and decodes the body into out.
+func getJSON(t *testing.T, url string, wantCode int, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != wantCode {
+		t.Fatalf("GET %s: status %d, want %d", url, resp.StatusCode, wantCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // getText returns the body of a GET that must answer 200.
 func getText(t *testing.T, url string) string {
@@ -32,7 +66,8 @@ func getText(t *testing.T, url string) string {
 // with nothing but the Service: /metrics must serve the
 // Service's own registry, the private one included, and the Checker's
 // cache and store counters; /healthz must carry the Checker's cache and
-// store stats exactly when it has them.
+// store stats exactly when it has them, and the flight recorder's
+// status exactly when the Service has one.
 func TestHandlerServesWhatTheServiceHolds(t *testing.T) {
 	st, err := bagconsist.OpenStore(t.TempDir())
 	if err != nil {
@@ -40,18 +75,27 @@ func TestHandlerServesWhatTheServiceHolds(t *testing.T) {
 	}
 	defer st.Close()
 	for _, tc := range []struct {
-		name         string
-		opts         []bagconsist.Option
-		cache, store bool
+		name                 string
+		opts                 []bagconsist.Option
+		cache, store, flight bool
 	}{
-		{"store", []bagconsist.Option{bagconsist.WithCache(64), bagconsist.WithStore(st)}, true, true},
-		{"cache", []bagconsist.Option{bagconsist.WithCache(64)}, true, false},
-		{"none", nil, false, false},
+		{"store", []bagconsist.Option{bagconsist.WithCache(64), bagconsist.WithStore(st)}, true, true, false},
+		{"cache", []bagconsist.Option{bagconsist.WithCache(64)}, true, false, false},
+		{"flight", []bagconsist.Option{bagconsist.WithCache(64)}, true, false, true},
+		{"none", nil, false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var rec *telemetry.Recorder
+			if tc.flight {
+				var err error
+				if rec, err = telemetry.NewRecorder(telemetry.RecorderConfig{Dir: t.TempDir()}); err != nil {
+					t.Fatal(err)
+				}
+				defer rec.Close()
+			}
 			// No Config.Metrics: the handler must serve the private
 			// registry the Service counts into.
-			svc := newService(t, Config{Checker: bagconsist.New(tc.opts...)})
+			svc := newService(t, Config{Checker: bagconsist.New(tc.opts...), Flight: rec})
 			h, err := NewHandler(ServerConfig{Service: svc})
 			if err != nil {
 				t.Fatal(err)
@@ -73,6 +117,12 @@ func TestHandlerServesWhatTheServiceHolds(t *testing.T) {
 			}
 			if tc.store && hs.Store.Puts == 0 {
 				t.Fatalf("healthz store %+v, want the first check written through", hs.Store)
+			}
+			if (hs.FlightRecorder != nil) != tc.flight {
+				t.Fatalf("healthz flight_recorder=%+v, want present %v", hs.FlightRecorder, tc.flight)
+			}
+			if tc.flight && hs.FlightRecorder.Schema != telemetry.FlightrecSchema {
+				t.Fatalf("healthz flight_recorder schema %q", hs.FlightRecorder.Schema)
 			}
 
 			out := getText(t, ts.URL+"/metrics")
@@ -96,6 +146,17 @@ func TestHandlerServesWhatTheServiceHolds(t *testing.T) {
 			getJSON(t, ts.URL+"/debug/traces", http.StatusOK, &tb)
 			if len(tb.Traces) != 0 {
 				t.Fatalf("%d traces recorded without traceparent or Slow", len(tb.Traces))
+			}
+
+			// The recorder's status lives on /healthz; the old workload
+			// endpoint is gone.
+			resp, err := http.Get(ts.URL + "/debug/workload")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("GET /debug/workload: status %d, want 404", resp.StatusCode)
 			}
 		})
 	}

@@ -22,8 +22,8 @@ import (
 )
 
 // ServerConfig parameterizes NewHandler. Everything else the handler
-// serves comes from the Service: its metrics registry, hot-key sketch
-// and flight recorder, and the cache and store stats of its Checker.
+// serves comes from the Service: its metrics registry and flight
+// recorder, and the cache and store stats of its Checker.
 type ServerConfig struct {
 	// Service runs the queries. Required.
 	Service *Service
@@ -89,6 +89,9 @@ type HealthStatus struct {
 	// Store is present when the cache is backed by a persistent store
 	// (-data-dir): the disk tier's occupancy and traffic.
 	Store *bagconsist.StoreStats `json:"store,omitempty"`
+	// FlightRecorder is present when the daemon runs the overload flight
+	// recorder (-flightrec): its triggers and this process's captures.
+	FlightRecorder *telemetry.RecorderStatus `json:"flight_recorder,omitempty"`
 }
 
 type server struct {
@@ -109,7 +112,7 @@ type server struct {
 //	POST /v1/check/pair  decide pair consistency of a two-bag collection
 //	POST /v1/batch       NDJSON stream: one collection per line in, one
 //	                     BatchLine per line out, in input order
-//	GET  /healthz        liveness + queue/cache occupancy
+//	GET  /healthz        liveness, queue/cache occupancy, flight recorder
 //	GET  /metrics        Prometheus text exposition
 //
 // Check bodies are any bagio format (JSON array, named-collection JSON
@@ -203,7 +206,6 @@ func NewHandler(cfg ServerConfig) (http.Handler, error) {
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", false, s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", false, s.handleMetrics))
 	mux.HandleFunc("GET /debug/traces", s.instrument("/debug/traces", false, s.handleTraces))
-	mux.HandleFunc("GET /debug/workload", s.instrument("/debug/workload", false, s.handleWorkload))
 	return mux, nil
 }
 
@@ -279,49 +281,6 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) int {
 		snaps = []*trace.Snapshot{}
 	}
 	return s.writeJSON(w, http.StatusOK, tracesBody{Traces: snaps})
-}
-
-// WorkloadStatus is the GET /debug/workload body: the hot-key sketch
-// snapshot plus, when enabled, overload flight-recorder state. Sections
-// the daemon was not configured with are omitted.
-type WorkloadStatus struct {
-	Schema         string                      `json:"schema"`
-	UptimeSeconds  float64                     `json:"uptime_seconds"`
-	Workload       *telemetry.WorkloadSnapshot `json:"workload,omitempty"`
-	FlightRecorder *telemetry.RecorderStatus   `json:"flight_recorder,omitempty"`
-}
-
-// WorkloadStatusSchema versions the /debug/workload envelope.
-const WorkloadStatusSchema = "workload-status/v1"
-
-// DefaultWorkloadTopN is how many hot keys /debug/workload reports when
-// ?top=N is absent.
-const DefaultWorkloadTopN = 10
-
-// handleWorkload serves workload analytics: the SpaceSaving hot-key
-// table (?top=N bounds it) and flight-recorder status. 404 when the
-// daemon runs without workload telemetry (-hotkey-k=0).
-func (s *server) handleWorkload(w http.ResponseWriter, r *http.Request) int {
-	if s.svc.workload == nil {
-		return s.writeError(w, http.StatusNotFound, errors.New("workload telemetry disabled (-hotkey-k)"))
-	}
-	topN := DefaultWorkloadTopN
-	if raw := r.URL.Query().Get("top"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			return s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad top %q", raw))
-		}
-		topN = n
-	}
-	body := WorkloadStatus{
-		Schema:        WorkloadStatusSchema,
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Workload:      s.svc.workload.Snapshot(topN),
-	}
-	if s.svc.flight != nil {
-		body.FlightRecorder = s.svc.flight.Status()
-	}
-	return s.writeJSON(w, http.StatusOK, body)
 }
 
 func (s *server) writeJSON(w http.ResponseWriter, code int, v any) int {
@@ -568,6 +527,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 	if ss, ok := s.svc.Checker().StoreStats(); ok {
 		hs.Store = &ss
 	}
+	hs.FlightRecorder = s.svc.flight.Status()
 	code := http.StatusOK
 	if s.svc.Draining() {
 		// Load balancers read this as "stop routing here" while in-flight

@@ -93,14 +93,10 @@ type Config struct {
 	// registry NewHandler serves on GET /metrics; nil gives the Service a
 	// private one.
 	Metrics *metrics.Registry
-	// Workload, when set, receives per-fingerprint hot-key accounting:
-	// every completed check (fingerprint + cache outcome + service time)
-	// and every shed (fingerprinted directly, since sheds never reach
-	// the engine). Nil disables workload analytics.
-	Workload *telemetry.Workload
 	// Flight, when set, is fed end-to-end latencies for its p99 trigger
-	// window. The service never fires captures itself; the recorder's
-	// own loop does, via the QueueFill probe.
+	// window, and NewHandler serves its status under /healthz. The
+	// service never fires captures itself; the recorder's own loop does,
+	// via the QueueFill probe.
 	Flight *telemetry.Recorder
 }
 
@@ -126,12 +122,11 @@ type Service struct {
 	workerCount      int
 	estimates        [2]ewma // service-time estimator per Cost class
 
-	// Telemetry (workload and flight optional; see Config). NewHandler
-	// serves all three, so an HTTP layer never sees another registry,
-	// sketch or recorder than the one the Service feeds.
-	reg      *metrics.Registry
-	workload *telemetry.Workload
-	flight   *telemetry.Recorder
+	// Telemetry (flight optional; see Config). NewHandler serves both,
+	// so an HTTP layer never sees another registry or recorder than the
+	// one the Service feeds.
+	reg    *metrics.Registry
+	flight *telemetry.Recorder
 
 	mu       sync.RWMutex // guards draining flips vs. enqueues
 	draining bool
@@ -204,7 +199,6 @@ func New(cfg Config) (*Service, error) {
 		expensiveSupport: expensiveSupport,
 		workerCount:      cfg.Checker.Parallelism(),
 		reg:              reg,
-		workload:         cfg.Workload,
 		flight:           cfg.Flight,
 		admitted:         reg.Counter("bagcd_requests_admitted_total", "", "Requests admitted to the queue."),
 		shed:             reg.Counter("bagcd_requests_shed_total", "", "Requests shed before admission, any reason."),
@@ -311,7 +305,6 @@ func (s *Service) Do(ctx context.Context, req Request) (*bagconsist.Report, erro
 		s.shed.Inc()
 		s.shedReasons[reason].Inc()
 		trace.SpanFromContext(ctx).SetAttr("shed", reason)
-		s.observeShed(req)
 		return nil, ErrOverloaded
 	}
 	t.enqueued = time.Now()
@@ -325,7 +318,6 @@ func (s *Service) Do(ctx context.Context, req Request) (*bagconsist.Report, erro
 		s.shed.Inc()
 		s.shedReasons[shedQueueFull].Inc()
 		trace.SpanFromContext(ctx).SetAttr("shed", shedQueueFull)
-		s.observeShed(req)
 		return nil, ErrOverloaded
 	}
 
@@ -364,31 +356,6 @@ func (s *Service) admissionVeto(ctx context.Context, cost Cost) string {
 		}
 	}
 	return ""
-}
-
-// observeShed attributes an admission rejection to its hot key. Sheds
-// never reach the engine's cached path, so the fingerprint is computed
-// here — the public canonicalization fast path, no check involved.
-// Called after the read lock is released; instances that cannot be
-// fingerprinted (the engine would reject them anyway) are skipped.
-func (s *Service) observeShed(req Request) {
-	if s.workload == nil {
-		return
-	}
-	s.workload.ObserveShed(requestFingerprint(req))
-}
-
-// requestFingerprint names the request's instance canonically, or ""
-// when it cannot be fingerprinted.
-func requestFingerprint(req Request) string {
-	var fp string
-	switch req.Kind {
-	case Pair:
-		fp, _ = bagconsist.FingerprintPair(req.R, req.S)
-	default:
-		fp, _ = bagconsist.FingerprintCollection(req.Collection)
-	}
-	return fp
 }
 
 // QueueFill returns queue depth over capacity in [0, 1] — the flight
@@ -433,14 +400,6 @@ func (s *Service) run(t *task) {
 		return
 	}
 	ctx := t.ctx
-	// The capture carrier lets the cache layer's observer hand the
-	// canonical fingerprint (computed anyway for the cache key) back to
-	// this worker — per-key accounting without re-canonicalizing. Only
-	// global checks reach the cache.
-	var capture *telemetry.Capture
-	if s.workload != nil {
-		ctx, capture = telemetry.WithCapture(ctx)
-	}
 	timeout := t.req.Timeout
 	if timeout <= 0 {
 		timeout = s.defaultTimeout
@@ -475,28 +434,17 @@ func (s *Service) run(t *task) {
 	s.serviceTime[t.req.Kind].Observe(elapsed.Seconds())
 	s.latencies[t.req.Kind].Observe((wait + elapsed).Seconds())
 	s.estimates[t.cost].observe(elapsed.Seconds())
-	if err == nil {
-		if capture != nil {
-			if fp, hit, ok := capture.Get(); ok {
-				s.workload.ObserveCheck(fp, hit, elapsed)
-			} else if fp := requestFingerprint(t.req); fp != "" {
-				// No observer ran: a pair request, which never reaches the
-				// cache, or a cacheless checker. Fingerprint directly; for
-				// pair requests this is their only fingerprint, kept for
-				// the hot-key sketch.
-				s.workload.ObserveCheck(fp, rep != nil && rep.CacheHit, elapsed)
-			}
-		}
-	}
 	s.flight.Observe((wait + elapsed).Seconds())
 	// A search that stops at its node budget or its deadline returns no
-	// Report; its error carries the nodes it explored.
-	var stopped interface{ Nodes() int64 }
-	switch {
-	case rep != nil && !rep.CacheHit && rep.Nodes > 0:
+	// Report; its error carries the nodes it explored. The errors.As
+	// target escapes, so it is declared only on the error path.
+	if rep != nil && !rep.CacheHit && rep.Nodes > 0 {
 		s.ilpNodes.Add(uint64(rep.Nodes))
-	case errors.As(err, &stopped) && stopped.Nodes() > 0:
-		s.ilpNodes.Add(uint64(stopped.Nodes()))
+	} else if err != nil {
+		var stopped interface{ Nodes() int64 }
+		if errors.As(err, &stopped) && stopped.Nodes() > 0 {
+			s.ilpNodes.Add(uint64(stopped.Nodes()))
+		}
 	}
 	outcome := "ok"
 	switch {

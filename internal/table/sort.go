@@ -1,7 +1,5 @@
 package table
 
-import "sort"
-
 // SortPerm fills perm (which must have length rs.N()) with row positions
 // ordered lexicographically by the rows' ids, column 0 most significant;
 // equal rows stay in position order (the sort is stable). This is the
@@ -21,9 +19,7 @@ func SortPermOf(rs *Rows, perm []int32) {
 		return
 	}
 	if len(perm) < smallSortCutoff {
-		sort.SliceStable(perm, func(a, b int) bool {
-			return lessRow(rs, int(perm[a]), int(perm[b]))
-		})
+		insertionSort(rs, perm)
 		return
 	}
 	// LSD radix: counting passes from the last column to the first keep
@@ -66,6 +62,20 @@ const (
 	smallSortCutoff = 12
 	radixDirectMax  = 1 << 16
 )
+
+// insertionSort sorts perm in place by row ids. A row moves left only
+// past strictly greater rows, so equal rows keep their order (stable),
+// and nothing is allocated.
+func insertionSort(rs *Rows, perm []int32) {
+	for i := 1; i < len(perm); i++ {
+		p := perm[i]
+		j := i
+		for ; j > 0 && lessRow(rs, int(p), int(perm[j-1])); j-- {
+			perm[j] = perm[j-1]
+		}
+		perm[j] = p
+	}
+}
 
 // countingPass stable-sorts perm into out by rs.Row(p)[col] using direct
 // counting over ids in [0, maxID].

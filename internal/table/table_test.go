@@ -147,6 +147,56 @@ func TestSortPermMatchesComparator(t *testing.T) {
 	}
 }
 
+// TestSortPermSmallMatchesSliceStable holds the below-cutoff path to
+// sort.SliceStable on rows with many repeats, at every size from 0 to 40
+// (both sides of smallSortCutoff).
+func TestSortPermSmallMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 20; trial++ {
+			w := 1 + rng.Intn(3)
+			rs := &Rows{W: w}
+			row := make([]uint32, w)
+			for i := 0; i < n; i++ {
+				for j := range row {
+					row[j] = uint32(rng.Intn(3))
+				}
+				rs.Append(row, 1)
+			}
+			perm := make([]int32, n)
+			SortPerm(rs, perm)
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				return lessRow(rs, int(want[a]), int(want[b]))
+			})
+			for i := range perm {
+				if perm[i] != want[i] {
+					t.Fatalf("n=%d w=%d trial %d: perm = %v, want %v", n, w, trial, perm, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSortPermSmallAllocatesNothing: below smallSortCutoff SortPerm
+// sorts in place, with no closure or pooled scratch.
+func TestSortPermSmallAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{5, 11} {
+		rs := &Rows{W: 2}
+		for i := 0; i < n; i++ {
+			rs.Append([]uint32{uint32(rng.Intn(4)), uint32(rng.Intn(4))}, 1)
+		}
+		perm := make([]int32, n)
+		if allocs := testing.AllocsPerRun(100, func() { SortPerm(rs, perm) }); allocs != 0 {
+			t.Errorf("SortPerm of %d rows allocates %.0f times, want 0", n, allocs)
+		}
+	}
+}
+
 func TestRuns(t *testing.T) {
 	rs := &Rows{W: 1}
 	for _, v := range []uint32{4, 4, 1, 4, 1, 9} {

@@ -6,11 +6,12 @@ import (
 )
 
 // Capture is a per-request carrier the check observer writes into and
-// the service worker reads after the check returns. It rides the
-// request context (like httptrace.ClientTrace) so the fingerprint
-// computed deep inside the cache layer reaches the workload analyzer
-// without recomputing canonicalization or widening the Report wire
-// format.
+// the caller reads after the check returns. It rides the request
+// context (like httptrace.ClientTrace) so the fingerprint computed deep
+// inside the cache layer reaches the caller without recomputing
+// canonicalization or widening the Report wire format. Its one user
+// outside tests is perfbench's in-process replay, which installs
+// RecordCheck as its Checker's observer but attaches no Capture.
 type Capture struct {
 	mu       sync.Mutex
 	fp       string
@@ -43,15 +44,16 @@ func (c *Capture) Get() (fp string, cacheHit, ok bool) {
 
 type captureKey struct{}
 
-// WithCapture attaches a fresh Capture to ctx and returns both.
+// WithCapture attaches a fresh Capture to ctx and returns both. Only
+// tests call it.
 func WithCapture(ctx context.Context) (context.Context, *Capture) {
 	c := &Capture{}
 	return context.WithValue(ctx, captureKey{}, c), c
 }
 
 // RecordCheck writes into the Capture attached to ctx, if any. This is
-// the function shape pkg/bagconsist's WithCheckObserver expects, so
-// wiring the observer is one line in the daemon.
+// the function shape pkg/bagconsist's WithCheckObserver expects;
+// perfbench's replay is the one caller that installs it.
 func RecordCheck(ctx context.Context, _ string, fp string, cacheHit bool) {
 	if c, ok := ctx.Value(captureKey{}).(*Capture); ok {
 		c.Record(fp, cacheHit)

@@ -1,19 +1,15 @@
-// Package telemetry turns the serving daemon's request stream into
-// operator-facing signals: which canonical fingerprints are hot, and
-// what the process looked like the moment it tipped into overload.
+// Package telemetry holds the serving daemon's overload flight recorder
+// and the per-request capture carrier for the Checker's check observer.
 //
-// Two dependency-free pieces compose:
-//
-//   - Sketch / Workload: a deterministic SpaceSaving heavy-hitter
-//     summary over canonical fingerprints with per-key hit/miss/shed
-//     counts and service-time accumulators — the primitive a
-//     fingerprint-sharded cluster needs before it can do hot-key
-//     replication. Exposed as /debug/workload JSON and a
-//     bagcd_hotkey_* top-K metrics block.
-//   - Recorder: an overload flight recorder that captures a bounded
-//     pprof CPU+heap profile and the current workload/trace state
-//     into a rotated on-disk directory when queue fill or p99 crosses
-//     a threshold, linked to slow traces by trace id.
+//   - Recorder: samples queue fill and a windowed p99 of end-to-end
+//     latency, and when either crosses its threshold captures a bounded
+//     pprof CPU+heap profile and the trace rings into a rotated on-disk
+//     directory, linked to slow traces by trace id. Its status is served
+//     under /healthz.
+//   - Capture / RecordCheck: a context-carried slot the check observer
+//     writes a global check's canonical fingerprint and cache outcome
+//     into. perfbench's in-process replay, which installs RecordCheck,
+//     is their one caller.
 //
 // Everything here is observation-only: no type in this package ever
 // changes a verdict, a cache key, or the wire format.

@@ -63,9 +63,6 @@ func (c RecorderConfig) withDefaults() RecorderConfig {
 type RecorderProbes struct {
 	// QueueFill returns current queue depth / capacity in [0, 1].
 	QueueFill func() float64
-	// Workload returns the workload snapshot to persist as
-	// workload.json.
-	Workload func() any
 	// Traces returns the trace snapshots (ring + slow ring) to persist
 	// as traces.ndjson; their trace ids link captures to slow_traces
 	// entries.
@@ -84,7 +81,7 @@ type CaptureInfo struct {
 	P99Ms    float64 `json:"p99_ms"`
 }
 
-// RecorderStatus is the JSON shape embedded in /debug/workload.
+// RecorderStatus is the JSON shape of /healthz's flight_recorder field.
 type RecorderStatus struct {
 	Schema      string        `json:"schema"` // FlightrecSchema
 	Dir         string        `json:"dir"`
@@ -100,7 +97,7 @@ const FlightrecSchema = "flightrec/v1"
 
 // Recorder is the overload flight recorder: a trigger loop sampling
 // queue fill and windowed p99, and a capture routine persisting a
-// bounded pprof CPU+heap profile plus the workload and trace state.
+// bounded pprof CPU+heap profile plus the trace rings.
 type Recorder struct {
 	cfg    RecorderConfig
 	probes RecorderProbes
@@ -252,8 +249,8 @@ func (r *Recorder) Trigger(reason string) (string, error) {
 }
 
 // capture persists one flight: meta.json first (so a crashed capture
-// is still identifiable), then workload + traces, then heap and a
-// bounded CPU profile. Returns the capture directory.
+// is still identifiable), then traces, then heap and a bounded CPU
+// profile. Returns the capture directory.
 func (r *Recorder) capture(reason string, fill, p99 float64) (string, error) {
 	r.mu.Lock()
 	name, seq := r.rot.Next(reason)
@@ -292,11 +289,6 @@ func (r *Recorder) capture(reason string, fill, p99 float64) (string, error) {
 	if err := writeJSON(filepath.Join(dir, "meta.json"), meta); err != nil {
 		return dir, err
 	}
-	if r.probes.Workload != nil {
-		if err := writeJSON(filepath.Join(dir, "workload.json"), r.probes.Workload()); err != nil {
-			fail("workload", err)
-		}
-	}
 	if len(snaps) > 0 {
 		if err := writeNDJSON(filepath.Join(dir, "traces.ndjson"), snaps); err != nil {
 			fail("traces", err)
@@ -315,7 +307,7 @@ func (r *Recorder) capture(reason string, fill, p99 float64) (string, error) {
 	} else {
 		// StartCPUProfile fails when another profile is active (e.g. an
 		// operator hitting the -pprof endpoint); the flight keeps the
-		// heap and state captures and records why CPU is missing.
+		// heap and trace captures and records why CPU is missing.
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fail("cpu", err)
 		} else {

@@ -34,20 +34,17 @@ func traceSnapshot() *trace.Snapshot {
 }
 
 func TestRecorderTriggerCapturesFlight(t *testing.T) {
-	w := NewWorkload(4)
-	w.ObserveCheck("abc", false, time.Millisecond)
 	snap := traceSnapshot()
 	r := testRecorder(t, RecorderConfig{QueueFrac: 0.9})
 	r.probes = RecorderProbes{
 		QueueFill: func() float64 { return 0.95 },
-		Workload:  func() any { return w.Snapshot(0) },
 		Traces:    func() []*trace.Snapshot { return []*trace.Snapshot{snap} },
 	}
 	dir, err := r.Trigger("queue_fill")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"meta.json", "workload.json", "traces.ndjson", "heap.pprof", "cpu.pprof"} {
+	for _, f := range []string{"meta.json", "traces.ndjson", "heap.pprof", "cpu.pprof"} {
 		st, err := os.Stat(filepath.Join(dir, f))
 		if err != nil {
 			t.Fatalf("capture missing %s: %v", f, err)

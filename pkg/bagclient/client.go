@@ -50,9 +50,6 @@ type BatchResult struct {
 // Health mirrors the daemon's GET /healthz body.
 type Health = service.HealthStatus
 
-// WorkloadStatus mirrors the daemon's GET /debug/workload body.
-type WorkloadStatus = service.WorkloadStatus
-
 // StatusError is a non-2xx daemon response after retries are exhausted.
 type StatusError struct {
 	Code    int
@@ -422,35 +419,6 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 		return nil, fmt.Errorf("bagclient: bad healthz body: %w", err)
 	}
 	return &h, nil
-}
-
-// Workload fetches GET /debug/workload: hot-key analytics plus, when
-// the daemon runs it, flight-recorder state. topN
-// bounds the hot-key table (0 = all tracked keys, < 0 keeps the server
-// default). A daemon running with -hotkey-k 0 answers 404, surfaced as
-// a StatusError.
-func (c *Client) Workload(ctx context.Context, topN int) (*WorkloadStatus, error) {
-	url, _ := c.endpoint("/debug/workload", nil)
-	if topN >= 0 {
-		url += "?top=" + strconv.Itoa(topN)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var ws WorkloadStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
-		return nil, fmt.Errorf("bagclient: bad workload body: %w", err)
-	}
-	return &ws, nil
 }
 
 // Metrics fetches the raw Prometheus exposition from GET /metrics.

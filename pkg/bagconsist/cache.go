@@ -370,7 +370,8 @@ func (c *Checker) cachedCheck(ctx context.Context, bags []*bag.Bag, compute func
 	return v.(*cachedResult).report(can, time.Since(start))
 }
 
-// observeCheck notifies the configured telemetry observer, if any.
+// observeCheck notifies the configured telemetry observer, if any;
+// perfbench's replay is the one caller that installs one.
 func (c *Checker) observeCheck(ctx context.Context, fp string, cacheHit bool) {
 	if c.cfg.observer != nil {
 		c.cfg.observer(ctx, "global", fp, cacheHit)

@@ -6,67 +6,25 @@ import (
 	"sync"
 	"testing"
 
+	"bagconsistency/internal/canon"
 	"bagconsistency/internal/gen"
 	"bagconsistency/internal/hypergraph"
 	"bagconsistency/pkg/bagconsist"
 )
 
-func TestFingerprintBagsStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	c, _, err := gen.RandomConsistent(rng, hypergraph.Path(4), 16, 1<<8, 3)
+// canonFP is the canonical fingerprint of bags as the cache computes it.
+func canonFP(t *testing.T, bags ...*bagconsist.Bag) string {
+	t.Helper()
+	can, err := canon.Bags(bags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := bagconsist.FingerprintCollection(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fp) != 64 {
-		t.Fatalf("fingerprint %q is not 64 hex chars", fp)
-	}
-	// Invariance: tuple order and consistent value renaming do not
-	// change the identity — the property hot-key accounting relies on.
-	perm, err := bagconsist.FingerprintCollection(permutedCopy(t, rng, c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ren, err := bagconsist.FingerprintCollection(renamedCopy(t, c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perm != fp || ren != fp {
-		t.Fatalf("fingerprint not invariant: base=%s perm=%s renamed=%s", fp, perm, ren)
-	}
-	// A genuinely different instance gets a different identity.
-	other, _, err := gen.RandomConsistent(rand.New(rand.NewSource(2)), hypergraph.Path(4), 16, 1<<8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ofp, err := bagconsist.FingerprintCollection(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ofp == fp {
-		t.Fatal("distinct instances collided")
-	}
+	return can.FP.String()
 }
 
-func TestFingerprintErrors(t *testing.T) {
-	if _, err := bagconsist.FingerprintBags(nil); err == nil {
-		t.Fatal("empty instance must not fingerprint")
-	}
-	if _, err := bagconsist.FingerprintPair(nil, nil); err == nil {
-		t.Fatal("nil bags must not fingerprint")
-	}
-	if _, err := bagconsist.FingerprintCollection(nil); err == nil {
-		t.Fatal("nil collection must not fingerprint")
-	}
-}
-
-// TestFingerprintMatchesCachePath: the public fast path and the cache's
-// internal fingerprinting agree — FingerprintPair/Collection compute
-// exactly the fp a CheckObserver reports for a global check over the same
-// bags. Pair checks never reach the cache, so they are not observed.
+// TestFingerprintMatchesCachePath: a CheckObserver reports exactly the
+// canonical fingerprint canon.Bags computes for a global check's bags.
+// Pair checks never reach the cache, so they are not observed.
 func TestFingerprintMatchesCachePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r, s, err := gen.RandomConsistentPair(rng, 16, 1<<8, 3)
@@ -108,14 +66,8 @@ func TestFingerprintMatchesCachePath(t *testing.T) {
 		}
 	}
 
-	pairFP, err := bagconsist.FingerprintPair(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	collFP, err := bagconsist.FingerprintCollection(coll)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairFP := canonFP(t, r, s)
+	collFP := canonFP(t, coll.Bags()...)
 
 	mu.Lock()
 	defer mu.Unlock()
